@@ -227,11 +227,21 @@ void Cluster::AccountInMemoryCompute(const std::string& phase,
 }
 
 void Cluster::SettleMapPhase(const std::string& phase,
-                             std::vector<PhaseCounters>& per_machine,
+                             const std::vector<WorkerTally>& tallies,
                              double wall_seconds,
                              const PullPhaseInfo* pull) {
   const int overlap =
       config_.multithreading ? config_.threads_per_machine : 1;
+  // Fold the worker tallies in slice order: client-side counts go to
+  // the slice's machine, served bytes to each hosting machine.
+  std::vector<PhaseCounters> per_machine(config_.num_machines);
+  std::vector<int64_t> served(config_.num_machines, 0);
+  for (const WorkerTally& tally : tallies) {
+    per_machine[tally.machine].Absorb(tally.client);
+    for (size_t m = 0; m < tally.served_bytes.size(); ++m) {
+      served[m] += tally.served_bytes[m];
+    }
+  }
   // Pull rounds (RunPullPhase) advance through global lockstep steps:
   // the most pull steps any machine's workers opened. Per step, every
   // machine receives its broadcast slice of the frontier bitmap
@@ -245,9 +255,9 @@ void Cluster::SettleMapPhase(const std::string& phase,
   int64_t bitmap_slice_bytes = 0;
   double pull_machine_time = 0.0;
   if (pull != nullptr) {
-    for (PhaseCounters& counters : per_machine) {
-      pull_steps = std::max(pull_steps, counters.pull_steps.load());
-      pull_exchange_bytes += counters.pull_bytes.load();
+    for (const PhaseCounters& counters : per_machine) {
+      pull_steps = std::max(pull_steps, counters.pull_steps);
+      pull_exchange_bytes += counters.pull_bytes;
     }
     pull_steps = std::max<int64_t>(1, pull_steps);
     const int64_t bitmap_bytes = (pull->key_space + 7) / 8;
@@ -269,35 +279,33 @@ void Cluster::SettleMapPhase(const std::string& phase,
   int64_t total_hits = 0, total_misses = 0, hottest_served = 0;
   int64_t peak_inflight = 0;
   int64_t total_slow = 0, total_hedged = 0, total_hedge_wins = 0;
-  std::vector<int64_t> served(per_machine.size(), 0);
   for (size_t m = 0; m < per_machine.size(); ++m) {
     const PhaseCounters& counters = per_machine[m];
-    const int64_t trips = counters.kv_lookup_trips.load();
-    const int64_t bytes = counters.kv_read_bytes.load();
-    const int64_t items = counters.items.load();
-    const int64_t served_bytes = counters.kv_served_bytes.load();
-    total_queries += counters.kv_queries.load();
+    const int64_t trips = counters.kv_lookup_trips;
+    const int64_t bytes = counters.kv_read_bytes;
+    const int64_t items = counters.items;
+    const int64_t served_bytes = served[m];
+    total_queries += counters.kv_queries;
     total_trips += trips;
-    total_batches += counters.kv_batches.load();
+    total_batches += counters.kv_batches;
     total_bytes += bytes;
     total_items += items;
-    total_hits += counters.cache_hits.load();
-    total_misses += counters.cache_misses.load();
-    peak_inflight = std::max(peak_inflight, counters.peak_inflight_keys.load());
+    total_hits += counters.cache_hits;
+    total_misses += counters.cache_misses;
+    peak_inflight = std::max(peak_inflight, counters.peak_inflight_keys);
     hottest_served = std::max(hottest_served, served_bytes);
-    served[m] = served_bytes;
     // Straggler tax on this machine's trips (StragglerModel): a slow
     // destination's trip runs at slowdown x latency — extra
     // (slowdown - 1) trips' worth — unless a hedge won, in which case
     // the trip completed at 2 x latency (timeout + replica round trip:
     // extra 1), with both legs charged. Integer trip counts converted
     // to seconds exactly once, here.
-    const int64_t slow = counters.kv_slow_trips.load();
-    const int64_t wins = counters.kv_hedge_wins.load();
+    const int64_t slow = counters.kv_slow_trips;
+    const int64_t wins = counters.kv_hedge_wins;
     double straggler_extra_sec = 0.0;
     if (slow != 0) {
       total_slow += slow;
-      total_hedged += counters.kv_hedged_trips.load();
+      total_hedged += counters.kv_hedged_trips;
       total_hedge_wins += wins;
       straggler_extra_sec =
           (static_cast<double>(slow - wins) *
@@ -800,21 +808,25 @@ void Cluster::RunMapPhaseImpl(
   const TuneScope tune_scope = AutoTuneBeginRound();
   WallTimer timer;
   const int num_machines = config_.num_machines;
-  std::vector<PhaseCounters> counters(num_machines);
   // The work list: all of [0, key_space), or the caller's explicit
   // frontier subset.
   const int64_t n =
       explicit_items ? static_cast<int64_t>(items.size()) : key_space;
 
   // Bucket items by owning machine (the machine holding record i of a
-  // capacity-key_space store under the configured placement).
+  // capacity-key_space store under the configured placement — what
+  // MachineOf(item, key_space) computes, with the placement resolved
+  // once for the phase).
+  const kv::Placement placement = PlacementFor(key_space);
+  const auto machine_of = [&](int64_t item) {
+    return HostOf(placement.ShardOf(static_cast<uint64_t>(item)));
+  };
   std::vector<std::atomic<int64_t>> machine_sizes(num_machines);
   for (auto& s : machine_sizes) s.store(0, std::memory_order_relaxed);
   ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
     std::vector<int64_t> local(num_machines, 0);
     for (int64_t i = lo; i < hi; ++i) {
-      const int64_t item = explicit_items ? items[i] : i;
-      ++local[MachineOf(item, key_space)];
+      ++local[machine_of(explicit_items ? items[i] : i)];
     }
     for (int m = 0; m < num_machines; ++m) {
       if (local[m] != 0) {
@@ -834,7 +846,7 @@ void Cluster::RunMapPhaseImpl(
   ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const int64_t item = explicit_items ? items[i] : i;
-      const int m = MachineOf(item, key_space);
+      const int m = machine_of(item);
       buckets[cursors[m].fetch_add(1, std::memory_order_relaxed)] = item;
     }
   });
@@ -886,26 +898,28 @@ void Cluster::RunMapPhaseImpl(
   };
   Latch latch;
   latch.remaining = static_cast<int>(slices.size());
-  for (const WorkerSlice& slice : slices) {
-    const int m = slice.machine;
-    const int w = slice.worker;
-    const int64_t lo = slice.lo;
-    const int64_t hi = slice.hi;
-    pool_->Schedule([&, m, w, lo, hi] {
+  // One tally per slice, written once, when the slice's context hands
+  // over its private tally.
+  std::vector<WorkerTally> tallies(slices.size());
+  for (size_t s = 0; s < slices.size(); ++s) {
+    const int m = slices[s].machine;
+    const int w = slices[s].worker;
+    const int64_t lo = slices[s].lo;
+    const int64_t hi = slices[s].hi;
+    pool_->Schedule([&, s, m, w, lo, hi] {
       {
         // Scoped so the context's destructor — which settles any
-        // deferred pipeline trips and folds the worker's in-flight
-        // watermark into the counters — runs before the latch
-        // releases the settle.
+        // deferred pipeline trips and hands over the tally — runs
+        // before the latch releases the settle.
         MachineContext ctx(
-            this, &counters, m, w,
+            this, &tallies[s], m, w,
             Hash64(HashCombine(Hash64(m, config_.seed), w),
                    HashCombine(config_.seed,
                                std::hash<std::string>{}(phase))));
         slice_fn(std::span<const int64_t>(buckets.data() + lo, hi - lo),
                  ctx);
-        counters[m].items.fetch_add(hi - lo, std::memory_order_relaxed);
       }
+      tallies[s].client.items = hi - lo;
       std::unique_lock<std::mutex> lock(latch.mu);
       if (--latch.remaining == 0) latch.cv.notify_all();
     });
@@ -914,7 +928,7 @@ void Cluster::RunMapPhaseImpl(
     std::unique_lock<std::mutex> lock(latch.mu);
     latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
   }
-  SettleMapPhase(phase, counters, timer.Seconds(), pull);
+  SettleMapPhase(phase, tallies, timer.Seconds(), pull);
   AutoTuneEndRound(tune_scope, key_space, n);
 }
 

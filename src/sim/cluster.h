@@ -62,6 +62,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -71,7 +72,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/frontier.h"
@@ -678,45 +679,70 @@ class Cluster {
  private:
   friend class MachineContext;
 
+  // Client-side counts of one map phase, charged to the machine
+  // *running* the items: query latency, received record bytes, per-item
+  // CPU. Plain integers: each worker fills its own copy (WorkerTally)
+  // and the settle folds the copies per machine.
   struct PhaseCounters {
-    // Charged to the machine *running* the item (client side): query
-    // latency, received record bytes, per-item CPU.
-    std::atomic<int64_t> kv_queries{0};
+    int64_t kv_queries = 0;
     // Latency-bearing round trips. A scalar Lookup is one trip; a
     // LookupMany is one trip per distinct destination machine (or one
     // per key when batch_lookups is off). This — not kv_queries — is
     // what the settle math multiplies by lookup latency.
-    std::atomic<int64_t> kv_lookup_trips{0};
-    std::atomic<int64_t> kv_batches{0};
-    std::atomic<int64_t> kv_read_bytes{0};
-    std::atomic<int64_t> items{0};
-    std::atomic<int64_t> cache_hits{0};
-    std::atomic<int64_t> cache_misses{0};
-    // Peak keys any of this machine's workers held in flight at once
-    // (outstanding LookupManyAsync tickets; max-merged, not summed) —
-    // the measured side of the pipeline_depth x max_batch_keys memory
-    // trade-off.
-    std::atomic<int64_t> peak_inflight_keys{0};
-    // Charged to the machine whose shard *serves* the lookup (server
-    // side): its NIC ships the record regardless of who asked.
-    std::atomic<int64_t> kv_served_bytes{0};
-    // Pull-mode (RunPullPhase) traffic: exchange bytes this machine's
-    // workers received via PullMany, and the most pull steps
-    // (frontier-bitmap broadcasts) any of its workers advanced through
-    // (max-merged, not summed — the machine's workers share its view
-    // of each global step).
-    std::atomic<int64_t> pull_bytes{0};
-    std::atomic<int64_t> pull_steps{0};
-    // Straggler/hedging accounting, charged to the *client* machine
-    // (integer trip counts, converted to extra latency once at settle —
-    // never accumulated as doubles, so the cost model stays
-    // bit-deterministic across thread interleavings): trips that hit a
-    // slow destination this round, the subset re-issued to a replica
-    // after the hedge timeout, and the subset the hedge won (replica
-    // answered first).
-    std::atomic<int64_t> kv_slow_trips{0};
-    std::atomic<int64_t> kv_hedged_trips{0};
-    std::atomic<int64_t> kv_hedge_wins{0};
+    int64_t kv_lookup_trips = 0;
+    int64_t kv_batches = 0;
+    int64_t kv_read_bytes = 0;
+    int64_t items = 0;
+    int64_t cache_hits = 0;
+    int64_t cache_misses = 0;
+    // Peak keys a worker held in flight at once (outstanding
+    // LookupManyAsync tickets; max-merged, not summed) — the measured
+    // side of the pipeline_depth x max_batch_keys memory trade-off.
+    int64_t peak_inflight_keys = 0;
+    // Pull-mode (RunPullPhase) traffic: exchange bytes received via
+    // PullMany, and the most pull steps (frontier-bitmap broadcasts) a
+    // worker advanced through (max-merged, not summed — a machine's
+    // workers share its view of each global step).
+    int64_t pull_bytes = 0;
+    int64_t pull_steps = 0;
+    // Straggler/hedging accounting (integer trip counts, converted to
+    // extra latency once at settle — never accumulated as doubles, so
+    // the cost model stays bit-deterministic): trips that hit a slow
+    // destination this round, the subset re-issued to a replica after
+    // the hedge timeout, and the subset the hedge won (replica answered
+    // first).
+    int64_t kv_slow_trips = 0;
+    int64_t kv_hedged_trips = 0;
+    int64_t kv_hedge_wins = 0;
+
+    // Sums the counts, max-merges the two watermarks.
+    void Absorb(const PhaseCounters& other) {
+      kv_queries += other.kv_queries;
+      kv_lookup_trips += other.kv_lookup_trips;
+      kv_batches += other.kv_batches;
+      kv_read_bytes += other.kv_read_bytes;
+      items += other.items;
+      cache_hits += other.cache_hits;
+      cache_misses += other.cache_misses;
+      peak_inflight_keys =
+          std::max(peak_inflight_keys, other.peak_inflight_keys);
+      pull_bytes += other.pull_bytes;
+      pull_steps = std::max(pull_steps, other.pull_steps);
+      kv_slow_trips += other.kv_slow_trips;
+      kv_hedged_trips += other.kv_hedged_trips;
+      kv_hedge_wins += other.kv_hedge_wins;
+    }
+  };
+
+  // One worker slice's accounting. Its MachineContext is the only writer
+  // while the slice runs, so no per-key step touches shared memory.
+  struct WorkerTally {
+    int machine = 0;
+    PhaseCounters client;
+    // Server side: bytes this worker's reads made each machine's shard
+    // ship (indexed by hosting machine) — a NIC serves a record
+    // regardless of who asked.
+    std::vector<int64_t> served_bytes;
   };
 
   // Marks a map phase as a pull round (RunPullPhase) for the settle:
@@ -726,14 +752,14 @@ class Cluster {
     int64_t key_space = 0;
   };
 
-  // Converts per-machine phase counters into simulated round time (the
-  // slowest machine's client + server + CPU time, floored by the
-  // aggregate network ceiling) and folds everything into metrics. A
-  // non-null `pull` adds the pull model's charges (bitmap broadcast,
-  // exchange latency, local shard sweep) on top; null leaves the
-  // historical arithmetic untouched.
+  // Folds the worker tallies per machine, converts them into simulated
+  // round time (the slowest machine's client + server + CPU time,
+  // floored by the aggregate network ceiling) and records everything in
+  // metrics. A non-null `pull` adds the pull model's charges (bitmap
+  // broadcast, exchange latency, local shard sweep) on top; null leaves
+  // the historical arithmetic untouched.
   void SettleMapPhase(const std::string& phase,
-                      std::vector<PhaseCounters>& per_machine,
+                      const std::vector<WorkerTally>& tallies,
                       double wall_seconds,
                       const PullPhaseInfo* pull = nullptr);
 
@@ -747,7 +773,8 @@ class Cluster {
   // partitions the work items (all of [0, key_space), or the explicit
   // `items` subset when `explicit_items` is set) onto machines by
   // MachineOf(item, key_space), runs one slice per (machine, worker),
-  // settles. `pull` switches the settle onto the pull cost model.
+  // each with its own WorkerTally, and settles. `pull` switches the
+  // settle onto the pull cost model.
   void RunMapPhaseImpl(
       const std::string& phase, int64_t key_space,
       std::span<const int64_t> items, bool explicit_items,
@@ -901,29 +928,34 @@ class Cluster {
 
 /// Per-(machine, worker) handle passed to map-phase functions. KV lookups
 /// made through the context charge the requesting machine for query
-/// latency and the owning machine for the bytes its shard serves.
+/// latency and the owning machine for the bytes its shard serves. The
+/// charges accumulate in the context's own tally, handed to `out` when
+/// the context is destroyed; the phase settle folds the tallies.
 class MachineContext {
  public:
-  MachineContext(Cluster* cluster,
-                 std::vector<Cluster::PhaseCounters>* all_counters,
-                 int machine_id, int worker_id, uint64_t rng_seed)
+  MachineContext(Cluster* cluster, Cluster::WorkerTally* out, int machine_id,
+                 int worker_id, uint64_t rng_seed)
       : cluster_(cluster),
-        all_counters_(all_counters),
-        counters_(&(*all_counters)[machine_id]),
+        out_(out),
         machine_id_(machine_id),
         worker_id_(worker_id),
         rng_(rng_seed),
-        destination_seen_(all_counters->size(), 0),
-        pipeline_window_counts_(all_counters->size(), 0) {}
+        destination_seen_(cluster->config().num_machines, 0),
+        pipeline_window_counts_(cluster->config().num_machines, 0) {
+    tally_.machine = machine_id;
+    tally_.served_bytes.assign(cluster->config().num_machines, 0);
+  }
 
   MachineContext(const MachineContext&) = delete;
   MachineContext& operator=(const MachineContext&) = delete;
 
-  // Settles any trips still deferred behind un-awaited tickets and
-  // folds the worker's in-flight-keys watermark into the phase
-  // counters (callers normally drain their tickets; this is the
-  // backstop that keeps the cost model complete either way).
-  ~MachineContext() { FlushPipelineTrips(); }
+  // Settles any trips still deferred behind un-awaited tickets (callers
+  // normally drain their tickets; this is the backstop that keeps the
+  // cost model complete either way) and hands the tally to the phase.
+  ~MachineContext() {
+    FlushPipelineTrips();
+    *out_ = std::move(tally_);
+  }
 
   int machine_id() const { return machine_id_; }
   int worker_id() const { return worker_id_; }
@@ -956,7 +988,7 @@ class MachineContext {
   template <typename V>
   const V* Lookup(const kv::ShardedStore<V>& store, uint64_t key) {
     CheckStoreMatchesCluster(store);
-    counters_->kv_queries.fetch_add(1, std::memory_order_relaxed);
+    ++tally_.client.kv_queries;
     kv::QueryCache<const V*>* cache =
         caching_enabled() ? store.QueryCacheFor(machine_id_) : nullptr;
     uint64_t epoch = 0;
@@ -970,7 +1002,7 @@ class MachineContext {
       }
     }
     const int shard = store.ShardOf(key);
-    counters_->kv_lookup_trips.fetch_add(1, std::memory_order_relaxed);
+    ++tally_.client.kv_lookup_trips;
     NoteTrips(shard, 1);
     // A scalar miss momentarily holds one key in flight on top of any
     // open tickets.
@@ -978,12 +1010,10 @@ class MachineContext {
     const V* value = store.Lookup(key);
     const int64_t bytes =
         value == nullptr ? kv::kKeyBytes : kv::kKeyBytes + kv::KvByteSize(*value);
-    counters_->kv_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    tally_.client.kv_read_bytes += bytes;
     // Served by whichever machine currently hosts the shard (the shard's
     // new owner after a drain migration).
-    Cluster::PhaseCounters& server =
-        (*all_counters_)[cluster_->HostOf(shard)];
-    server.kv_served_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    tally_.served_bytes[cluster_->HostOf(shard)] += bytes;
     if (cache != nullptr) {
       CountCacheMiss();
       cache->Put(key, epoch, value);
@@ -1046,8 +1076,7 @@ class MachineContext {
       }
       ++sub_misses;
       ticket.result.bytes += bytes;
-      (*all_counters_)[cluster_->HostOf(shard)].kv_served_bytes.fetch_add(
-          bytes, std::memory_order_relaxed);
+      tally_.served_bytes[cluster_->HostOf(shard)] += bytes;
       if (cache != nullptr) cache->Put(key, epoch, value);
       // The scalar (unbatched) client pays its per-miss trip to this
       // destination now, so its straggler exposure is noted per miss;
@@ -1067,26 +1096,18 @@ class MachineContext {
     }
     touched_destinations_.clear();
     ticket.result.destinations = sub_destinations;
-    counters_->kv_queries.fetch_add(static_cast<int64_t>(keys.size()),
-                                    std::memory_order_relaxed);
-    if (hits != 0) {
-      counters_->cache_hits.fetch_add(hits, std::memory_order_relaxed);
-    }
-    if (cache != nullptr && sub_misses != 0) {
-      counters_->cache_misses.fetch_add(sub_misses,
-                                        std::memory_order_relaxed);
-    }
-    counters_->kv_read_bytes.fetch_add(ticket.result.bytes,
-                                       std::memory_order_relaxed);
+    tally_.client.kv_queries += static_cast<int64_t>(keys.size());
+    tally_.client.cache_hits += hits;
+    if (cache != nullptr) tally_.client.cache_misses += sub_misses;
+    tally_.client.kv_read_bytes += ticket.result.bytes;
     // With batching disabled the client model is scalar: every miss
     // pays a full trip at issue time, no wire batch is formed, and the
     // pipeline has nothing to overlap. A fully cache-served sub-batch
     // likewise forms no wire batch.
     if (!batching) {
-      counters_->kv_lookup_trips.fetch_add(sub_misses,
-                                           std::memory_order_relaxed);
+      tally_.client.kv_lookup_trips += sub_misses;
     } else if (cache == nullptr || sub_misses > 0) {
-      counters_->kv_batches.fetch_add(1, std::memory_order_relaxed);
+      ++tally_.client.kv_batches;
     }
     ticket.keys_in_flight = static_cast<int64_t>(keys.size());
     ticket.settled = false;
@@ -1178,10 +1199,11 @@ class MachineContext {
   /// exchange latency is charged once by the phase settle, not per
   /// key. Bytes are charged exactly like a lookup's (client NIC
   /// receives, owning shard's NIC serves), once per distinct key per
-  /// pull step: the exchange ships one copy of each needed record to
-  /// each machine, so duplicates within a step are free. Returned
-  /// values are identical to LookupMany's (values[i] answers keys[i],
-  /// nullptr = absent).
+  /// worker context per pull step: a worker's share of the exchange
+  /// carries one copy of each record it needs, so its repeats within a
+  /// step are free, while two workers that need the same record each
+  /// pay for their copy. Returned values are identical to LookupMany's
+  /// (values[i] answers keys[i], nullptr = absent).
   template <typename V>
   kv::LookupBatchResult<V> PullMany(const kv::ShardedStore<V>& store,
                                     std::span<const uint64_t> keys) {
@@ -1192,19 +1214,16 @@ class MachineContext {
     for (const uint64_t key : keys) {
       const V* value = store.Lookup(key);
       result.values.push_back(value);
-      if (!pull_seen_.insert(key).second) continue;  // already exchanged
+      if (!pull_seen_.Insert(key)) continue;  // already exchanged
       const int64_t bytes = value == nullptr
                                 ? kv::kKeyBytes
                                 : kv::kKeyBytes + kv::KvByteSize(*value);
       result.bytes += bytes;
-      (*all_counters_)[cluster_->HostOf(store.ShardOf(key))]
-          .kv_served_bytes.fetch_add(bytes, std::memory_order_relaxed);
+      tally_.served_bytes[cluster_->HostOf(store.ShardOf(key))] += bytes;
     }
-    counters_->kv_queries.fetch_add(static_cast<int64_t>(keys.size()),
-                                    std::memory_order_relaxed);
-    counters_->kv_read_bytes.fetch_add(result.bytes,
-                                       std::memory_order_relaxed);
-    counters_->pull_bytes.fetch_add(result.bytes, std::memory_order_relaxed);
+    tally_.client.kv_queries += static_cast<int64_t>(keys.size());
+    tally_.client.kv_read_bytes += result.bytes;
+    tally_.client.pull_bytes += result.bytes;
     return result;
   }
 
@@ -1215,7 +1234,7 @@ class MachineContext {
   /// exchange per step) and resets the per-step exchange dedup.
   void BeginPullStep() {
     ++pull_steps_;
-    pull_seen_.clear();
+    pull_seen_.NextStep();
   }
 
   /// Reads the machine-local input record for `key` without charging KV
@@ -1232,12 +1251,8 @@ class MachineContext {
   /// MakeMachineCaches() instances count theirs through these, so every
   /// cache probe at every layer flows into the same two metrics
   /// (Section 5.3).
-  void CountCacheHit() {
-    counters_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-  void CountCacheMiss() {
-    counters_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-  }
+  void CountCacheHit() { ++tally_.client.cache_hits; }
+  void CountCacheMiss() { ++tally_.client.cache_misses; }
 
   /// Per-worker deterministic RNG (seeded from cluster seed, phase,
   /// machine and worker ids). Must not influence algorithm outputs that
@@ -1247,8 +1262,7 @@ class MachineContext {
  private:
   template <typename V>
   void CheckStoreMatchesCluster(const kv::ShardedStore<V>& store) const {
-    AMPC_CHECK_EQ(static_cast<size_t>(store.num_shards()),
-                  all_counters_->size())
+    AMPC_CHECK_EQ(store.num_shards(), cluster_->config().num_machines)
         << "store sharding disagrees with the cluster (use MakeStore)";
     // Current placement, or one the tuner retired mid-run (stores
     // outlive hot-swaps; see Cluster::AcceptsStorePlacement).
@@ -1269,21 +1283,13 @@ class MachineContext {
     if (!cluster_->stragglers_enabled() || trips == 0) return;
     const int host = cluster_->HostOf(shard);
     if (!cluster_->DestinationSlow(host)) return;
-    counters_->kv_slow_trips.fetch_add(trips, std::memory_order_relaxed);
+    tally_.client.kv_slow_trips += trips;
     if (!cluster_->hedging_enabled()) return;
     const int hedge = cluster_->HedgeHostOf(shard);
     if (hedge < 0 || hedge == host) return;
-    counters_->kv_hedged_trips.fetch_add(trips, std::memory_order_relaxed);
+    tally_.client.kv_hedged_trips += trips;
     if (!cluster_->DestinationSlow(hedge)) {
-      counters_->kv_hedge_wins.fetch_add(trips, std::memory_order_relaxed);
-    }
-  }
-
-  static void AtomicMaxRelaxed(std::atomic<int64_t>& target, int64_t value) {
-    int64_t seen = target.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !target.compare_exchange_weak(seen, value,
-                                         std::memory_order_relaxed)) {
+      tally_.client.kv_hedge_wins += trips;
     }
   }
 
@@ -1291,8 +1297,8 @@ class MachineContext {
   // group — every sub-batch issued since the last drain: a destination
   // contacted by w of those windows costs ceil(w / pipeline_depth)
   // serialized trips (depth = 1 degenerates to one trip per window per
-  // destination, the lockstep charge). Also folds the worker's
-  // in-flight-keys watermark into the machine's phase counters.
+  // destination, the lockstep charge). Also records the worker's
+  // in-flight-keys and pull-step watermarks in its tally.
   void FlushPipelineTrips() {
     const int64_t depth = static_cast<int64_t>(pipeline_depth());
     int64_t trips = 0;
@@ -1304,20 +1310,77 @@ class MachineContext {
       NoteTrips(shard, shard_trips);
     }
     touched_pipeline_destinations_.clear();
-    if (trips != 0) {
-      counters_->kv_lookup_trips.fetch_add(trips, std::memory_order_relaxed);
-    }
-    if (peak_inflight_keys_ != 0) {
-      AtomicMaxRelaxed(counters_->peak_inflight_keys, peak_inflight_keys_);
-    }
-    if (pull_steps_ != 0) {
-      AtomicMaxRelaxed(counters_->pull_steps, pull_steps_);
-    }
+    tally_.client.kv_lookup_trips += trips;
+    tally_.client.peak_inflight_keys = peak_inflight_keys_;
+    tally_.client.pull_steps = pull_steps_;
   }
 
+  // The set of keys one worker has exchanged in the current pull step:
+  // open addressing with linear probing over a power-of-two table that
+  // doubles at half load. Each slot carries the generation (step) that
+  // filled it, so opening a step is one increment — never a sweep of a
+  // table sized by the largest step so far — and the table is reused
+  // across steps without per-key heap nodes.
+  class PullStepKeySet {
+   public:
+    // Empties the set.
+    void NextStep() {
+      size_ = 0;
+      if (++generation_ == 0) {  // stamps wrapped: sweep once
+        for (Slot& slot : slots_) slot.generation = 0;
+        generation_ = 1;
+      }
+    }
+
+    // Adds `key`; false when it is already in the set.
+    bool Insert(uint64_t key) {
+      if (2 * (size_ + 1) > slots_.size()) Grow();
+      return Place(key);
+    }
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      uint32_t generation = 0;  // 0 never matches a live generation
+    };
+    static constexpr size_t kInitialSlots = 1024;
+
+    bool Place(uint64_t key) {
+      // Fibonacci hashing: the top bits of key * 2^64/phi.
+      size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                     shift_);
+      for (;; i = (i + 1) & (slots_.size() - 1)) {
+        Slot& slot = slots_[i];
+        if (slot.generation != generation_) {
+          slot = Slot{key, generation_};
+          ++size_;
+          return true;
+        }
+        if (slot.key == key) return false;
+      }
+    }
+
+    void Grow() {
+      const size_t slots =
+          slots_.empty() ? kInitialSlots : 2 * slots_.size();
+      const std::vector<Slot> old =
+          std::exchange(slots_, std::vector<Slot>(slots));
+      shift_ = 64 - std::countr_zero(slots);
+      size_ = 0;
+      for (const Slot& slot : old) {
+        if (slot.generation == generation_) Place(slot.key);
+      }
+    }
+
+    std::vector<Slot> slots_;
+    uint32_t generation_ = 1;
+    size_t size_ = 0;
+    int shift_ = 64;
+  };
+
   Cluster* cluster_;
-  std::vector<Cluster::PhaseCounters>* all_counters_;
-  Cluster::PhaseCounters* counters_;
+  Cluster::WorkerTally* out_;
+  Cluster::WorkerTally tally_;
   int machine_id_;
   int worker_id_;
   Rng rng_;
@@ -1335,10 +1398,10 @@ class MachineContext {
   int64_t outstanding_tickets_ = 0;
   int64_t inflight_keys_ = 0;
   int64_t peak_inflight_keys_ = 0;
-  // Pull-mode state (RunPullPhase): keys already exchanged this pull
-  // step (duplicates are free within a step) and how many steps this
-  // worker has advanced through.
-  std::unordered_set<uint64_t> pull_seen_;
+  // Pull-mode state (RunPullPhase): keys this worker already exchanged
+  // in the current pull step (its repeats are free within a step) and
+  // how many steps it has advanced through.
+  PullStepKeySet pull_seen_;
   int64_t pull_steps_ = 0;
 };
 

@@ -5,9 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
+
+#include "core/kcore.h"
+#include "core/msf.h"
+#include "core/pagerank.h"
+#include "graph/generators.h"
+#include "graph/graph.h"
 
 namespace ampc::sim {
 namespace {
@@ -1346,6 +1353,172 @@ TEST(ClusterTest, HedgingRecoversStragglerTrips) {
   EXPECT_GT(hedged.hedged, 0);
   EXPECT_GT(hedged.wins, 0);
   EXPECT_LT(hedged.sim_sec, waited.sim_sec);
+}
+
+TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
+  // One machine, one worker: the whole pull round is one worker slice
+  // and one pull step. Its 3n reads cover n distinct keys — several
+  // times the dedup set's initial 1024 slots, so the set grows mid-step
+  // — and each distinct record is exchanged exactly once, across both
+  // PullMany calls. Keys past the written range are absent and cost
+  // their key bytes.
+  ClusterConfig config;
+  config.num_machines = 1;
+  config.threads_per_machine = 1;
+  Cluster cluster(config);
+  const int64_t n = 6000;
+  const int64_t written = n / 2;
+  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
+  cluster.RunKvWritePhase("w", store, written, [](int64_t k) { return k; });
+  std::vector<uint64_t> keys;
+  for (int rep = 0; rep < 3; ++rep) {
+    // 7919 is prime, so each pass is a permutation of [0, n).
+    for (int64_t k = 0; k < n; ++k) keys.push_back((k * 7919 + rep) % n);
+  }
+  int64_t expected_bytes = 0;
+  for (int64_t k = 0; k < n; ++k) {
+    expected_bytes += k < written ? store.RecordBytes(k) : kv::kKeyBytes;
+  }
+  const size_t half = keys.size() / 2;
+  int64_t wrong = 0;
+  cluster.RunPullPhase(
+      "pull", n, [&](std::span<const int64_t>, MachineContext& ctx) {
+        const std::span<const uint64_t> all(keys);
+        for (const std::span<const uint64_t> part :
+             {all.first(half), all.subspan(half)}) {
+          const kv::LookupBatchResult<int64_t> batch =
+              ctx.PullMany(store, part);
+          for (size_t i = 0; i < part.size(); ++i) {
+            const int64_t key = static_cast<int64_t>(part[i]);
+            const int64_t* value = batch.values[i];
+            if (key < written ? value == nullptr || *value != key
+                              : value != nullptr) {
+              ++wrong;
+            }
+          }
+        }
+      });
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"), expected_bytes);
+  EXPECT_EQ(cluster.metrics().Get("kv_read_bytes"), expected_bytes);
+  EXPECT_EQ(cluster.metrics().Get("kv_reads"), 3 * n);
+  EXPECT_EQ(cluster.metrics().Get("kv_lookup_trips"), 0);
+}
+
+TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
+  // Every state reads the same key for three adaptive steps. Each step
+  // opens a fresh exchange (BeginPullStep), so a key is charged once
+  // per step, however many states ask for it within the step.
+  ClusterConfig config;
+  config.num_machines = 1;
+  config.threads_per_machine = 1;
+  Cluster cluster(config);
+  const int64_t n = 64;
+  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
+  cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return 5 * k; });
+  struct Walker {
+    uint64_t key;
+    int steps_left;
+  };
+  const int kSteps = 3;
+  const uint64_t kDistinct = 8;
+  int64_t wrong = 0;
+  cluster.RunPullPhase(
+      "pull", n, [&](std::span<const int64_t> items, MachineContext& ctx) {
+        std::vector<Walker> walkers;
+        for (const int64_t item : items) {
+          walkers.push_back(Walker{static_cast<uint64_t>(item) % kDistinct,
+                                   kSteps});
+        }
+        DrivePullSteps(
+            ctx, store, walkers,
+            [](const Walker& w) { return w.steps_left == 0; },
+            [](const Walker& w) { return w.key; },
+            [&](Walker& w, const int64_t* value) {
+              if (value == nullptr ||
+                  *value != 5 * static_cast<int64_t>(w.key)) {
+                ++wrong;
+              }
+              --w.steps_left;
+            });
+      });
+  EXPECT_EQ(wrong, 0);
+  int64_t step_bytes = 0;
+  for (uint64_t k = 0; k < kDistinct; ++k) step_bytes += store.RecordBytes(k);
+  EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"),
+            kSteps * step_bytes);
+  // One ceil(n / 8)-byte bitmap broadcast per step.
+  EXPECT_EQ(cluster.metrics().Get("frontier_broadcast_bytes"),
+            kSteps * ((n + 7) / 8));
+  EXPECT_EQ(cluster.metrics().Get("kv_reads"), kSteps * n);
+}
+
+// Runs `job` on two identically configured clusters and expects the
+// same charged costs from both: simulated seconds and timers, every
+// counter, and every round's per-machine footprint. Guards the fold of
+// the per-worker tallies, which must not depend on which worker thread
+// finishes first.
+template <typename Job>
+void ExpectTwinClusterCosts(const ClusterConfig& config, Job job) {
+  Cluster a(config);
+  Cluster b(config);
+  job(a);
+  job(b);
+  EXPECT_GT(a.metrics().Get("frontier_dense_rounds"), 0);
+  EXPECT_EQ(a.SimSeconds(), b.SimSeconds());
+  const MetricsSnapshot sa = a.metrics().Snapshot();
+  const MetricsSnapshot sb = b.metrics().Snapshot();
+  EXPECT_EQ(sa.counters, sb.counters);
+  for (const auto& [name, seconds] : sa.timers_sec) {
+    if (name.rfind("sim", 0) != 0) continue;
+    ASSERT_TRUE(sb.timers_sec.count(name)) << name;
+    EXPECT_EQ(seconds, sb.timers_sec.at(name)) << name;
+  }
+  ASSERT_EQ(a.round_footprints().size(), b.round_footprints().size());
+  for (size_t r = 0; r < a.round_footprints().size(); ++r) {
+    const RoundFootprint& fa = a.round_footprints()[r];
+    const RoundFootprint& fb = b.round_footprints()[r];
+    EXPECT_EQ(fa.phase, fb.phase) << "round " << r;
+    EXPECT_EQ(fa.kv_read_bytes, fb.kv_read_bytes) << "round " << r;
+    EXPECT_EQ(fa.kv_write_bytes, fb.kv_write_bytes) << "round " << r;
+  }
+}
+
+ClusterConfig UncachedFrontierConfig(FrontierMode mode) {
+  ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  config.query_cache.enabled = false;
+  config.frontier.mode = mode;
+  config.in_memory_threshold_arcs = 64;
+  return config;
+}
+
+TEST(ClusterTest, TwinClustersChargeEqualCostsForHybridKCore) {
+  const graph::Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(2000, 12000, 11));
+  ExpectTwinClusterCosts(
+      UncachedFrontierConfig(FrontierMode::kHybrid),
+      [&](Cluster& cluster) { core::AmpcKCore(cluster, g); });
+}
+
+TEST(ClusterTest, TwinClustersChargeEqualCostsForPullMsf) {
+  const graph::WeightedEdgeList list = graph::MakeRandomWeighted(
+      graph::GenerateErdosRenyi(1000, 5000, 13), /*seed=*/13);
+  ExpectTwinClusterCosts(
+      UncachedFrontierConfig(FrontierMode::kDense),
+      [&](Cluster& cluster) { core::AmpcMsf(cluster, list); });
+}
+
+TEST(ClusterTest, TwinClustersChargeEqualCostsForPullPageRank) {
+  const graph::Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(500, 2500, 17));
+  core::PageRankMcOptions options;
+  options.walks_per_node = 4;
+  ExpectTwinClusterCosts(UncachedFrontierConfig(FrontierMode::kDense),
+                         [&](Cluster& cluster) {
+                           core::AmpcMonteCarloPageRank(cluster, g, options);
+                         });
 }
 
 }  // namespace
