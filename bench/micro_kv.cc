@@ -87,7 +87,7 @@ SkewResult MeasureSkewSensitivity(int64_t n) {
     // ~90% of the payload bytes land on machine 0's shard in the skewed
     // configuration; totals match the uniform configuration.
     int64_t hot_keys = 0;
-    for (int64_t k = 0; k < n; ++k) hot_keys += cluster.MachineOf(k) == 0;
+    for (int64_t k = 0; k < n; ++k) hot_keys += cluster.MachineOf(k, n) == 0;
     const int64_t uniform_len = 256;
     const int64_t total = uniform_len * n;
     const int64_t hot_len = total * 9 / (10 * std::max<int64_t>(1, hot_keys));
@@ -97,7 +97,7 @@ SkewResult MeasureSkewSensitivity(int64_t n) {
     cluster.RunKvWritePhase("write", store, n, [&](int64_t k) {
       int64_t len = uniform_len;
       if (skewed_write) {
-        len = cluster.MachineOf(k) == 0 ? hot_len : cold_len;
+        len = cluster.MachineOf(k, n) == 0 ? hot_len : cold_len;
       }
       return std::vector<uint8_t>(static_cast<size_t>(len), 1);
     });

@@ -72,7 +72,8 @@ RunResult RunPointerJump(int64_t n, const ampc::bench::GridCell& cell) {
         for (const int64_t item : items) {
           chains.push_back(Chain{static_cast<NodeId>(item)});
         }
-        ampc::sim::DriveLookupLockstep(
+        // The grid pins pipeline_depth = 1: strict lockstep.
+        ampc::sim::DriveLookupPipelined(
             ctx, parent_store, chains,
             [](const Chain& c) { return c.done; },
             [](const Chain& c) { return static_cast<uint64_t>(c.cur); },

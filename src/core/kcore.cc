@@ -22,23 +22,25 @@ using graph::NodeId;
 using AdjStore = kv::ShardedStore<std::vector<NodeId>>;
 using ValueStore = kv::ShardedStore<int32_t>;
 
-/// One worker slice of an h-index round in the sparse (push)
-/// representation: the manual ticket pipeline over per-vertex neighbor
-/// windows. Each vertex's h-index recomputation is one adaptive step
-/// needing every neighbor's published value. The reads are independent
-/// across the worker's vertices, so the worker pipelines them: each
-/// vertex's neighbor list ships as sub-batch windows (one
-/// LookupManyAsync ticket each, at most max_batch_keys keys), with up
-/// to pipeline_depth tickets — usually spanning several vertices — in
-/// flight at once so their round trips overlap. High-degree neighbors
-/// are shared by many vertices of a machine, so their published values
-/// are served from the query cache after the first fetch each round
-/// (the fresh per-round store resets the cache). `on_result(item, h)`
-/// receives each settled vertex's new h-index.
+/// One worker slice of an h-index round: the manual ticket pipeline
+/// over per-vertex neighbor windows. Each vertex's h-index
+/// recomputation is one adaptive step needing every neighbor's
+/// published value. The reads are independent across the worker's
+/// vertices, so the worker pipelines them: each vertex's neighbor list
+/// ships as sub-batch windows (one LookupManyAsync ticket each, at most
+/// max_batch_keys keys), with up to pipeline_depth tickets — usually
+/// spanning several vertices — in flight at once so their round trips
+/// overlap. High-degree neighbors are shared by many vertices of a
+/// machine, so their published values are served from the query cache
+/// after the first fetch each round (the fresh per-round store resets
+/// the cache). In a pull round the same windows resolve as local sweeps
+/// against the round's exchange; the slice opens no adaptive step, so
+/// the whole round is one exchange step per worker. `on_result(item,
+/// h)` receives each settled vertex's new h-index.
 template <typename OnResult>
-void HIndexSparseSlice(std::span<const int64_t> items,
-                       sim::MachineContext& ctx, const AdjStore& adjacency,
-                       const ValueStore& values, OnResult&& on_result) {
+void HIndexSlice(std::span<const int64_t> items, sim::MachineContext& ctx,
+                 const AdjStore& adjacency, const ValueStore& values,
+                 OnResult&& on_result) {
   struct Pending {
     kv::LookupTicket<int32_t> ticket;
     int64_t item;
@@ -84,34 +86,6 @@ void HIndexSparseSlice(std::span<const int64_t> items,
     } while (begin < degree);
   }
   while (!inflight.empty()) settle_oldest();
-}
-
-/// The dense (pull) counterpart: inside a RunPullPhase the neighbor
-/// values were shipped by the round's bitmap broadcast + aggregate
-/// exchange, so each vertex resolves its whole neighbor list as a
-/// local sweep (MachineContext::PullMany — bytes, no round trips).
-/// Values, and therefore every on_result, are identical to the sparse
-/// slice's.
-template <typename OnResult>
-void HIndexPullSlice(std::span<const int64_t> items,
-                     sim::MachineContext& ctx, const AdjStore& adjacency,
-                     const ValueStore& values, OnResult&& on_result) {
-  std::vector<uint64_t> keys;
-  std::vector<int32_t> neighbor_values;
-  for (const int64_t item : items) {
-    const NodeId v = static_cast<NodeId>(item);
-    const std::vector<NodeId>* adj = ctx.LookupLocal(adjacency, v);
-    keys.clear();
-    keys.reserve(adj->size());
-    for (const NodeId neighbor : *adj) keys.push_back(neighbor);
-    const kv::LookupBatchResult<int32_t> batch =
-        ctx.PullMany(values, std::span<const uint64_t>(keys));
-    neighbor_values.clear();
-    for (const int32_t* value : batch.values) {
-      neighbor_values.push_back(value == nullptr ? 0 : *value);
-    }
-    on_result(item, HIndex(neighbor_values));
-  }
 }
 
 }  // namespace
@@ -178,14 +152,13 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
       cluster.RunBatchMapPhase(
           "HIndex", n,
           [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-            HIndexSparseSlice(items, ctx, adjacency, values,
-                              [&](int64_t item, int32_t h) {
-                                next[item] = h;
-                                if (h != result.coreness[item]) {
-                                  changed.fetch_add(
-                                      1, std::memory_order_relaxed);
-                                }
-                              });
+            HIndexSlice(items, ctx, adjacency, values,
+                        [&](int64_t item, int32_t h) {
+                          next[item] = h;
+                          if (h != result.coreness[item]) {
+                            changed.fetch_add(1, std::memory_order_relaxed);
+                          }
+                        });
           });
       result.coreness.swap(next);
       if (changed.load() == 0) break;
@@ -232,20 +205,16 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
         changed.Set(item);
       }
     };
+    const auto slice = [&](std::span<const int64_t> items,
+                           sim::MachineContext& ctx) {
+      HIndexSlice(items, ctx, adjacency, values, on_result);
+    };
     if (policy.UseDense(static_cast<int64_t>(active.size()),
                         frontier_edges)) {
-      cluster.RunPullPhase(
-          "HIndex", n, active,
-          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-            HIndexPullSlice(items, ctx, adjacency, values, on_result);
-          });
+      cluster.RunPullPhase("HIndex", n, active, slice);
     } else {
       cluster.NoteSparseFrontierRound();
-      cluster.RunBatchMapPhase(
-          "HIndex", n, active,
-          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-            HIndexSparseSlice(items, ctx, adjacency, values, on_result);
-          });
+      cluster.RunBatchMapPhase("HIndex", n, active, slice);
     }
     for (const int64_t v : active) {
       if (changed.Test(v)) result.coreness[v] = next[v];

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "common/concurrent_bag.h"
-#include "common/frontier.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -112,27 +111,6 @@ void ResumePrimSearch(PrimSearchState& s, const std::vector<WAdj>* next,
   AdvancePrimSearch(s, seed, search_limit);
 }
 
-// Frontier-engine decision for one of the loop's adaptive phases
-// (common/frontier.h; connectivity inherits this through AmpcMsf).
-// Each phase is one decision — its frontier is the (shrinking) state
-// population seeded from `frontier_size` starts with `frontier_edges`
-// out-pointers. Returns whether to run the phase in pull mode
-// (Cluster::RunPullPhase + DrivePullSteps); notes a sparse round
-// otherwise. Always false — the legacy, cost-model bit-identical path
-// — when the engine is off.
-bool UsePullPhase(sim::Cluster& cluster, int64_t frontier_size,
-                  int64_t frontier_edges, int64_t num_vertices,
-                  int64_t total_edges) {
-  const sim::ClusterConfig::FrontierConfig& frontier_config =
-      cluster.config().frontier;
-  if (frontier_config.mode == FrontierMode::kSparse) return false;
-  FrontierPolicy policy(frontier_config.mode, frontier_config.alpha,
-                        frontier_config.beta, num_vertices, total_edges);
-  if (policy.UseDense(frontier_size, frontier_edges)) return true;
-  cluster.NoteSparseFrontierRound();
-  return false;
-}
-
 // Core contraction loop over an edge list whose ids are preserved
 // throughout. Appends the MSF's edge ids to `result`.
 void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
@@ -206,7 +184,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // Every vertex originates a search, so the phase's frontier covers
     // the whole round graph — dense under the hybrid policy whenever
     // the round graph has edges.
-    const bool prim_pull = UsePullPhase(cluster, n, 2 * m, n, 2 * m);
+    const bool prim_pull = cluster.UsePullPhase(n, 2 * m, n, 2 * m);
     const auto prim_slice =
         [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
           std::vector<PrimSearchState> searches(items.size());
@@ -231,12 +209,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
                                   const std::vector<WAdj>* next) {
             ResumePrimSearch(s, next, round_seed, search_limit);
           };
-          if (prim_pull) {
-            sim::DrivePullSteps(ctx, store, searches, done, key, resume);
-          } else {
-            sim::DriveLookupPipelined(ctx, store, searches, done, key,
-                                      resume);
-          }
+          sim::DriveLookupPipelined(ctx, store, searches, done, key, resume);
           for (PrimSearchState& s : searches) {
             parent[s.item] = s.out.stop_parent;
             found_edges.Merge(std::move(s.out.msf_edges));
@@ -279,7 +252,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // `stopped` vertices, each holding one out-pointer into a pointer
     // graph of at most n arcs — the hybrid policy pulls when most of
     // the round graph stopped, pushes when chains are scarce.
-    const bool jump_pull = UsePullPhase(cluster, stopped, stopped, n, n);
+    const bool jump_pull = cluster.UsePullPhase(stopped, stopped, n, n);
     const auto jump_slice =
         [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
           struct Chain {
@@ -314,13 +287,8 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
               ++c.hops;
             }
           };
-          if (jump_pull) {
-            sim::DrivePullSteps(ctx, parent_store, chains, done, key,
-                                resume);
-          } else {
-            sim::DriveLookupPipelined(ctx, parent_store, chains, done, key,
-                                      resume);
-          }
+          sim::DriveLookupPipelined(ctx, parent_store, chains, done, key,
+                                    resume);
           int64_t seen = max_chain.load(std::memory_order_relaxed);
           while (local_max > seen &&
                  !max_chain.compare_exchange_weak(

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 
-#include "common/frontier.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/timer.h"
@@ -67,29 +66,6 @@ struct WalkState {
 bool WalkDone(const WalkState& w) { return w.done; }
 uint64_t WalkKey(const WalkState& w) { return w.v; }
 
-// Frontier-engine decision for a walk phase (common/frontier.h). A
-// walk phase is one frontier decision, not one per hop: every adaptive
-// step's frontier is the (shrinking) walk population seeded from
-// `frontier_size` distinct start vertices with `frontier_edges`
-// out-edges, so the policy sees the phase's starting shape. Returns
-// whether to run the phase in pull mode (Cluster::RunPullPhase +
-// DrivePullSteps — adjacency fetches become local sweeps against the
-// per-step bitmap broadcast instead of per-walk round trips); notes a
-// sparse round otherwise. Always false — the legacy path, cost-model
-// bit-identical — when the engine is off.
-bool UsePullWalkPhase(sim::Cluster& cluster, int64_t frontier_size,
-                      int64_t frontier_edges, int64_t num_vertices,
-                      int64_t total_edges) {
-  const sim::ClusterConfig::FrontierConfig& frontier_config =
-      cluster.config().frontier;
-  if (frontier_config.mode == FrontierMode::kSparse) return false;
-  FrontierPolicy policy(frontier_config.mode, frontier_config.alpha,
-                        frontier_config.beta, num_vertices, total_edges);
-  if (policy.UseDense(frontier_size, frontier_edges)) return true;
-  cluster.NoteSparseFrontierRound();
-  return false;
-}
-
 }  // namespace
 
 PageRankMcResult AmpcMonteCarloPageRank(sim::Cluster& cluster,
@@ -111,7 +87,7 @@ PageRankMcResult AmpcMonteCarloPageRank(sim::Cluster& cluster,
   // Walks start at every vertex, so the frontier covers the whole
   // graph — dense under the hybrid policy whenever the graph has edges.
   const bool pull =
-      UsePullWalkPhase(cluster, n, g.num_arcs(), n, g.num_arcs());
+      cluster.UsePullPhase(n, g.num_arcs(), n, g.num_arcs());
   const auto walk_slice =
       [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
         int64_t local_steps = 0;
@@ -149,13 +125,8 @@ PageRankMcResult AmpcMonteCarloPageRank(sim::Cluster& cluster,
           w.adj = adj;
           advance(w);
         };
-        if (pull) {
-          sim::DrivePullSteps(ctx, *store, walks, WalkDone, WalkKey,
-                              resume);
-        } else {
-          sim::DriveLookupPipelined(ctx, *store, walks, WalkDone, WalkKey,
-                                    resume);
-        }
+        sim::DriveLookupPipelined(ctx, *store, walks, WalkDone, WalkKey,
+                                  resume);
         steps.fetch_add(local_steps, std::memory_order_relaxed);
       };
   if (pull) {
@@ -196,8 +167,8 @@ PageRankMcResult AmpcPersonalizedPageRank(sim::Cluster& cluster,
   // Every walk starts at the single source vertex: a one-vertex
   // frontier, which the hybrid policy keeps sparse (pull would sweep
   // whole shards to answer one hot key the cache already serves).
-  const bool pull = UsePullWalkPhase(
-      cluster, 1, static_cast<int64_t>(g.degree(source)), n, g.num_arcs());
+  const bool pull = cluster.UsePullPhase(
+      1, static_cast<int64_t>(g.degree(source)), n, g.num_arcs());
   const auto walk_slice =
       [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
         int64_t local_steps = 0;
@@ -237,13 +208,8 @@ PageRankMcResult AmpcPersonalizedPageRank(sim::Cluster& cluster,
           w.adj = adj;
           advance(w);
         };
-        if (pull) {
-          sim::DrivePullSteps(ctx, *store, walks, WalkDone, WalkKey,
-                              resume);
-        } else {
-          sim::DriveLookupPipelined(ctx, *store, walks, WalkDone, WalkKey,
-                                    resume);
-        }
+        sim::DriveLookupPipelined(ctx, *store, walks, WalkDone, WalkKey,
+                                  resume);
         steps.fetch_add(local_steps, std::memory_order_relaxed);
       };
   if (pull) {
@@ -278,7 +244,7 @@ std::vector<std::vector<NodeId>> AmpcSampleWalks(sim::Cluster& cluster,
   // Like RandomWalks: walks start everywhere, so the frontier is dense
   // whenever the hybrid policy sees edges.
   const bool pull =
-      UsePullWalkPhase(cluster, n, g.num_arcs(), n, g.num_arcs());
+      cluster.UsePullPhase(n, g.num_arcs(), n, g.num_arcs());
   const auto walk_slice =
       [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
         struct SampleState {
@@ -328,11 +294,7 @@ std::vector<std::vector<NodeId>> AmpcSampleWalks(sim::Cluster& cluster,
           s.adj = adj;
           advance(s);
         };
-        if (pull) {
-          sim::DrivePullSteps(ctx, *store, states, done, key, resume);
-        } else {
-          sim::DriveLookupPipelined(ctx, *store, states, done, key, resume);
-        }
+        sim::DriveLookupPipelined(ctx, *store, states, done, key, resume);
       };
   if (pull) {
     cluster.RunPullPhase("SampleWalks", n, walk_slice);

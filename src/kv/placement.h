@@ -12,9 +12,10 @@
 //     key space contiguous per machine, affinity keeps fixed-size blocks
 //     of consecutive keys together so pointer chains over nearby ids hit
 //     fewer destinations per batch.
-//   * LookupBatch / LookupBatchResult — the request/response pair of a
-//     batched read. The response carries the per-batch accounting the
-//     cost model charges (total wire bytes, distinct destinations).
+//   * LookupBatchResult / LookupTicket — the response of a batched
+//     read and its in-flight handle. The response carries the per-batch
+//     accounting the cost model charges (total wire bytes, distinct
+//     destinations).
 //   * ReplicaSet — the replication side of placement: with a
 //     replication factor R, each shard's records also live on R - 1
 //     *follower* machines (distinct from the primary), so a machine
@@ -275,14 +276,7 @@ struct Placement {
   }
 };
 
-/// A batched DHT read request: the keys one adaptive step needs. The
-/// client pipeline groups them by owning machine and issues one round
-/// trip per destination.
-struct LookupBatch {
-  std::vector<uint64_t> keys;
-};
-
-/// The response side of a batch, aligned with the request's keys.
+/// The response of a batched DHT read, aligned with its keys.
 /// `values[i]` is the record for `keys[i]` (nullptr when absent);
 /// `bytes` and `destinations` are the accounting the cost model charges
 /// (total wire bytes moved, distinct owning machines contacted).

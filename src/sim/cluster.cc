@@ -797,6 +797,16 @@ void Cluster::RunPullPhase(
                   &pull);
 }
 
+bool Cluster::UsePullPhase(int64_t frontier_size, int64_t frontier_edges,
+                           int64_t num_vertices, int64_t total_edges) {
+  if (config_.frontier.mode == FrontierMode::kSparse) return false;
+  FrontierPolicy policy(config_.frontier.mode, config_.frontier.alpha,
+                        config_.frontier.beta, num_vertices, total_edges);
+  if (policy.UseDense(frontier_size, frontier_edges)) return true;
+  NoteSparseFrontierRound();
+  return false;
+}
+
 void Cluster::RunMapPhaseImpl(
     const std::string& phase, int64_t key_space,
     std::span<const int64_t> items, bool explicit_items,
@@ -821,35 +831,42 @@ void Cluster::RunMapPhaseImpl(
   const auto machine_of = [&](int64_t item) {
     return HostOf(placement.ShardOf(static_cast<uint64_t>(item)));
   };
-  std::vector<std::atomic<int64_t>> machine_sizes(num_machines);
-  for (auto& s : machine_sizes) s.store(0, std::memory_order_relaxed);
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    std::vector<int64_t> local(num_machines, 0);
-    for (int64_t i = lo; i < hi; ++i) {
-      ++local[machine_of(explicit_items ? items[i] : i)];
-    }
-    for (int m = 0; m < num_machines; ++m) {
-      if (local[m] != 0) {
-        machine_sizes[m].fetch_add(local[m], std::memory_order_relaxed);
+  // A counting sort over fixed 4096-item chunks: each chunk histograms
+  // its machines, the (chunk, machine) offsets are prefix-summed, and
+  // each chunk scatters into its own reserved runs. Every bucket thus
+  // holds its items in index order whatever the thread timing, so which
+  // worker slice gets which item — and with it every per-worker dedup
+  // and window charge — is schedule-independent.
+  constexpr int64_t kScatterChunk = 4096;
+  const int64_t num_chunks = (n + kScatterChunk - 1) / kScatterChunk;
+  // cursor[c * num_machines + m]: chunk c's count of machine-m items,
+  // then (after the prefix sum) where chunk c writes its next one.
+  std::vector<int64_t> cursor(static_cast<size_t>(num_chunks) * num_machines,
+                              0);
+  const auto for_each_chunk_item = [&](auto&& visit) {
+    ParallelFor(*pool_, 0, num_chunks, 1, [&](int64_t c) {
+      int64_t* local = cursor.data() + c * num_machines;
+      const int64_t hi = std::min(n, (c + 1) * kScatterChunk);
+      for (int64_t i = c * kScatterChunk; i < hi; ++i) {
+        const int64_t item = explicit_items ? items[i] : i;
+        visit(local[machine_of(item)], item);
       }
-    }
-  });
+    });
+  };
+  for_each_chunk_item([](int64_t& count, int64_t) { ++count; });
   std::vector<int64_t> offsets(num_machines + 1, 0);
   for (int m = 0; m < num_machines; ++m) {
-    offsets[m + 1] = offsets[m] + machine_sizes[m].load();
+    int64_t next = offsets[m];
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      const int64_t count = cursor[c * num_machines + m];
+      cursor[c * num_machines + m] = next;
+      next += count;
+    }
+    offsets[m + 1] = next;
   }
   std::vector<int64_t> buckets(n);
-  std::vector<std::atomic<int64_t>> cursors(num_machines);
-  for (int m = 0; m < num_machines; ++m) {
-    cursors[m].store(offsets[m], std::memory_order_relaxed);
-  }
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const int64_t item = explicit_items ? items[i] : i;
-      const int m = machine_of(item);
-      buckets[cursors[m].fetch_add(1, std::memory_order_relaxed)] = item;
-    }
-  });
+  for_each_chunk_item(
+      [&](int64_t& next, int64_t item) { buckets[next++] = item; });
 
   // Execute: each machine's slice split over its worker threads. With
   // the frontier engine active, a machine share too small to feed
@@ -915,7 +932,8 @@ void Cluster::RunMapPhaseImpl(
             this, &tallies[s], m, w,
             Hash64(HashCombine(Hash64(m, config_.seed), w),
                    HashCombine(config_.seed,
-                               std::hash<std::string>{}(phase))));
+                               std::hash<std::string>{}(phase))),
+            /*pull_round=*/pull != nullptr);
         slice_fn(std::span<const int64_t>(buckets.data() + lo, hi - lo),
                  ctx);
       }

@@ -49,6 +49,14 @@
 // threads) completes the Figure-4 ablation grid. None of the toggles
 // ever changes a returned value — only the cost model.
 //
+// Pull is a mode of the same client, not a second API. Inside a pull
+// round (Cluster::RunPullPhase, the frontier engine's dense mode) the
+// batched entry points — LookupManyAsync, and so LookupMany and
+// DriveLookupPipelined — resolve keys as a local shard sweep against
+// the round's bitmap broadcast + aggregate exchange: bytes once per
+// distinct key per worker per pull step, and no trips, wire batches,
+// cache probes or in-flight keys.
+//
 // The cluster is elastic under injected churn (ClusterConfig::faults):
 // a seeded sim::FaultInjector kills machines mid-phase at a Poisson
 // rate, and the cluster recovers each loss — re-routing the dead
@@ -381,15 +389,6 @@ class Cluster {
     return HostOf(PlacementFor(capacity).ShardOf(key));
   }
 
-  /// Capacity-oblivious convenience for the policies that do not need
-  /// the key-space size (hash, affinity). Range placement requires the
-  /// capacity-taking overload.
-  int MachineOf(uint64_t key) const {
-    AMPC_CHECK(config_.placement_policy != kv::PlacementPolicy::kRange)
-        << "range placement needs MachineOf(key, capacity)";
-    return HostOf(PlacementFor(0).ShardOf(key));
-  }
-
   /// Creates a DHT store for keys [0, capacity) sharded across this
   /// cluster's machines (shard s = machine s). The key assignment is a
   /// pure function of (capacity, machines, seed), so it is computed once
@@ -425,9 +424,8 @@ class Cluster {
 
   /// Per-machine byte attribution for sharded-shuffle accounting:
   /// bytes[m] = sum of bytes_of(i) over i in [0, items) with
-  /// machine_of(i) == m, computed with the per-thread-histogram pattern
-  /// RunMapPhaseImpl uses for bucket counting (one local histogram per
-  /// chunk, a single atomic merge per machine). Replaces the serial
+  /// machine_of(i) == m, computed with one local histogram per chunk
+  /// and a single atomic merge per machine. Replaces the serial
   /// per-key hash loops that were an O(items)-per-round single-thread
   /// hot spot in the cost attribution of connectivity/kkt/clustering
   /// and the simulated-AMPC baseline.
@@ -512,22 +510,22 @@ class Cluster {
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
           fn);
 
-  /// Dense-frontier pull round — the frontier engine's pull mode
-  /// (ROADMAP item 3). Instead of per-vertex LookupMany round trips,
-  /// the round broadcasts the frontier bitmap (ceil(key_space/8)
-  /// bytes, one machines-th to each machine) and every machine
-  /// resolves its share by sweeping its *local* shard against the
-  /// exchanged records: `fn` receives worker slices exactly like
-  /// RunBatchMapPhase, but resolves reads through
-  /// MachineContext::PullMany / DrivePullSteps, which charge bytes
+  /// Dense-frontier pull round — the frontier engine's pull mode.
+  /// Instead of per-vertex round trips, the round broadcasts the
+  /// frontier bitmap (ceil(key_space/8) bytes, one machines-th to each
+  /// machine) and every machine resolves its share by sweeping its
+  /// *local* shard against the exchanged records. `fn` receives worker
+  /// slices exactly like RunBatchMapPhase and reads through the same
+  /// client (LookupManyAsync / LookupMany / DriveLookupPipelined); the
+  /// round's contexts are in pull mode, so those reads charge bytes
   /// (client NIC receives, owning shard's NIC serves — one aggregate
   /// exchange) and *no* kv_lookup_trips. The settle charges each
   /// machine, per pull step, one broadcast slice plus two round-trip
   /// latencies (scatter + gather of the exchange), with the swept
   /// share of the key space costed at map-item CPU rate; steps advance
-  /// in lockstep across machines (max over workers). Counts one cheap
-  /// round; bumps frontier_dense_rounds / frontier_broadcast_bytes /
-  /// frontier_exchange_bytes.
+  /// in lockstep across machines (max over workers, at least one).
+  /// Counts one cheap round; bumps frontier_dense_rounds /
+  /// frontier_broadcast_bytes / frontier_exchange_bytes.
   void RunPullPhase(
       const std::string& phase, int64_t key_space,
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
@@ -550,6 +548,17 @@ class Cluster {
   // ampc-lint: allow(metric-zero-guard): callers gate on an active
   // engine (mode != kSparse); legacy sparse mode never reaches this.
   void NoteSparseFrontierRound() { metrics_.Add("frontier_sparse_rounds", 1); }
+
+  /// The frontier decision of one frontier-shaped phase: whether to run
+  /// it as a pull round (RunPullPhase) instead of a sparse batch round
+  /// (RunBatchMapPhase). A phase is one decision, not one per adaptive
+  /// step: a fresh FrontierPolicy judges its starting frontier —
+  /// `frontier_size` items with `frontier_edges` out-edges, in a graph
+  /// of `num_vertices` vertices and `total_edges` edges. Notes a sparse
+  /// round when the policy says push. Always false — the legacy path,
+  /// cost-model bit-identical — when the engine is off (kSparse).
+  bool UsePullPhase(int64_t frontier_size, int64_t frontier_edges,
+                    int64_t num_vertices, int64_t total_edges);
 
   /// Writes records for keys [0, n) into `store` using value = producer(key)
   /// and charges each machine for the writes landing on its shard (the
@@ -699,10 +708,10 @@ class Cluster {
     // LookupManyAsync tickets; max-merged, not summed) — the measured
     // side of the pipeline_depth x max_batch_keys memory trade-off.
     int64_t peak_inflight_keys = 0;
-    // Pull-mode (RunPullPhase) traffic: exchange bytes received via
-    // PullMany, and the most pull steps (frontier-bitmap broadcasts) a
-    // worker advanced through (max-merged, not summed — a machine's
-    // workers share its view of each global step).
+    // Pull-round (RunPullPhase) traffic: exchange bytes the batched
+    // client received, and the most pull steps (frontier-bitmap
+    // broadcasts) a worker advanced through (max-merged, not summed — a
+    // machine's workers share its view of each global step).
     int64_t pull_bytes = 0;
     int64_t pull_steps = 0;
     // Straggler/hedging accounting (integer trip counts, converted to
@@ -773,8 +782,8 @@ class Cluster {
   // partitions the work items (all of [0, key_space), or the explicit
   // `items` subset when `explicit_items` is set) onto machines by
   // MachineOf(item, key_space), runs one slice per (machine, worker),
-  // each with its own WorkerTally, and settles. `pull` switches the
-  // settle onto the pull cost model.
+  // each with its own WorkerTally, and settles. A non-null `pull` puts
+  // every context in pull mode and the settle on the pull cost model.
   void RunMapPhaseImpl(
       const std::string& phase, int64_t key_space,
       std::span<const int64_t> items, bool explicit_items,
@@ -930,15 +939,19 @@ class Cluster {
 /// made through the context charge the requesting machine for query
 /// latency and the owning machine for the bytes its shard serves. The
 /// charges accumulate in the context's own tally, handed to `out` when
-/// the context is destroyed; the phase settle folds the tallies.
+/// the context is destroyed; the phase settle folds the tallies. A
+/// context of a pull round (`pull_round`, set by Cluster::RunPullPhase)
+/// resolves its batched reads as a local shard sweep instead; see
+/// LookupManyAsync.
 class MachineContext {
  public:
   MachineContext(Cluster* cluster, Cluster::WorkerTally* out, int machine_id,
-                 int worker_id, uint64_t rng_seed)
+                 int worker_id, uint64_t rng_seed, bool pull_round)
       : cluster_(cluster),
         out_(out),
         machine_id_(machine_id),
         worker_id_(worker_id),
+        pull_round_(pull_round),
         rng_(rng_seed),
         destination_seen_(cluster->config().num_machines, 0),
         pipeline_window_counts_(cluster->config().num_machines, 0) {
@@ -985,40 +998,29 @@ class MachineContext {
   /// (the server pays for skew). Returns nullptr when the key is absent
   /// (callers must handle this: the store is a remote service, not
   /// library-internal state).
+  /// A scalar lookup pays its trip at once and forms no wire batch, in
+  /// pull rounds too.
   template <typename V>
   const V* Lookup(const kv::ShardedStore<V>& store, uint64_t key) {
     CheckStoreMatchesCluster(store);
     ++tally_.client.kv_queries;
     kv::QueryCache<const V*>* cache =
         caching_enabled() ? store.QueryCacheFor(machine_id_) : nullptr;
-    uint64_t epoch = 0;
-    if (cache != nullptr) {
-      // Capture the version *before* the lookup: if a concurrent write
-      // phase interleaves, the inserted entry is already stale.
-      epoch = store.version();
-      if (const std::optional<const V*> hit = cache->Get(key, epoch)) {
-        CountCacheHit();
-        return *hit;
-      }
+    // Capture the version *before* the lookup: if a concurrent write
+    // phase interleaves, the inserted entry is already stale.
+    const uint64_t epoch = cache != nullptr ? store.version() : 0;
+    const KeyRead<V> read = ResolveKey(store, cache, epoch, key);
+    if (read.cache_hit) {
+      CountCacheHit();
+      return read.value;
     }
-    const int shard = store.ShardOf(key);
     ++tally_.client.kv_lookup_trips;
-    NoteTrips(shard, 1);
+    NoteTrips(read.shard, 1);
     // A scalar miss momentarily holds one key in flight on top of any
     // open tickets.
     peak_inflight_keys_ = std::max(peak_inflight_keys_, inflight_keys_ + 1);
-    const V* value = store.Lookup(key);
-    const int64_t bytes =
-        value == nullptr ? kv::kKeyBytes : kv::kKeyBytes + kv::KvByteSize(*value);
-    tally_.client.kv_read_bytes += bytes;
-    // Served by whichever machine currently hosts the shard (the shard's
-    // new owner after a drain migration).
-    tally_.served_bytes[cluster_->HostOf(shard)] += bytes;
-    if (cache != nullptr) {
-      CountCacheMiss();
-      cache->Put(key, epoch, value);
-    }
-    return value;
+    if (cache != nullptr) CountCacheMiss();
+    return read.value;
   }
 
   /// Issues one pipelined sub-batch asynchronously: resolves `keys`
@@ -1039,6 +1041,15 @@ class MachineContext {
   /// value. With batch_lookups == false the scalar client pays one
   /// full trip per miss at issue time and the pipeline overlaps
   /// nothing (pipelining is an optimization of the batched client).
+  ///
+  /// In a pull round the window resolves as a local sweep against the
+  /// step's exchange instead: each distinct key is charged its bytes
+  /// once per worker per pull step (a worker's share of the exchange
+  /// carries one copy of each record it needs, so its repeats within a
+  /// step are free, while two workers that need the same record each
+  /// pay for theirs), with no trips, no wire batch, no cache probe and
+  /// nothing in flight — the ticket is born settled. The per-step
+  /// exchange latency is charged once by the phase settle.
   template <typename V>
   kv::LookupTicket<V> LookupManyAsync(const kv::ShardedStore<V>& store,
                                       std::span<const uint64_t> keys) {
@@ -1046,6 +1057,20 @@ class MachineContext {
     kv::LookupTicket<V> ticket;
     if (keys.empty()) return ticket;
     ticket.result.values.reserve(keys.size());
+    tally_.client.kv_queries += static_cast<int64_t>(keys.size());
+    if (pull_round_) {
+      for (const uint64_t key : keys) {
+        if (!pull_seen_.Insert(key)) {  // already exchanged this step
+          ticket.result.values.push_back(LookupLocal(store, key));
+          continue;
+        }
+        const KeyRead<V> read = ResolveKey<V>(store, nullptr, 0, key);
+        ticket.result.bytes += read.bytes;
+        ticket.result.values.push_back(read.value);
+      }
+      tally_.client.pull_bytes += ticket.result.bytes;
+      return ticket;
+    }
     const bool batching = cluster_->config().batch_lookups;
     kv::QueryCache<const V*>* cache =
         caching_enabled() ? store.QueryCacheFor(machine_id_) : nullptr;
@@ -1057,32 +1082,23 @@ class MachineContext {
     int sub_destinations = 0;
     int64_t sub_misses = 0, hits = 0;
     for (const uint64_t key : keys) {
-      if (cache != nullptr) {
-        if (const std::optional<const V*> hit = cache->Get(key, epoch)) {
-          ++hits;
-          ticket.result.values.push_back(*hit);
-          continue;
-        }
+      const KeyRead<V> read = ResolveKey(store, cache, epoch, key);
+      ticket.result.values.push_back(read.value);
+      if (read.cache_hit) {
+        ++hits;
+        continue;
       }
-      const V* value = store.Lookup(key);
-      const int64_t bytes = value == nullptr
-                                ? kv::kKeyBytes
-                                : kv::kKeyBytes + kv::KvByteSize(*value);
-      const int shard = store.ShardOf(key);
-      if (!destination_seen_[shard]) {
-        destination_seen_[shard] = 1;
-        touched_destinations_.push_back(shard);
+      if (!destination_seen_[read.shard]) {
+        destination_seen_[read.shard] = 1;
+        touched_destinations_.push_back(read.shard);
         ++sub_destinations;
       }
       ++sub_misses;
-      ticket.result.bytes += bytes;
-      tally_.served_bytes[cluster_->HostOf(shard)] += bytes;
-      if (cache != nullptr) cache->Put(key, epoch, value);
+      ticket.result.bytes += read.bytes;
       // The scalar (unbatched) client pays its per-miss trip to this
       // destination now, so its straggler exposure is noted per miss;
       // the batched client's trips settle at pipeline drain instead.
-      if (!batching) NoteTrips(shard, 1);
-      ticket.result.values.push_back(value);
+      if (!batching) NoteTrips(read.shard, 1);
     }
     // Reset only the destinations this window touched (the flags array
     // is O(machines); re-zeroing it wholesale made every forced small
@@ -1096,10 +1112,8 @@ class MachineContext {
     }
     touched_destinations_.clear();
     ticket.result.destinations = sub_destinations;
-    tally_.client.kv_queries += static_cast<int64_t>(keys.size());
     tally_.client.cache_hits += hits;
     if (cache != nullptr) tally_.client.cache_misses += sub_misses;
-    tally_.client.kv_read_bytes += ticket.result.bytes;
     // With batching disabled the client model is scalar: every miss
     // pays a full trip at issue time, no wire batch is formed, and the
     // pipeline has nothing to overlap. A fully cache-served sub-batch
@@ -1124,7 +1138,8 @@ class MachineContext {
   /// worker's pipeline (no ticket left outstanding — the end of an
   /// adaptive step), the deferred round-trip latency of the drained
   /// group is charged: ceil(windows / pipeline_depth) trips per
-  /// destination contacted.
+  /// destination contacted. A pull-round ticket is born settled, so
+  /// Await just hands back its result.
   template <typename V>
   kv::LookupBatchResult<V> Await(kv::LookupTicket<V>& ticket) {
     if (!ticket.settled) {
@@ -1153,8 +1168,9 @@ class MachineContext {
   /// bit-identically. With config.batch_lookups == false every missed
   /// key is charged a full trip, modeling the unbatched client (caching
   /// still applies, so the Figure-4 axes stay independent); returned
-  /// values are identical under every toggle combination. values[i]
-  /// answers keys[i] (nullptr = absent).
+  /// values are identical under every toggle combination, and in pull
+  /// rounds (where the windows resolve as local sweeps; see
+  /// LookupManyAsync). values[i] answers keys[i] (nullptr = absent).
   template <typename V>
   kv::LookupBatchResult<V> LookupMany(const kv::ShardedStore<V>& store,
                                       std::span<const uint64_t> keys) {
@@ -1183,56 +1199,16 @@ class MachineContext {
     return result;
   }
 
-  /// Request-object overload of LookupMany.
-  template <typename V>
-  kv::LookupBatchResult<V> LookupMany(const kv::ShardedStore<V>& store,
-                                      const kv::LookupBatch& batch) {
-    return LookupMany(store, std::span<const uint64_t>(batch.keys));
-  }
-
-  /// Dense-frontier pull resolution (the frontier engine's pull mode,
-  /// common/frontier.h — only meaningful inside Cluster::RunPullPhase).
-  /// Resolves keys[i] against the store as a *local shard sweep*: the
-  /// records were shipped to this machine by the pull step's bitmap
-  /// broadcast + aggregate exchange, not by per-destination round
-  /// trips, so **no kv_lookup_trips are charged** — the per-step
-  /// exchange latency is charged once by the phase settle, not per
-  /// key. Bytes are charged exactly like a lookup's (client NIC
-  /// receives, owning shard's NIC serves), once per distinct key per
-  /// worker context per pull step: a worker's share of the exchange
-  /// carries one copy of each record it needs, so its repeats within a
-  /// step are free, while two workers that need the same record each
-  /// pay for their copy. Returned values are identical to LookupMany's
-  /// (values[i] answers keys[i], nullptr = absent).
-  template <typename V>
-  kv::LookupBatchResult<V> PullMany(const kv::ShardedStore<V>& store,
-                                    std::span<const uint64_t> keys) {
-    CheckStoreMatchesCluster(store);
-    kv::LookupBatchResult<V> result;
-    if (keys.empty()) return result;
-    result.values.reserve(keys.size());
-    for (const uint64_t key : keys) {
-      const V* value = store.Lookup(key);
-      result.values.push_back(value);
-      if (!pull_seen_.Insert(key)) continue;  // already exchanged
-      const int64_t bytes = value == nullptr
-                                ? kv::kKeyBytes
-                                : kv::kKeyBytes + kv::KvByteSize(*value);
-      result.bytes += bytes;
-      tally_.served_bytes[cluster_->HostOf(store.ShardOf(key))] += bytes;
-    }
-    tally_.client.kv_queries += static_cast<int64_t>(keys.size());
-    tally_.client.kv_read_bytes += result.bytes;
-    tally_.client.pull_bytes += result.bytes;
-    return result;
-  }
-
-  /// Opens the next pull step — one broadcast of the frontier bitmap
-  /// to every machine. Bumps this worker's step count (the settle
-  /// charges the *maximum* over workers: machines advance through the
-  /// global steps together, each paying one broadcast slice and one
-  /// exchange per step) and resets the per-step exchange dedup.
-  void BeginPullStep() {
+  /// Marks the start of an adaptive step (DriveLookupPipelined calls it
+  /// once per step). In a pull round it opens the next pull step — one
+  /// broadcast of the frontier bitmap to every machine: it bumps this
+  /// worker's step count (the settle charges the *maximum* over
+  /// workers, at least one: machines advance through the global steps
+  /// together, each paying one broadcast slice and one exchange per
+  /// step) and resets the per-step exchange dedup. A no-op in any other
+  /// round.
+  void BeginAdaptiveStep() {
+    if (!pull_round_) return;
     ++pull_steps_;
     pull_seen_.NextStep();
   }
@@ -1269,6 +1245,43 @@ class MachineContext {
     AMPC_CHECK(cluster_->AcceptsStorePlacement(store.placement(),
                                                store.capacity()))
         << "store placement disagrees with the cluster (use MakeStore)";
+  }
+
+  // One key as ResolveKey found it: the record (nullptr = absent),
+  // whether the cache answered, and on a miss the owning shard and the
+  // wire bytes charged for it.
+  template <typename V>
+  struct KeyRead {
+    const V* value = nullptr;
+    bool cache_hit = false;
+    int shard = -1;
+    int64_t bytes = 0;
+  };
+
+  // The per-key resolve shared by Lookup and LookupManyAsync: probes
+  // `cache` (nullptr = no cache stage); on a miss reads the store,
+  // charges the record's wire bytes to this client and to the machine
+  // currently hosting its shard (the shard's new owner after a drain
+  // migration), and fills the cache. Trips are the caller's to charge.
+  template <typename V>
+  KeyRead<V> ResolveKey(const kv::ShardedStore<V>& store,
+                        kv::QueryCache<const V*>* cache, uint64_t epoch,
+                        uint64_t key) {
+    if (cache != nullptr) {
+      if (const std::optional<const V*> hit = cache->Get(key, epoch)) {
+        return KeyRead<V>{*hit, /*cache_hit=*/true};
+      }
+    }
+    KeyRead<V> read;
+    read.value = store.Lookup(key);
+    read.shard = store.ShardOf(key);
+    read.bytes = read.value == nullptr
+                     ? kv::kKeyBytes
+                     : kv::kKeyBytes + kv::KvByteSize(*read.value);
+    tally_.client.kv_read_bytes += read.bytes;
+    tally_.served_bytes[cluster_->HostOf(read.shard)] += read.bytes;
+    if (cache != nullptr) cache->Put(key, epoch, read.value);
+    return read;
   }
 
   // Straggler/hedging bookkeeping for `trips` round trips bound for
@@ -1383,6 +1396,9 @@ class MachineContext {
   Cluster::WorkerTally tally_;
   int machine_id_;
   int worker_id_;
+  // Set for every context of a Cluster::RunPullPhase round: the batched
+  // entry points then resolve as local sweeps (see LookupManyAsync).
+  bool pull_round_;
   Rng rng_;
   // Scratch distinct-destination flags for the sub-batch being issued,
   // with the list of flags actually set — resetting only those keeps a
@@ -1405,20 +1421,35 @@ class MachineContext {
   int64_t pull_steps_ = 0;
 };
 
-namespace internal {
-
-/// Shared scaffold of the lockstep and pipelined drivers: each adaptive
-/// step gathers the pending key of every unfinished state into bounded
-/// frontier windows (at most ClusterConfig::max_batch_keys keys each),
-/// keeps up to `depth` windows in flight as LookupManyAsync tickets,
-/// and feeds each settled window's records back through `resume`.
+/// Drives a worker's batched state machines with bounded-depth
+/// pipelining — the shared scaffold of every RunBatchMapPhase and
+/// RunPullPhase algorithm, and the third Section 5.3 client
+/// optimization. Each adaptive step gathers the pending key of every
+/// unfinished state into frontier windows of at most
+/// ClusterConfig::max_batch_keys keys and keeps up to
+/// ClusterConfig::pipeline_depth windows in flight at once
+/// (LookupManyAsync tickets, settled FIFO): the in-flight windows'
+/// round-trip latencies overlap, so a destination contacted by w of a
+/// step's windows costs ceil(w / depth) serialized trips instead of w,
+/// while a worker holds at most depth x max_batch_keys keys in flight.
+/// depth = 1 is strict lockstep, the bit-identical ablation baseline.
+/// Inside a pull round every step also opens one pull step
+/// (MachineContext::BeginAdaptiveStep — one frontier-bitmap broadcast)
+/// and the windows resolve as local sweeps: bytes, no round trips.
+/// Callers initialize their states (running them up to their first
+/// pending lookup) and harvest results afterwards; `done(state)` says
+/// whether a state needs no more lookups, `pending_key(state)` names
+/// the key it is waiting on, and `resume(state, value)` consumes the
+/// fetched record and advances the state to its next pending lookup or
+/// to completion. Values are identical at every depth and in either
+/// round kind: windows are resolved and resumed in the same order
+/// regardless of how many are in flight.
 template <typename V, typename State, typename DoneFn, typename KeyFn,
           typename ResumeFn>
-void DriveLookupWindows(MachineContext& ctx,
-                        const kv::ShardedStore<V>& store,
-                        std::vector<State>& states, DoneFn&& done,
-                        KeyFn&& pending_key, ResumeFn&& resume,
-                        size_t depth) {
+void DriveLookupPipelined(MachineContext& ctx,
+                          const kv::ShardedStore<V>& store,
+                          std::vector<State>& states, DoneFn&& done,
+                          KeyFn&& pending_key, ResumeFn&& resume) {
   std::vector<size_t> active;
   active.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
@@ -1427,7 +1458,7 @@ void DriveLookupWindows(MachineContext& ctx,
   const int64_t max_keys = ctx.max_batch_keys();
   const size_t window = max_keys > 0 ? static_cast<size_t>(max_keys)
                                      : std::max<size_t>(1, active.size());
-  depth = std::max<size_t>(1, depth);
+  const size_t depth = static_cast<size_t>(ctx.pipeline_depth());
   // One in-flight frontier window: the sub-batch ticket plus the slice
   // of `active` it answers. Windows settle in issue (FIFO) order, so
   // the compaction cursor `out` below never overtakes an unsettled
@@ -1441,6 +1472,7 @@ void DriveLookupWindows(MachineContext& ctx,
   std::vector<uint64_t> keys;
   keys.reserve(std::min(window, active.size()));
   while (!active.empty()) {
+    ctx.BeginAdaptiveStep();
     size_t out = 0;
     const auto settle_oldest = [&] {
       InflightWindow w = std::move(inflight.front());
@@ -1467,92 +1499,6 @@ void DriveLookupWindows(MachineContext& ctx,
     // resume of this one, and the drain is what closes the overlap
     // group the cost model charges.
     while (!inflight.empty()) settle_oldest();
-    active.resize(out);
-  }
-}
-
-}  // namespace internal
-
-/// Drives a worker's batched state machines with bounded-depth
-/// pipelining — the shared scaffold of every RunBatchMapPhase
-/// algorithm, and the third Section 5.3 client optimization. Each
-/// adaptive step gathers the pending key of every unfinished state into
-/// frontier windows of at most ClusterConfig::max_batch_keys keys and
-/// keeps up to ClusterConfig::pipeline_depth windows in flight at once
-/// (LookupManyAsync tickets, settled FIFO): the in-flight windows'
-/// round-trip latencies overlap, so a destination contacted by w of a
-/// step's windows costs ceil(w / depth) serialized trips instead of w,
-/// while a worker holds at most depth x max_batch_keys keys in flight.
-/// depth = 1 is strict lockstep (DriveLookupLockstep), the
-/// bit-identical ablation baseline. Callers initialize their states
-/// (running them up to their first pending lookup) and harvest results
-/// afterwards; `done(state)` says whether a state needs no more
-/// lookups, `pending_key(state)` names the key it is waiting on, and
-/// `resume(state, value)` consumes the fetched record and advances the
-/// state to its next pending lookup or to completion. Values are
-/// identical at every depth: windows are resolved and resumed in the
-/// same order regardless of how many are in flight.
-template <typename V, typename State, typename DoneFn, typename KeyFn,
-          typename ResumeFn>
-void DriveLookupPipelined(MachineContext& ctx,
-                          const kv::ShardedStore<V>& store,
-                          std::vector<State>& states, DoneFn&& done,
-                          KeyFn&& pending_key, ResumeFn&& resume) {
-  internal::DriveLookupWindows(
-      ctx, store, states, std::forward<DoneFn>(done),
-      std::forward<KeyFn>(pending_key), std::forward<ResumeFn>(resume),
-      static_cast<size_t>(ctx.pipeline_depth()));
-}
-
-/// The depth-1 specialization of DriveLookupPipelined: strict lockstep
-/// (each frontier window settles before the next is issued) regardless
-/// of ClusterConfig::pipeline_depth — the historical driver, kept as
-/// the explicit ablation baseline.
-template <typename V, typename State, typename DoneFn, typename KeyFn,
-          typename ResumeFn>
-void DriveLookupLockstep(MachineContext& ctx,
-                         const kv::ShardedStore<V>& store,
-                         std::vector<State>& states, DoneFn&& done,
-                         KeyFn&& pending_key, ResumeFn&& resume) {
-  internal::DriveLookupWindows(
-      ctx, store, states, std::forward<DoneFn>(done),
-      std::forward<KeyFn>(pending_key), std::forward<ResumeFn>(resume),
-      /*depth=*/1);
-}
-
-/// Pull-mode counterpart of DriveLookupPipelined for dense frontiers
-/// (the frontier engine, common/frontier.h — use only inside
-/// Cluster::RunPullPhase). Each adaptive step opens one pull step
-/// (MachineContext::BeginPullStep — one frontier-bitmap broadcast),
-/// resolves every unfinished state's pending key as a local sweep
-/// against the exchanged records (MachineContext::PullMany — bytes,
-/// no round trips), and resumes states in exactly the order the
-/// sparse drivers resume them, so outputs are identical to
-/// DriveLookupPipelined's under the same states/callbacks.
-template <typename V, typename State, typename DoneFn, typename KeyFn,
-          typename ResumeFn>
-void DrivePullSteps(MachineContext& ctx, const kv::ShardedStore<V>& store,
-                    std::vector<State>& states, DoneFn&& done,
-                    KeyFn&& pending_key, ResumeFn&& resume) {
-  std::vector<size_t> active;
-  active.reserve(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    if (!done(states[i])) active.push_back(i);
-  }
-  std::vector<uint64_t> keys;
-  while (!active.empty()) {
-    ctx.BeginPullStep();
-    keys.clear();
-    keys.reserve(active.size());
-    for (const size_t i : active) keys.push_back(pending_key(states[i]));
-    const kv::LookupBatchResult<V> batch =
-        ctx.PullMany(store, std::span<const uint64_t>(keys));
-    size_t out = 0;
-    for (size_t j = 0; j < active.size(); ++j) {
-      State& state = states[active[j]];
-      resume(state, batch.values[j]);
-      if (!done(state)) active[out++] = active[j];
-    }
     active.resize(out);
   }
 }

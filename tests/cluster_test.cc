@@ -30,10 +30,10 @@ ClusterConfig TestConfig() {
 TEST(ClusterTest, MachineOfIsStableAndInRange) {
   Cluster cluster(TestConfig());
   for (uint64_t k = 0; k < 1000; ++k) {
-    const int m = cluster.MachineOf(k);
+    const int m = cluster.MachineOf(k, 1000);
     EXPECT_GE(m, 0);
     EXPECT_LT(m, 4);
-    EXPECT_EQ(m, cluster.MachineOf(k));
+    EXPECT_EQ(m, cluster.MachineOf(k, 1000));
   }
 }
 
@@ -70,7 +70,9 @@ TEST(ClusterTest, MapPhaseRoutesItemsToOwningMachine) {
   Cluster cluster(TestConfig());
   std::atomic<int> mismatches{0};
   cluster.RunMapPhase("route", 2000, [&](int64_t item, MachineContext& ctx) {
-    if (cluster.MachineOf(item) != ctx.machine_id()) mismatches.fetch_add(1);
+    if (cluster.MachineOf(item, 2000) != ctx.machine_id()) {
+      mismatches.fetch_add(1);
+    }
   });
   EXPECT_EQ(mismatches.load(), 0);
 }
@@ -188,7 +190,7 @@ TEST(ClusterTest, MakeStoreShardingMatchesMachineOf) {
   kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(500);
   ASSERT_EQ(store.num_shards(), cluster.config().num_machines);
   for (uint64_t k = 0; k < 500; ++k) {
-    EXPECT_EQ(store.ShardOf(k), cluster.MachineOf(k)) << k;
+    EXPECT_EQ(store.ShardOf(k), cluster.MachineOf(k, 500)) << k;
   }
 }
 
@@ -218,7 +220,7 @@ TEST(ClusterTest, SkewedWriteBytesCostMoreThanUniform) {
     Cluster cluster(config);
     // Count keys on machine 0 so both producers emit the same total.
     int64_t hot_keys = 0;
-    for (int64_t k = 0; k < n; ++k) hot_keys += cluster.MachineOf(k) == 0;
+    for (int64_t k = 0; k < n; ++k) hot_keys += cluster.MachineOf(k, n) == 0;
     const int64_t total_values = 64 * n;
     const int64_t hot_value = total_values * 9 / (10 * hot_keys);
     const int64_t cold_value =
@@ -228,7 +230,7 @@ TEST(ClusterTest, SkewedWriteBytesCostMoreThanUniform) {
         "w", store, n, [&](int64_t k) {
           int64_t len = 64;
           if (skewed) {
-            len = cluster.MachineOf(k) == 0 ? hot_value : cold_value;
+            len = cluster.MachineOf(k, n) == 0 ? hot_value : cold_value;
           }
           return std::vector<uint8_t>(static_cast<size_t>(len), 0);
         });
@@ -291,7 +293,7 @@ TEST(ClusterTest, SettleMathChargesServerSideBytes) {
   cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return k; });
 
   const uint64_t hot = 3;
-  const int hot_owner = cluster.MachineOf(hot);
+  const int hot_owner = cluster.MachineOf(hot, n);
   cluster.RunMapPhase("r", n, [&](int64_t item, MachineContext& ctx) {
     const int64_t* v = ctx.Lookup(store, hot);
     ASSERT_NE(v, nullptr);
@@ -302,7 +304,7 @@ TEST(ClusterTest, SettleMathChargesServerSideBytes) {
   // record through its own NIC; every record ships *from* the hot key's
   // owner.
   std::vector<int64_t> queries(2, 0);
-  for (int64_t i = 0; i < n; ++i) ++queries[cluster.MachineOf(i)];
+  for (int64_t i = 0; i < n; ++i) ++queries[cluster.MachineOf(i, n)];
   const int64_t record =
       kv::kKeyBytes + static_cast<int64_t>(sizeof(int64_t));
   double slowest = 0;
@@ -372,17 +374,14 @@ TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
   std::atomic<int> mismatches{0};
   cluster.RunBatchMapPhase(
       "r", 200, [&](std::span<const int64_t> items, MachineContext& ctx) {
-        // Exercise both entry points: the span overload and the
-        // LookupBatch request object must answer identically.
+        // A repeat of the same batch must answer identically.
         std::vector<uint64_t> keys(items.begin(), items.end());
         const auto batch = ctx.LookupMany(store, keys);
-        kv::LookupBatch request;
-        request.keys = keys;
-        const auto from_request = ctx.LookupMany(store, request);
+        const auto again = ctx.LookupMany(store, keys);
         ASSERT_EQ(batch.values.size(), keys.size());
-        ASSERT_EQ(from_request.values, batch.values);
-        ASSERT_EQ(from_request.destinations, batch.destinations);
-        ASSERT_EQ(from_request.bytes, batch.bytes);
+        ASSERT_EQ(again.values, batch.values);
+        ASSERT_EQ(again.destinations, batch.destinations);
+        ASSERT_EQ(again.bytes, batch.bytes);
         for (size_t i = 0; i < keys.size(); ++i) {
           // Keys >= 100 were never written: both paths must agree on
           // absence too.
@@ -916,7 +915,7 @@ TEST(ClusterTest, PipeliningStrictlyCheaperThanLockstep) {
   EXPECT_EQ(pipelined_roots, lockstep_roots);
 }
 
-// --- Driver edge cases (DriveLookupLockstep / DriveLookupPipelined) -------
+// --- Driver edge cases (DriveLookupPipelined) ----------------------------
 
 struct DriverChain {
   int64_t item;
@@ -941,35 +940,41 @@ std::pair<int64_t, int64_t> OracleChase(const kv::ShardedStore<int64_t>& store,
   }
 }
 
-// Runs both drivers over every chain of `parent_of` under the given
-// sub-batch bound and depth, and pins roots and hop counts against the
-// scalar oracle. Chains of different lengths finish mid-window, so the
-// compaction path is exercised throughout.
+// How CheckDriversAgainstOracle runs the driver: strict lockstep
+// (pipeline_depth 1), pipelined at the given depth, or pipelined inside
+// a pull round.
+enum class DriverRun { kLockstep, kPipelined, kPull };
+
+// Runs the driver over every chain of `parent_of` under the given
+// sub-batch bound and depth, in each DriverRun, and pins roots and hop
+// counts against the scalar oracle. Chains of different lengths finish
+// mid-window, so the compaction path is exercised throughout.
 void CheckDriversAgainstOracle(int64_t n, int64_t max_batch_keys,
                                int pipeline_depth,
                                const std::function<int64_t(int64_t)>&
                                    parent_of) {
-  for (const bool pipelined : {false, true}) {
+  for (const DriverRun run :
+       {DriverRun::kLockstep, DriverRun::kPipelined, DriverRun::kPull}) {
     ClusterConfig config;
     config.num_machines = 2;
     config.threads_per_machine = 2;
     config.max_batch_keys = max_batch_keys;
-    config.pipeline_depth = pipeline_depth;
+    config.pipeline_depth = run == DriverRun::kLockstep ? 1 : pipeline_depth;
     Cluster cluster(config);
     kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
     cluster.RunKvWritePhase("w", store, n, parent_of);
     std::vector<int64_t> roots(n, -1), hops(n, -1);
-    cluster.RunBatchMapPhase(
-        "drive", n,
-        [&](std::span<const int64_t> items, MachineContext& ctx) {
-          std::vector<DriverChain> chains;
-          chains.reserve(items.size());
-          for (const int64_t item : items) {
-            chains.push_back(DriverChain{item, static_cast<uint64_t>(item)});
-          }
-          const auto is_done = [](const DriverChain& c) { return c.done; };
-          const auto key_of = [](const DriverChain& c) { return c.cur; };
-          const auto resume = [&](DriverChain& c, const int64_t* p) {
+    const auto slice = [&](std::span<const int64_t> items,
+                           MachineContext& ctx) {
+      std::vector<DriverChain> chains;
+      chains.reserve(items.size());
+      for (const int64_t item : items) {
+        chains.push_back(DriverChain{item, static_cast<uint64_t>(item)});
+      }
+      DriveLookupPipelined(
+          ctx, store, chains, [](const DriverChain& c) { return c.done; },
+          [](const DriverChain& c) { return c.cur; },
+          [&](DriverChain& c, const int64_t* p) {
             ++c.hops;
             if (p == nullptr || *p < 0) {
               roots[c.item] = static_cast<int64_t>(c.cur);
@@ -978,18 +983,19 @@ void CheckDriversAgainstOracle(int64_t n, int64_t max_batch_keys,
             } else {
               c.cur = static_cast<uint64_t>(*p);
             }
-          };
-          if (pipelined) {
-            DriveLookupPipelined(ctx, store, chains, is_done, key_of, resume);
-          } else {
-            DriveLookupLockstep(ctx, store, chains, is_done, key_of, resume);
-          }
-        });
+          });
+    };
+    if (run == DriverRun::kPull) {
+      cluster.RunPullPhase("drive", n, slice);
+      EXPECT_EQ(cluster.metrics().Get("kv_lookup_trips"), 0);
+    } else {
+      cluster.RunBatchMapPhase("drive", n, slice);
+    }
     for (int64_t v = 0; v < n; ++v) {
       const auto [oracle_root, oracle_hops] = OracleChase(store, v);
       EXPECT_EQ(roots[v], oracle_root)
-          << (pipelined ? "pipelined" : "lockstep") << " window "
-          << max_batch_keys << " depth " << pipeline_depth << " key " << v;
+          << static_cast<int>(run) << " window " << max_batch_keys
+          << " depth " << pipeline_depth << " key " << v;
       EXPECT_EQ(hops[v], oracle_hops);
     }
   }
@@ -1004,22 +1010,23 @@ int64_t MixedChainParent(int64_t k) {
 }
 
 TEST(ClusterDriverTest, EmptyStateVectorIsANoOp) {
-  Cluster cluster(TestConfig());
-  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(16);
-  cluster.RunKvWritePhase("w", store, 16, [](int64_t) { return int64_t{-1}; });
-  cluster.RunBatchMapPhase(
-      "drive", 16, [&](std::span<const int64_t>, MachineContext& ctx) {
-        std::vector<DriverChain> none;
-        DriveLookupPipelined(
-            ctx, store, none, [](const DriverChain& c) { return c.done; },
-            [](const DriverChain& c) { return c.cur; },
-            [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
-        DriveLookupLockstep(
-            ctx, store, none, [](const DriverChain& c) { return c.done; },
-            [](const DriverChain& c) { return c.cur; },
-            [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
-      });
-  EXPECT_EQ(cluster.metrics().Get("kv_reads"), 0);
+  for (const int depth : {1, 4}) {
+    ClusterConfig config = TestConfig();
+    config.pipeline_depth = depth;
+    Cluster cluster(config);
+    kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(16);
+    cluster.RunKvWritePhase("w", store, 16,
+                            [](int64_t) { return int64_t{-1}; });
+    cluster.RunBatchMapPhase(
+        "drive", 16, [&](std::span<const int64_t>, MachineContext& ctx) {
+          std::vector<DriverChain> none;
+          DriveLookupPipelined(
+              ctx, store, none, [](const DriverChain& c) { return c.done; },
+              [](const DriverChain& c) { return c.cur; },
+              [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
+        });
+    EXPECT_EQ(cluster.metrics().Get("kv_reads"), 0) << "depth " << depth;
+  }
 }
 
 TEST(ClusterDriverTest, AllStatesInitiallyDoneIssueNoLookups) {
@@ -1360,8 +1367,8 @@ TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
   // and one pull step. Its 3n reads cover n distinct keys — several
   // times the dedup set's initial 1024 slots, so the set grows mid-step
   // — and each distinct record is exchanged exactly once, across both
-  // PullMany calls. Keys past the written range are absent and cost
-  // their key bytes.
+  // LookupMany calls and all of their windows. Keys past the written
+  // range are absent and cost their key bytes.
   ClusterConfig config;
   config.num_machines = 1;
   config.threads_per_machine = 1;
@@ -1387,7 +1394,7 @@ TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
         for (const std::span<const uint64_t> part :
              {all.first(half), all.subspan(half)}) {
           const kv::LookupBatchResult<int64_t> batch =
-              ctx.PullMany(store, part);
+              ctx.LookupMany(store, part);
           for (size_t i = 0; i < part.size(); ++i) {
             const int64_t key = static_cast<int64_t>(part[i]);
             const int64_t* value = batch.values[i];
@@ -1403,12 +1410,18 @@ TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
   EXPECT_EQ(cluster.metrics().Get("kv_read_bytes"), expected_bytes);
   EXPECT_EQ(cluster.metrics().Get("kv_reads"), 3 * n);
   EXPECT_EQ(cluster.metrics().Get("kv_lookup_trips"), 0);
+  EXPECT_EQ(cluster.metrics().Get("kv_batches"), 0);
+  EXPECT_EQ(cluster.metrics().Get("cache_hits") +
+                cluster.metrics().Get("cache_misses"),
+            0);
+  EXPECT_EQ(cluster.metrics().Get("kv_peak_inflight_keys"), 0);
 }
 
 TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
-  // Every state reads the same key for three adaptive steps. Each step
-  // opens a fresh exchange (BeginPullStep), so a key is charged once
-  // per step, however many states ask for it within the step.
+  // Every state reads the same key for three adaptive steps. The driver
+  // opens a fresh exchange at each step (BeginAdaptiveStep), so a key is
+  // charged once per step, however many states ask for it within the
+  // step.
   ClusterConfig config;
   config.num_machines = 1;
   config.threads_per_machine = 1;
@@ -1430,7 +1443,7 @@ TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
           walkers.push_back(Walker{static_cast<uint64_t>(item) % kDistinct,
                                    kSteps});
         }
-        DrivePullSteps(
+        DriveLookupPipelined(
             ctx, store, walkers,
             [](const Walker& w) { return w.steps_left == 0; },
             [](const Walker& w) { return w.key; },
@@ -1499,6 +1512,18 @@ TEST(ClusterTest, TwinClustersChargeEqualCostsForHybridKCore) {
       graph::BuildGraph(graph::GenerateErdosRenyi(2000, 12000, 11));
   ExpectTwinClusterCosts(
       UncachedFrontierConfig(FrontierMode::kHybrid),
+      [&](Cluster& cluster) { core::AmpcKCore(cluster, g); });
+}
+
+// Each round scatters 40000 items in ten 4096-item chunks from several
+// pool threads. Buckets must still hold their items in index order:
+// which worker slice gets which item decides the per-worker exchange
+// dedup of every pull round.
+TEST(ClusterTest, TwinClustersChargeEqualCostsForDenseKCoreAcrossChunks) {
+  const graph::Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(40000, 300000, 11));
+  ExpectTwinClusterCosts(
+      UncachedFrontierConfig(FrontierMode::kDense),
       [&](Cluster& cluster) { core::AmpcKCore(cluster, g); });
 }
 
