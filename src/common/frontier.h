@@ -33,10 +33,10 @@
 namespace ampc {
 
 /// Which frontier representation a cluster's frontier-shaped phases
-/// use. kSparse is the legacy work-list path and reproduces the
-/// pre-frontier cost model bit-identically; kDense forces every
-/// frontier phase through the pull model; kHybrid lets FrontierPolicy
-/// choose per round.
+/// use. kSparse always pushes the active work list through the lookup
+/// client; kDense forces every frontier phase through the pull model;
+/// kHybrid lets FrontierPolicy choose per round. Outputs are identical
+/// in every mode; only the charged cost differs.
 enum class FrontierMode {
   kSparse,
   kDense,

@@ -60,9 +60,8 @@ struct MetricsSnapshot {
 ///   "checkpoints"/"checkpoint_bytes"  periodic shard checkpoints taken
 ///                         and the byte deltas they persisted
 ///   "frontier_dense_rounds"/"frontier_sparse_rounds"  frontier-shaped
-///                         rounds by representation (pull vs push; only
-///                         counted when ClusterConfig::frontier.mode is
-///                         not kSparse)
+///                         rounds by representation (pull vs push), in
+///                         every ClusterConfig::frontier.mode
 ///   "frontier_broadcast_bytes"  frontier-bitmap bytes broadcast by
 ///                         pull rounds (steps x ceil(key_space/8))
 ///   "frontier_exchange_bytes"  record bytes moved by pull rounds'

@@ -18,10 +18,10 @@ ConnectivityResult AmpcConnectivity(sim::Cluster& cluster,
   // Any spanning forest works; unit weights with id tie-breaks make the
   // MSF a spanning forest while keeping the edge order deterministic.
   // The frontier engine (ClusterConfig::frontier, common/frontier.h)
-  // reaches connectivity through these AmpcMsf rounds: with the engine
-  // active, each round's PrimSearch and PointerJump phases pick push or
-  // pull per the dense/sparse policy in msf.cc — outputs are identical
-  // in every mode.
+  // reaches connectivity through these AmpcMsf rounds: each round's
+  // PrimSearch and PointerJump phases pick push or pull per the
+  // dense/sparse policy in msf.cc — outputs are identical in every
+  // mode.
   const WeightedEdgeList weighted = graph::MakeUnitWeighted(list);
   MsfResult msf = AmpcMsf(cluster, weighted, options);
 

@@ -1,7 +1,6 @@
 #include "core/kcore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
 #include <span>
@@ -128,54 +127,19 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
   }
   if (n == 0) return result;
 
+  // Frontier peeling: only *active* vertices recompute — round 1
+  // everyone, afterwards the vertices with a neighbor whose coreness
+  // changed last round. A vertex whose neighborhood did not change
+  // recomputes to the same h-index, so skipping it is exact: the
+  // per-round changed sets, the iteration count, and the final
+  // coreness are those of recomputing every vertex every round. Each
+  // round the policy picks the representation from the active set's
+  // size and out-edge mass: dense rounds pull (bitmap broadcast + local
+  // shard sweep, no per-vertex trips), sparse rounds push the active
+  // list through the batched lookup client.
   std::vector<int32_t> next(n, 0);
   const sim::ClusterConfig::FrontierConfig& frontier_config =
       cluster.config().frontier;
-  if (frontier_config.mode == FrontierMode::kSparse) {
-    // Legacy path: every vertex recomputes every round through the
-    // push pipeline — the pre-frontier cost model, bit-identical.
-    for (;;) {
-      AMPC_CHECK_LT(result.iterations, options.max_iterations)
-          << "h-index iteration did not converge";
-      ++result.iterations;
-
-      // Publish the current values into a fresh per-round store D_i
-      // (cheap round), then recompute each vertex from its neighbors'
-      // published values with DHT random access (map round, no
-      // shuffle).
-      ValueStore values = cluster.MakeStore<int32_t>(n);
-      cluster.RunKvWritePhase("ValueWrite", values, n, [&](int64_t v) {
-        return result.coreness[v];
-      });
-
-      std::atomic<int64_t> changed{0};
-      cluster.RunBatchMapPhase(
-          "HIndex", n,
-          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-            HIndexSlice(items, ctx, adjacency, values,
-                        [&](int64_t item, int32_t h) {
-                          next[item] = h;
-                          if (h != result.coreness[item]) {
-                            changed.fetch_add(1, std::memory_order_relaxed);
-                          }
-                        });
-          });
-      result.coreness.swap(next);
-      if (changed.load() == 0) break;
-    }
-    return result;
-  }
-
-  // Frontier-engine peeling (mode dense or hybrid): only *active*
-  // vertices recompute — round 1 everyone, afterwards the vertices
-  // with a neighbor whose coreness changed last round. A vertex whose
-  // neighborhood did not change recomputes to the same h-index, so
-  // skipping it is exact: the per-round changed sets, the iteration
-  // count, and the final coreness are identical to the legacy loop's.
-  // Each round the policy picks the representation from the active
-  // set's size and out-edge mass: dense rounds pull (bitmap broadcast
-  // + local shard sweep, no per-vertex trips), sparse rounds push
-  // through the legacy pipeline over just the active list.
   FrontierPolicy policy(frontier_config.mode, frontier_config.alpha,
                         frontier_config.beta, n, g.num_arcs());
   SlidingQueue frontier(n);
@@ -186,8 +150,9 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
         << "h-index iteration did not converge";
     ++result.iterations;
 
-    // Publish the full coreness vector exactly as the legacy loop does
-    // (reads must see every neighbor's current value, active or not).
+    // Publish the current values into a fresh per-round store D_i
+    // (cheap round) — the full coreness vector, since reads must see
+    // every neighbor's current value, active or not.
     ValueStore values = cluster.MakeStore<int32_t>(n);
     cluster.RunKvWritePhase("ValueWrite", values, n, [&](int64_t v) {
       return result.coreness[v];

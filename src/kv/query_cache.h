@@ -213,12 +213,10 @@ template <typename V>
 class MachineCaches {
  public:
   MachineCaches() = default;
-  MachineCaches(int num_machines, int64_t capacity_per_machine,
-                int lock_shards = 8) {
+  MachineCaches(int num_machines, int64_t capacity_per_machine) {
     caches_.reserve(num_machines);
     for (int m = 0; m < num_machines; ++m) {
-      caches_.push_back(std::make_unique<QueryCache<V>>(capacity_per_machine,
-                                                        lock_shards));
+      caches_.push_back(std::make_unique<QueryCache<V>>(capacity_per_machine));
     }
   }
 

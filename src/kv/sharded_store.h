@@ -239,13 +239,13 @@ class ShardedStore {
   /// clear the caches of a machine lost mid-job (the replacement starts
   /// cold); the registry holds weak references only, so the caches
   /// still die with the store.
-  void EnableQueryCache(int64_t capacity_per_machine, int lock_shards = 8,
+  void EnableQueryCache(int64_t capacity_per_machine,
                         CacheDropRegistry* registry = nullptr) {
     query_caches_.clear();
     query_caches_.reserve(static_cast<size_t>(num_shards()));
     for (int s = 0; s < num_shards(); ++s) {
-      query_caches_.push_back(std::make_shared<QueryCache<const V*>>(
-          capacity_per_machine, lock_shards));
+      query_caches_.push_back(
+          std::make_shared<QueryCache<const V*>>(capacity_per_machine));
       if (registry != nullptr) registry->Register(s, query_caches_.back());
     }
   }

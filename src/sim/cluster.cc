@@ -20,7 +20,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   AMPC_CHECK_GE(config_.faults.warning_lead_sec, 0.0);
   AMPC_CHECK_GE(config_.faults.slow_machine_rate, 0.0);
   AMPC_CHECK_LE(config_.faults.slow_machine_rate, 1.0);
-  AMPC_CHECK_GE(config_.faults.straggler_slowdown, 1.0);
   const int logical_threads =
       config_.num_machines *
       (config_.multithreading ? config_.threads_per_machine : 1);
@@ -46,7 +45,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
     fault_injector_ = FaultInjector(injector);
   }
   straggler_.slow_rate = config_.faults.slow_machine_rate;
-  straggler_.slowdown = config_.faults.straggler_slowdown;
   straggler_.seed = config_.faults.fault_seed;
   // The hedge target table: replica sets are pure functions of
   // (seed, machines, replication, domain width) — none of which the
@@ -132,17 +130,10 @@ void Cluster::ApplyTunedKnobs(const TunedKnobs& knobs) {
     // rounds — no worker is in flight — but the LRU lock is held
     // anyway to pair with ShardMapFor's const-path locking.
     std::lock_guard<std::mutex> lock(shard_map_mu_);
-    const RetiredPlacement retired{config_.placement_policy,
-                                   config_.affinity_block};
-    bool already_retired = false;
-    for (const RetiredPlacement& r : retired_placements_) {
-      if (r.policy == retired.policy &&
-          r.affinity_block == retired.affinity_block) {
-        already_retired = true;
-        break;
-      }
+    if (std::find(retired_policies_.begin(), retired_policies_.end(),
+                  config_.placement_policy) == retired_policies_.end()) {
+      retired_policies_.push_back(config_.placement_policy);
     }
-    if (!already_retired) retired_placements_.push_back(retired);
     shard_maps_.clear();
     shard_map_recency_.clear();
     config_.placement_policy = knobs.placement_policy;
@@ -308,8 +299,7 @@ void Cluster::SettleMapPhase(const std::string& phase,
       total_hedged += counters.kv_hedged_trips;
       total_hedge_wins += wins;
       straggler_extra_sec =
-          (static_cast<double>(slow - wins) *
-               (config_.faults.straggler_slowdown - 1.0) +
+          (static_cast<double>(slow - wins) * (straggler_.slowdown - 1.0) +
            static_cast<double>(wins)) *
           config_.network.lookup_latency_sec;
     }
@@ -799,7 +789,6 @@ void Cluster::RunPullPhase(
 
 bool Cluster::UsePullPhase(int64_t frontier_size, int64_t frontier_edges,
                            int64_t num_vertices, int64_t total_edges) {
-  if (config_.frontier.mode == FrontierMode::kSparse) return false;
   FrontierPolicy policy(config_.frontier.mode, config_.frontier.alpha,
                         config_.frontier.beta, num_vertices, total_edges);
   if (policy.UseDense(frontier_size, frontier_edges)) return true;
@@ -868,18 +857,14 @@ void Cluster::RunMapPhaseImpl(
   for_each_chunk_item(
       [&](int64_t& next, int64_t item) { buckets[next++] = item; });
 
-  // Execute: each machine's slice split over its worker threads. With
-  // the frontier engine active, a machine share too small to feed
-  // every worker is regrouped into min_worker_grain-sized chunks
-  // instead of span/workers slivers: a tiny sparse round then issues a
-  // few well-filled per-worker sub-batches (each sub-batch pays its
-  // own per-destination trips) rather than `workers` nearly-empty
-  // ones. kSparse keeps the historical split, and with it the
-  // historical cost model, bit-identically.
+  // Execute: each machine's slice split over its worker threads. A
+  // machine share too small to feed every worker kMinWorkerGrain items
+  // is regrouped into grain-sized chunks instead of span/workers
+  // slivers: a tiny frontier round then issues a few well-filled
+  // per-worker sub-batches (each sub-batch pays its own
+  // per-destination trips) rather than `workers` nearly-empty ones.
+  constexpr int64_t kMinWorkerGrain = 32;
   const int workers = config_.threads_per_machine;
-  const bool regroup_small =
-      config_.frontier.mode != FrontierMode::kSparse &&
-      config_.frontier.min_worker_grain > 0;
   struct WorkerSlice {
     int machine;
     int worker;
@@ -892,11 +877,9 @@ void Cluster::RunMapPhaseImpl(
     const int64_t begin = offsets[m];
     const int64_t end = offsets[m + 1];
     const int64_t span = end - begin;
-    if (regroup_small &&
-        span < static_cast<int64_t>(workers) *
-                   config_.frontier.min_worker_grain) {
-      const std::vector<IndexChunk> chunks = SplitIndexChunks(
-          begin, end, config_.frontier.min_worker_grain, workers);
+    if (span < workers * kMinWorkerGrain) {
+      const std::vector<IndexChunk> chunks =
+          SplitIndexChunks(begin, end, kMinWorkerGrain, workers);
       for (size_t c = 0; c < chunks.size(); ++c) {
         slices.push_back(WorkerSlice{m, static_cast<int>(c),
                                      chunks[c].begin, chunks[c].end});

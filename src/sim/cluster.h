@@ -131,10 +131,6 @@ struct ClusterConfig {
     /// cache set minted by MakeMachineCaches). Cost-only: capacity
     /// never changes returned values, just the hit rate.
     int64_t capacity = 1 << 16;
-    /// Internal lock shards of each cache — a concurrency knob for the
-    /// machine's worker threads, unrelated to DHT placement. Cost- and
-    /// value-neutral; any value yields identical outputs and charges.
-    int lock_shards = 8;
   };
   QueryCacheConfig query_cache;
   /// Batches DHT reads issued through MachineContext::LookupMany into one
@@ -176,9 +172,6 @@ struct ClusterConfig {
   /// the historical default; every policy returns bit-identical
   /// outputs, only locality (and so cost) differs.
   kv::PlacementPolicy placement_policy = kv::PlacementPolicy::kHash;
-  /// Consecutive keys per block under the affinity placement policy.
-  /// Ignored (cost- and value-neutral) under every other policy.
-  int64_t affinity_block = 32;
   /// KV-store network cost model (RDMA vs TCP/IP, Table 4). Cost-only:
   /// the network model scales charged latencies/bytes, never values.
   kv::NetworkModel network = kv::NetworkModel::Rdma();
@@ -258,17 +251,14 @@ struct ClusterConfig {
     /// each round, each machine is independently slow with this
     /// probability (seeded StragglerModel — a pure function of
     /// (fault_seed, round, machine)), and every lookup round trip to a
-    /// slow machine takes straggler_slowdown x the normal latency.
-    /// Cost-only, like every fault knob. 0 disables the model.
+    /// slow machine takes StragglerModel::slowdown (4) x the normal
+    /// latency. Cost-only, like every fault knob. 0 disables the model.
     double slow_machine_rate = 0.0;
-    /// Latency multiplier of a slow destination's round trips. Inert
-    /// (cost- and value-neutral) while slow_machine_rate is 0.
-    double straggler_slowdown = 4.0;
     /// Hedged lookups: after a timeout of one normal round-trip latency
     /// (the non-straggler quantile of the trip distribution), re-issue
     /// a slow destination's window to the shard's first replica and
     /// take the first response. A hedge against a non-slow replica
-    /// completes in 2 x latency instead of straggler_slowdown x; both
+    /// completes in 2 x latency instead of the slowdown x; both
     /// trips are charged honestly (kv_hedged_trips, kv_hedge_wins).
     /// Needs replication > 1 to have a replica to hedge to. false =
     /// wait out stragglers, the historical model, bit-identical costs.
@@ -277,38 +267,26 @@ struct ClusterConfig {
   FaultConfig faults;
   /// The frontier engine (common/frontier.h): how frontier-shaped cores
   /// (pagerank's walk phases, connectivity/msf, kcore's h-index
-  /// peeling) represent and drive their active sets. kSparse — the
-  /// default — is the legacy flat-work-list path and reproduces the
-  /// pre-frontier cost model bit-identically (same discipline as
-  /// batch_lookups/query_cache/pipeline_depth: an ablation toggle that
-  /// never changes returned values). kDense forces every frontier
-  /// phase through the pull model (Cluster::RunPullPhase: broadcast
-  /// the frontier bitmap, sweep local shards — no per-vertex round
-  /// trips); kHybrid lets the Beamer-style FrontierPolicy pick per
-  /// round with alpha/beta hysteresis.
+  /// peeling) represent and drive their active sets. Every mode runs
+  /// the same engine and returns bit-identical values (same discipline
+  /// as batch_lookups/query_cache/pipeline_depth); the mode only picks
+  /// each frontier round's kind, and so its cost. kSparse — the
+  /// default — always pushes the active items through the batched
+  /// lookup client. kDense always pulls (Cluster::RunPullPhase:
+  /// broadcast the frontier bitmap, sweep local shards — no per-vertex
+  /// round trips); kHybrid lets the Beamer-style FrontierPolicy pick
+  /// per round with alpha/beta hysteresis.
   struct FrontierConfig {
-    /// kSparse — the default — is the legacy flat-work-list engine and
-    /// reproduces the pre-frontier cost model bit-identically.
+    /// kSparse — the default — always pushes: no pull rounds.
     FrontierMode mode = FrontierMode::kSparse;
     /// Switch sparse -> dense when frontier out-edges exceed
-    /// total_edges / alpha. Inert under the default kSparse mode;
-    /// cost-only otherwise.
+    /// total_edges / alpha. Inert unless mode is kHybrid; cost-only
+    /// there.
     double alpha = FrontierPolicy::kDefaultAlpha;
     /// Switch dense -> sparse when the frontier shrinks below
-    /// num_vertices / beta. Inert under the default kSparse mode;
-    /// cost-only otherwise.
+    /// num_vertices / beta. Inert unless mode is kHybrid; cost-only
+    /// there.
     double beta = FrontierPolicy::kDefaultBeta;
-    /// Minimum items per worker slice when a map phase's per-machine
-    /// share is too small to feed every worker (the small-frontier
-    /// regrouping in RunMapPhaseImpl): shares below
-    /// threads_per_machine x this grain are split into grain-sized
-    /// chunks instead of machine_share / threads slivers, so a tiny
-    /// sparse round does not shatter into near-empty per-worker
-    /// sub-batches (each paying its own per-destination trips). Only
-    /// applied when the engine is active (mode != kSparse): kSparse
-    /// keeps the historical slicing, and with it the historical cost
-    /// model, untouched.
-    int64_t min_worker_grain = 32;
   };
   FrontierConfig frontier;
   /// The telemetry-driven AutoTuner (sim/autotuner.h): probe-then-commit
@@ -361,7 +339,6 @@ class Cluster {
     placement.num_shards = config_.num_machines;
     placement.seed = config_.seed;
     placement.capacity = capacity;
-    placement.affinity_block = config_.affinity_block;
     placement.replication = config_.faults.replication;
     if (config_.faults.domain_aware_placement &&
         config_.faults.machines_per_domain > 1) {
@@ -401,9 +378,7 @@ class Cluster {
     if (config_.query_cache.enabled) {
       // Registering with the drop registry lets the fault model clear a
       // lost machine's caches (the replacement starts cold).
-      store.EnableQueryCache(config_.query_cache.capacity,
-                             config_.query_cache.lock_shards,
-                             &cache_registry_);
+      store.EnableQueryCache(config_.query_cache.capacity, &cache_registry_);
     }
     return store;
   }
@@ -418,8 +393,7 @@ class Cluster {
   kv::MachineCaches<V> MakeMachineCaches() const {
     if (!config_.query_cache.enabled) return {};
     return kv::MachineCaches<V>(config_.num_machines,
-                                config_.query_cache.capacity,
-                                config_.query_cache.lock_shards);
+                                config_.query_cache.capacity);
   }
 
   /// Per-machine byte attribution for sharded-shuffle accounting:
@@ -540,13 +514,12 @@ class Cluster {
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
           fn);
 
-  /// Counts a frontier-shaped round that ran in its sparse
-  /// representation. Called by frontier-aware cores only when the
-  /// engine is active (mode != kSparse) — the legacy sparse mode
-  /// leaves the frontier metrics untouched, preserving bit-identical
-  /// metric output.
-  // ampc-lint: allow(metric-zero-guard): callers gate on an active
-  // engine (mode != kSparse); legacy sparse mode never reaches this.
+  /// Counts a frontier-shaped round that ran in its sparse (push)
+  /// representation, in every frontier mode. Rounds that are not
+  /// frontier-shaped never count, so runs without a frontier core keep
+  /// the metric absent.
+  // ampc-lint: allow(metric-zero-guard): called once per frontier-shaped
+  // push round; a run with no frontier-shaped phase never reaches it.
   void NoteSparseFrontierRound() { metrics_.Add("frontier_sparse_rounds", 1); }
 
   /// The frontier decision of one frontier-shaped phase: whether to run
@@ -555,8 +528,7 @@ class Cluster {
   /// step: a fresh FrontierPolicy judges its starting frontier —
   /// `frontier_size` items with `frontier_edges` out-edges, in a graph
   /// of `num_vertices` vertices and `total_edges` edges. Notes a sparse
-  /// round when the policy says push. Always false — the legacy path,
-  /// cost-model bit-identical — when the engine is off (kSparse).
+  /// round when the policy says push, which kSparse always does.
   bool UsePullPhase(int64_t frontier_size, int64_t frontier_edges,
                     int64_t num_vertices, int64_t total_edges);
 
@@ -676,10 +648,9 @@ class Cluster {
   bool AcceptsStorePlacement(const kv::Placement& placement,
                              int64_t capacity) const {
     if (placement == PlacementFor(capacity)) return true;
-    for (const RetiredPlacement& retired : retired_placements_) {
+    for (const kv::PlacementPolicy retired : retired_policies_) {
       kv::Placement p = PlacementFor(capacity);
-      p.policy = retired.policy;
-      p.affinity_block = retired.affinity_block;
+      p.policy = retired;
       if (placement == p) return true;
     }
     return false;
@@ -855,15 +826,6 @@ class Cluster {
   // round). 1.0 for KV-free rounds — spawn/compute rounds replay whole.
   double ReplaySliceShare(size_t round, int machine) const;
 
-  // A placement the tuner moved away from. Stores minted before the
-  // swap keep serving under it (AcceptsStorePlacement). Mutated only
-  // between rounds (ApplyTunedKnobs), read concurrently by workers —
-  // safe because no round is in flight while it grows.
-  struct RetiredPlacement {
-    kv::PlacementPolicy policy;
-    int64_t affinity_block;
-  };
-
   // The per-round tuner handshake. BeginRound applies the knobs the
   // tuner wants the coming round to run under and snapshots the
   // metrics; EndRound feeds the round's telemetry delta back. Both are
@@ -930,9 +892,13 @@ class Cluster {
       shard_maps_;
   mutable std::vector<int64_t> shard_map_recency_;  // back = most recent
   // The probe-then-commit tuner (null unless config.auto_tune.enabled)
-  // and the placements it has moved away from.
+  // and the placement policies it has moved away from. Stores minted
+  // before a swap keep serving under the old policy
+  // (AcceptsStorePlacement). Grown only between rounds
+  // (ApplyTunedKnobs), read concurrently by workers — safe because no
+  // round is in flight while it grows.
   std::unique_ptr<AutoTuner> tuner_;
-  std::vector<RetiredPlacement> retired_placements_;
+  std::vector<kv::PlacementPolicy> retired_policies_;
 };
 
 /// Per-(machine, worker) handle passed to map-phase functions. KV lookups

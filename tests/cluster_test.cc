@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <span>
 #include <tuple>
@@ -1148,7 +1149,6 @@ TEST(ClusterTest, DefaultFaultConfigDoesNotDriftTheCostModel) {
       config.faults.domain_aware_placement = true;
       config.faults.warning_lead_sec = 0.0;
       config.faults.slow_machine_rate = 0.0;
-      config.faults.straggler_slowdown = 4.0;  // unused at rate 0
       config.faults.hedge_lookups = false;
     }
     Cluster cluster(config);
@@ -1466,18 +1466,19 @@ TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
   EXPECT_EQ(cluster.metrics().Get("kv_reads"), kSteps * n);
 }
 
-// Runs `job` on two identically configured clusters and expects the
-// same charged costs from both: simulated seconds and timers, every
-// counter, and every round's per-machine footprint. Guards the fold of
-// the per-worker tallies, which must not depend on which worker thread
-// finishes first.
+// Runs `job` on a cluster built from `config_a` and one built from
+// `config_b` and expects the same charged costs from both: simulated
+// seconds and timers, every counter, and every round's per-machine
+// footprint. With one config twice it guards the fold of the
+// per-worker tallies, which must not depend on which worker thread
+// finishes first; with two it pins configs that must charge alike.
 template <typename Job>
-void ExpectTwinClusterCosts(const ClusterConfig& config, Job job) {
-  Cluster a(config);
-  Cluster b(config);
+void ExpectTwinClusterCosts(const ClusterConfig& config_a,
+                            const ClusterConfig& config_b, Job job) {
+  Cluster a(config_a);
+  Cluster b(config_b);
   job(a);
   job(b);
-  EXPECT_GT(a.metrics().Get("frontier_dense_rounds"), 0);
   EXPECT_EQ(a.SimSeconds(), b.SimSeconds());
   const MetricsSnapshot sa = a.metrics().Snapshot();
   const MetricsSnapshot sb = b.metrics().Snapshot();
@@ -1507,12 +1508,27 @@ ClusterConfig UncachedFrontierConfig(FrontierMode mode) {
   return config;
 }
 
+// A twin-cluster job that must leave `counter` positive: the kind of
+// frontier round the case is about really ran.
+template <typename Job>
+auto Counting(const char* counter, Job job) {
+  return [counter, job](Cluster& cluster) {
+    job(cluster);
+    EXPECT_GT(cluster.metrics().Get(counter), 0) << counter;
+  };
+}
+
+constexpr const char* kPullRounds = "frontier_dense_rounds";
+constexpr const char* kPushRounds = "frontier_sparse_rounds";
+
 TEST(ClusterTest, TwinClustersChargeEqualCostsForHybridKCore) {
   const graph::Graph g =
       graph::BuildGraph(graph::GenerateErdosRenyi(2000, 12000, 11));
-  ExpectTwinClusterCosts(
-      UncachedFrontierConfig(FrontierMode::kHybrid),
-      [&](Cluster& cluster) { core::AmpcKCore(cluster, g); });
+  const ClusterConfig config = UncachedFrontierConfig(FrontierMode::kHybrid);
+  ExpectTwinClusterCosts(config, config,
+                         Counting(kPullRounds, [&](Cluster& cluster) {
+                           core::AmpcKCore(cluster, g);
+                         }));
 }
 
 // Each round scatters 40000 items in ten 4096-item chunks from several
@@ -1522,17 +1538,21 @@ TEST(ClusterTest, TwinClustersChargeEqualCostsForHybridKCore) {
 TEST(ClusterTest, TwinClustersChargeEqualCostsForDenseKCoreAcrossChunks) {
   const graph::Graph g =
       graph::BuildGraph(graph::GenerateErdosRenyi(40000, 300000, 11));
-  ExpectTwinClusterCosts(
-      UncachedFrontierConfig(FrontierMode::kDense),
-      [&](Cluster& cluster) { core::AmpcKCore(cluster, g); });
+  const ClusterConfig config = UncachedFrontierConfig(FrontierMode::kDense);
+  ExpectTwinClusterCosts(config, config,
+                         Counting(kPullRounds, [&](Cluster& cluster) {
+                           core::AmpcKCore(cluster, g);
+                         }));
 }
 
 TEST(ClusterTest, TwinClustersChargeEqualCostsForPullMsf) {
   const graph::WeightedEdgeList list = graph::MakeRandomWeighted(
       graph::GenerateErdosRenyi(1000, 5000, 13), /*seed=*/13);
-  ExpectTwinClusterCosts(
-      UncachedFrontierConfig(FrontierMode::kDense),
-      [&](Cluster& cluster) { core::AmpcMsf(cluster, list); });
+  const ClusterConfig config = UncachedFrontierConfig(FrontierMode::kDense);
+  ExpectTwinClusterCosts(config, config,
+                         Counting(kPullRounds, [&](Cluster& cluster) {
+                           core::AmpcMsf(cluster, list);
+                         }));
 }
 
 TEST(ClusterTest, TwinClustersChargeEqualCostsForPullPageRank) {
@@ -1540,10 +1560,61 @@ TEST(ClusterTest, TwinClustersChargeEqualCostsForPullPageRank) {
       graph::BuildGraph(graph::GenerateErdosRenyi(500, 2500, 17));
   core::PageRankMcOptions options;
   options.walks_per_node = 4;
-  ExpectTwinClusterCosts(UncachedFrontierConfig(FrontierMode::kDense),
-                         [&](Cluster& cluster) {
+  const ClusterConfig config = UncachedFrontierConfig(FrontierMode::kDense);
+  ExpectTwinClusterCosts(config, config,
+                         Counting(kPullRounds, [&](Cluster& cluster) {
                            core::AmpcMonteCarloPageRank(cluster, g, options);
-                         });
+                         }));
+}
+
+// kSparse is the policy's "always push" answer, nothing more: a hybrid
+// cluster whose dense threshold is out of reach (alpha = 1e-9 asks for
+// more frontier out-edges than the graph has, a billion times over)
+// must run and charge exactly what a sparse cluster does.
+ClusterConfig NeverDenseHybridConfig() {
+  ClusterConfig config = UncachedFrontierConfig(FrontierMode::kHybrid);
+  config.frontier.alpha = 1e-9;
+  return config;
+}
+
+TEST(ClusterTest, SparseKCoreChargesLikeNeverDenseHybrid) {
+  const graph::Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(2000, 12000, 11));
+  ExpectTwinClusterCosts(UncachedFrontierConfig(FrontierMode::kSparse),
+                         NeverDenseHybridConfig(),
+                         Counting(kPushRounds, [&](Cluster& cluster) {
+                           core::AmpcKCore(cluster, g);
+                         }));
+}
+
+TEST(ClusterTest, SparseMsfChargesLikeNeverDenseHybrid) {
+  const graph::WeightedEdgeList list = graph::MakeRandomWeighted(
+      graph::GenerateErdosRenyi(1000, 5000, 13), /*seed=*/13);
+  ExpectTwinClusterCosts(UncachedFrontierConfig(FrontierMode::kSparse),
+                         NeverDenseHybridConfig(),
+                         Counting(kPushRounds, [&](Cluster& cluster) {
+                           core::AmpcMsf(cluster, list);
+                         }));
+}
+
+// A map phase whose per-machine share cannot feed every worker 32
+// items is regrouped into 32-item slices, kSparse included.
+TEST(ClusterTest, SmallShareRegroupsIntoGrainSizedSlices) {
+  ClusterConfig config;
+  config.num_machines = 1;
+  config.threads_per_machine = 8;
+  config.frontier.mode = FrontierMode::kSparse;
+  Cluster cluster(config);
+  std::mutex mu;
+  std::vector<size_t> slice_sizes;
+  cluster.RunBatchMapPhase(
+      "small", 100, [&](std::span<const int64_t> items, MachineContext&) {
+        std::lock_guard<std::mutex> lock(mu);
+        slice_sizes.push_back(items.size());
+      });
+  std::sort(slice_sizes.begin(), slice_sizes.end());
+  EXPECT_EQ(slice_sizes, (std::vector<size_t>{4, 32, 32, 32}));
+  EXPECT_EQ(cluster.metrics().Get("map_items"), 100);
 }
 
 }  // namespace

@@ -145,17 +145,26 @@ TEST(AmpcKCoreTest, UsesExactlyOneShuffle) {
   EXPECT_GT(result.iterations, 1);
 }
 
+// MpcKCore recomputes every vertex every round; AmpcKCore recomputes
+// only the active frontier, pushed or pulled per the frontier mode.
+// Skipping an unchanged neighborhood is exact, so every mode must land
+// on the baseline's coreness in the baseline's iteration count.
 TEST(MpcKCoreTest, MatchesAmpcAndPaysOneShufflePerIteration) {
   Graph g = graph::BuildGraph(graph::GenerateErdosRenyi(300, 1200, 9));
-  sim::Cluster ampc_cluster(SmallConfig());
-  core::KCoreResult ampc = core::AmpcKCore(ampc_cluster, g);
-
   sim::Cluster mpc_cluster(SmallConfig());
   baselines::MpcKCoreResult mpc = baselines::MpcKCore(mpc_cluster, g);
-
-  EXPECT_EQ(mpc.coreness, ampc.coreness);
-  EXPECT_EQ(mpc.iterations, ampc.iterations);
+  EXPECT_EQ(mpc.coreness, seq::CoreDecomposition(g));
   EXPECT_EQ(mpc_cluster.metrics().Get("shuffles"), mpc.iterations);
+
+  for (const FrontierMode mode :
+       {FrontierMode::kSparse, FrontierMode::kDense, FrontierMode::kHybrid}) {
+    sim::ClusterConfig config = SmallConfig();
+    config.frontier.mode = mode;
+    sim::Cluster ampc_cluster(config);
+    core::KCoreResult ampc = core::AmpcKCore(ampc_cluster, g);
+    EXPECT_EQ(mpc.coreness, ampc.coreness) << FrontierModeName(mode);
+    EXPECT_EQ(mpc.iterations, ampc.iterations) << FrontierModeName(mode);
+  }
 }
 
 TEST(MpcKCoreTest, IsolatedVerticesStayZero) {

@@ -639,8 +639,7 @@ TEST(CacheDropRegistryTest, ExpiredCachesArePrunedNotResurrected) {
 TEST(ShardedStoreTest, EnableQueryCacheRegistersPerMachineCaches) {
   CacheDropRegistry registry;
   ShardedStore<int64_t> store(256, 4, /*seed=*/5);
-  store.EnableQueryCache(/*capacity_per_machine=*/64, /*lock_shards=*/2,
-                         &registry);
+  store.EnableQueryCache(/*capacity_per_machine=*/64, &registry);
   for (int64_t k = 0; k < 256; ++k) store.Put(k, k * 2);
   // Warm machine 1's read-through cache by hand.
   const int64_t* record = store.Lookup(10);

@@ -474,7 +474,7 @@ sim::Cluster MakeFrontierCluster(const FrontierShape& shape) {
 TEST(ShardingDeterminismTest, KCoreIdenticalAcrossFrontierModes) {
   graph::Graph g =
       graph::BuildGraph(graph::GenerateErdosRenyi(400, 2400, 23));
-  sim::Cluster reference = MakeCluster(kShapes[0]);  // pre-frontier path
+  sim::Cluster reference = MakeCluster(kShapes[0]);  // default sparse mode
   const core::KCoreResult expected = core::AmpcKCore(reference, g);
   for (const FrontierShape& shape : kFrontierShapes) {
     sim::Cluster cluster = MakeFrontierCluster(shape);

@@ -373,11 +373,6 @@ bool BuildClusterConfig(const Args& args, sim::ClusterConfig* config) {
 int DumpLintConfig(const Args& args) {
   sim::ClusterConfig c;
   if (!BuildClusterConfig(args, &c)) return 2;
-  const char* frontier_mode = c.frontier.mode == FrontierMode::kSparse
-                                  ? "sparse"
-                                  : c.frontier.mode == FrontierMode::kDense
-                                        ? "dense"
-                                        : "hybrid";
   std::printf("--- effective ClusterConfig (knob = value  # off-state) ---\n");
   auto row = [](const char* knob, const std::string& value,
                 const char* off_state) {
@@ -400,8 +395,6 @@ int DumpLintConfig(const Args& args) {
       "false = uncached historical client, cost-only");
   row("query_cache.capacity", integer(c.query_cache.capacity),
       "cost-only: hit rate, never values");
-  row("query_cache.lock_shards", integer(c.query_cache.lock_shards),
-      "cost- and value-neutral concurrency knob");
   row("batch_lookups", boolean(c.batch_lookups),
       "false = scalar trip charging, bit-identical outputs");
   row("max_batch_keys", integer(c.max_batch_keys),
@@ -410,8 +403,6 @@ int DumpLintConfig(const Args& args) {
       "1 = lockstep, the pre-pipelining cost model");
   row("placement_policy", kv::PlacementPolicyName(c.placement_policy),
       "hash = historical default; all policies value-identical");
-  row("affinity_block", integer(c.affinity_block),
-      "inert unless placement_policy = affinity");
   row("network", c.network.name,
       "cost-only: scales latencies/bytes, never values");
   row("round_spawn_sec", num(c.round_spawn_sec), "cost-only calibration");
@@ -439,18 +430,14 @@ int DumpLintConfig(const Args& args) {
       "0 = unannounced kills, reactive historical model");
   row("faults.slow_machine_rate", num(c.faults.slow_machine_rate),
       "0 disables the straggler model");
-  row("faults.straggler_slowdown", num(c.faults.straggler_slowdown),
-      "inert while slow_machine_rate is 0");
   row("faults.hedge_lookups", boolean(c.faults.hedge_lookups),
       "false = wait out stragglers, historical model");
-  row("frontier.mode", frontier_mode,
-      "sparse = legacy engine, bit-identical cost model");
+  row("frontier.mode", FrontierModeName(c.frontier.mode),
+      "sparse = always push");
   row("frontier.alpha", num(c.frontier.alpha),
-      "inert under sparse; cost-only otherwise");
+      "inert unless hybrid; cost-only there");
   row("frontier.beta", num(c.frontier.beta),
-      "inert under sparse; cost-only otherwise");
-  row("frontier.min_worker_grain", integer(c.frontier.min_worker_grain),
-      "inert under sparse (historical slicing)");
+      "inert unless hybrid; cost-only there");
   row("auto_tune", boolean(c.auto_tune.enabled),
       "false constructs no tuner, byte-identical cost model");
   row("seed", integer(int64_t(c.seed)),
