@@ -49,9 +49,17 @@ struct SearchOutput {
   NodeId stop_parent = kInvalidNode;  // set when rule (3) fired
 };
 
-struct WAdjGreater {
-  bool operator()(const WAdj& a, const WAdj& b) const {
-    return WAdjLess(b, a);
+// The unconsumed tail [next, end) of one visited vertex's weight-sorted
+// store record; `next` is its lightest arc not yet popped. It points into
+// the round's write-once store, which outlives every search of the round.
+struct AdjCursor {
+  const WAdj* next;
+  const WAdj* end;
+};
+
+struct AdjCursorGreater {
+  bool operator()(const AdjCursor& a, const AdjCursor& b) const {
+    return WAdjLess(*b.next, *a.next);
   }
 };
 
@@ -61,24 +69,39 @@ struct WAdjGreater {
 // `origin` in the permutation. The search runs until it either needs a
 // remote adjacency (`pending` set) or terminates (`done` set), so a
 // worker can run many searches in lockstep and fetch every pending
-// adjacency of an adaptive step with one LookupMany batch.
+// adjacency of an adaptive step with one LookupMany batch. The heap
+// lazily merges the visited vertices' adjacencies: it holds at most one
+// cursor per visited vertex, keyed by the cursor's head arc, so a hub's
+// record is read only as far as the search needs it, never copied.
 struct PrimSearchState {
   int64_t item = 0;
   NodeId origin = kInvalidNode;
-  std::priority_queue<WAdj, std::vector<WAdj>, WAdjGreater> heap;
+  std::priority_queue<AdjCursor, std::vector<AdjCursor>, AdjCursorGreater>
+      heap;
   std::unordered_set<NodeId> visited;
   SearchOutput out;
   NodeId pending = kInvalidNode;
   bool done = false;
 };
 
-// Pops edges until the search terminates or needs the adjacency of
-// `pending` (exactly where the scalar search issued its next Lookup).
+// Adds a visited vertex's adjacency to the merge, unless it is empty.
+void PushAdjacency(PrimSearchState& s, const std::vector<WAdj>& adj) {
+  if (!adj.empty()) {
+    s.heap.push(AdjCursor{adj.data(), adj.data() + adj.size()});
+  }
+}
+
+// Pops arcs in (weight, id) order until the search terminates or needs
+// the adjacency of `pending` (exactly where the scalar search issued its
+// next Lookup). Each pop takes the least cursor's head, re-queues the
+// cursor unless it is exhausted, and skips arcs into the visited set.
 void AdvancePrimSearch(PrimSearchState& s, uint64_t seed,
                        int64_t search_limit) {
   while (!s.heap.empty()) {
-    const WAdj e = s.heap.top();
+    AdjCursor c = s.heap.top();
     s.heap.pop();
+    const WAdj e = *c.next++;
+    if (c.next != c.end) s.heap.push(c);
     if (s.visited.contains(e.to)) continue;
     // The popped edge is the minimum-order edge leaving the visited set,
     // hence an MSF edge by the cut property (weights totally ordered).
@@ -102,11 +125,7 @@ void AdvancePrimSearch(PrimSearchState& s, uint64_t seed,
 // Feeds a fetched adjacency back into the search and keeps going.
 void ResumePrimSearch(PrimSearchState& s, const std::vector<WAdj>* next,
                       uint64_t seed, int64_t search_limit) {
-  if (next != nullptr) {
-    for (const WAdj& f : *next) {
-      if (!s.visited.contains(f.to)) s.heap.push(f);
-    }
-  }
+  if (next != nullptr) PushAdjacency(s, *next);
   s.pending = kInvalidNode;
   AdvancePrimSearch(s, seed, search_limit);
 }
@@ -149,7 +168,6 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // --- SortGraph (shuffle): weight-sorted adjacency -------------------
     WallTimer sort_timer;
     WeightedGraph wg = graph::BuildWeightedGraph(current);
-    wg.SortAdjacenciesByWeight();
     int64_t graph_bytes = 0;
     for (int64_t v = 0; v < n; ++v) {
       graph_bytes += wg.AdjacencyBytes(static_cast<NodeId>(v));
@@ -198,7 +216,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
               continue;
             }
             s.visited.insert(s.origin);
-            for (const WAdj& e : *adj) s.heap.push(e);
+            PushAdjacency(s, *adj);
             AdvancePrimSearch(s, round_seed, search_limit);
           }
           const auto done = [](const PrimSearchState& s) { return s.done; };

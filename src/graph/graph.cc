@@ -125,16 +125,9 @@ WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
     AMPC_CHECK_LT(e.v, n);
   }
 
-  std::vector<uint64_t> deg(n, 0);
-  for (const WeightedEdge& e : list.edges) {
-    if (options.remove_self_loops && e.u == e.v) continue;
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  std::vector<uint64_t> offsets = ExclusiveScan(deg);
-
-  // Global (owner, neighbor, weight, id) sort instead of per-vertex
-  // sorts, for the same skew-robustness as BuildGraph above.
+  // One global sort keyed by (owner, weight, id) instead of per-vertex
+  // sorts, for the same skew-robustness as BuildGraph above; the neighbor
+  // id last makes the order total.
   struct Arc {
     NodeId from;
     NodeId to;
@@ -142,7 +135,7 @@ WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
     EdgeId id;
   };
   std::vector<Arc> arcs;
-  arcs.reserve(offsets.back());
+  arcs.reserve(2 * list.edges.size());
   for (const WeightedEdge& e : list.edges) {
     if (options.remove_self_loops && e.u == e.v) continue;
     arcs.push_back(Arc{e.u, e.v, e.w, e.id});
@@ -151,88 +144,41 @@ WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
   ParallelSort(ThreadPool::Global(), arcs,
                [](const Arc& a, const Arc& b) {
                  if (a.from != b.from) return a.from < b.from;
-                 if (a.to != b.to) return a.to < b.to;
                  if (a.w != b.w) return a.w < b.w;
-                 return a.id < b.id;
+                 if (a.id != b.id) return a.id < b.id;
+                 return a.to < b.to;
                });
 
-  std::vector<uint64_t> new_deg(n, 0);
-  if (options.dedup) {
-    for (int64_t v = 0; v < n; ++v) {
-      uint64_t count = 0;
-      NodeId prev = kInvalidNode;
-      for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-        if (arcs[i].to != prev) {
-          ++count;
-          prev = arcs[i].to;
-        }
-      }
-      new_deg[v] = count;
+  // Dedup keeps each neighbor's first arc in that order, which is the
+  // lightest of its parallel arcs; seen[to] == from marks a neighbor
+  // already kept. Compacts `arcs` in place.
+  std::vector<uint64_t> deg(n, 0);
+  std::vector<NodeId> seen(options.dedup ? n : 0, kInvalidNode);
+  size_t kept = 0;
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    const Arc arc = arcs[i];
+    if (options.dedup) {
+      if (seen[arc.to] == arc.from) continue;
+      seen[arc.to] = arc.from;
     }
-  } else {
-    for (int64_t v = 0; v < n; ++v) new_deg[v] = offsets[v + 1] - offsets[v];
+    ++deg[arc.from];
+    arcs[kept++] = arc;
   }
 
-  std::vector<uint64_t> new_offsets = ExclusiveScan(new_deg);
   WeightedGraph g;
-  g.offsets_ = new_offsets;
-  g.adjacency_.resize(new_offsets.back());
-  g.weights_.resize(new_offsets.back());
-  g.edge_ids_.resize(new_offsets.back());
-  for (int64_t v = 0; v < n; ++v) {
-    uint64_t out = new_offsets[v];
-    NodeId prev = kInvalidNode;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      if (options.dedup && arcs[i].to == prev) continue;
-      prev = arcs[i].to;
-      g.adjacency_[out] = arcs[i].to;
-      g.weights_[out] = arcs[i].w;
-      g.edge_ids_[out] = arcs[i].id;
-      ++out;
-    }
-    AMPC_CHECK_EQ(out, new_offsets[v + 1]);
-  }
+  g.offsets_ = ExclusiveScan(deg);
+  g.adjacency_.resize(kept);
+  g.weights_.resize(kept);
+  g.edge_ids_.resize(kept);
+  ParallelForChunked(ThreadPool::Global(), 0, static_cast<int64_t>(kept), 4096,
+                     [&](int64_t lo, int64_t hi) {
+                       for (int64_t i = lo; i < hi; ++i) {
+                         g.adjacency_[i] = arcs[i].to;
+                         g.weights_[i] = arcs[i].w;
+                         g.edge_ids_[i] = arcs[i].id;
+                       }
+                     });
   return g;
-}
-
-void WeightedGraph::SortAdjacenciesByWeight() {
-  const int64_t n = num_nodes();
-  // One global sort keyed by (owner, weight, id) replaces per-vertex
-  // sorts, the same skew-robustness pattern as BuildWeightedGraph: a hub
-  // vertex's adjacency no longer sorts on a single thread. Offsets are
-  // untouched, so scattering the sorted arcs back by position restores
-  // each vertex's slice in weight order.
-  struct Arc {
-    NodeId from;
-    NodeId to;
-    Weight w;
-    EdgeId id;
-  };
-  std::vector<Arc> arcs(adjacency_.size());
-  ParallelForChunked(
-      ThreadPool::Global(), 0, n, 512, [&](int64_t lo, int64_t hi) {
-        for (int64_t v = lo; v < hi; ++v) {
-          for (uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-            arcs[i] = Arc{static_cast<NodeId>(v), adjacency_[i],
-                          weights_[i], edge_ids_[i]};
-          }
-        }
-      });
-  ParallelSort(ThreadPool::Global(), arcs,
-               [](const Arc& a, const Arc& b) {
-                 if (a.from != b.from) return a.from < b.from;
-                 if (a.w != b.w) return a.w < b.w;
-                 return a.id < b.id;
-               });
-  ParallelForChunked(
-      ThreadPool::Global(), 0, static_cast<int64_t>(arcs.size()), 4096,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          adjacency_[i] = arcs[i].to;
-          weights_[i] = arcs[i].w;
-          edge_ids_[i] = arcs[i].id;
-        }
-      });
 }
 
 Weight WeightedGraph::MinWeight() const {

@@ -56,8 +56,8 @@ struct WeightedEdgeList {
 struct BuildOptions {
   /// Drop (u, u) edges.
   bool remove_self_loops = true;
-  /// Keep a single copy of parallel edges per adjacency (first wins for
-  /// weighted graphs; adjacency is sorted by neighbor id first).
+  /// Keep a single copy of parallel edges per adjacency (weighted graphs
+  /// keep the lightest by (weight, edge id)).
   bool dedup = true;
 };
 
@@ -130,11 +130,6 @@ class WeightedGraph {
         degree(v) * (sizeof(NodeId) + sizeof(Weight) + sizeof(EdgeId)));
   }
 
-  /// Sorts every adjacency in place by (weight, edge id) ascending — the
-  /// layout the AMPC MSF algorithm stores in the KV store (paper §5.5:
-  /// "sorts the edges incident to each vertex by their weights").
-  void SortAdjacenciesByWeight();
-
   /// Returns the minimum edge weight; 0 for an edgeless graph.
   Weight MinWeight() const;
 
@@ -153,6 +148,10 @@ class WeightedGraph {
 Graph BuildGraph(const EdgeList& list, const BuildOptions& options = {});
 
 /// Weighted variant; arcs carry (weight, edge id) of the defining edge.
+/// Each adjacency is sorted by (weight, edge id) ascending, the layout the
+/// AMPC MSF stores in the KV store (paper §5.5: "sorts the edges incident
+/// to each vertex by their weights"); with dedup, a neighbor keeps only
+/// its lightest parallel arc.
 WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
                                  const BuildOptions& options = {});
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 namespace ampc::graph {
 namespace {
@@ -101,15 +103,26 @@ TEST(WeightedGraphTest, DedupKeepsLightestParallelEdge) {
   EXPECT_EQ(g.edge_ids(0)[0], 1u);
 }
 
-TEST(WeightedGraphTest, SortAdjacenciesByWeight) {
+TEST(WeightedGraphTest, AdjacencyInWeightThenIdOrder) {
   WeightedEdgeList list;
-  list.num_nodes = 4;
-  list.edges = {{0, 1, 9.0, 0}, {0, 2, 2.0, 1}, {0, 3, 5.0, 2}};
+  list.num_nodes = 6;
+  list.edges = {
+      {0, 1, 9.0, 0},  // neighbors 1 and 2: id order is not weight order
+      {0, 2, 2.0, 1},
+      {0, 3, 5.0, 5},  // equal weights, ids against neighbor order
+      {0, 4, 5.0, 3},
+      {0, 5, 7.0, 2},  // parallel pair: the lighter copy has the larger
+      {5, 0, 4.0, 6},  // id and comes second
+  };
   WeightedGraph g = BuildWeightedGraph(list);
-  g.SortAdjacenciesByWeight();
-  auto ws = g.weights(0);
-  EXPECT_TRUE(std::is_sorted(ws.begin(), ws.end()));
-  EXPECT_EQ(g.neighbors(0)[0], 2u);
+  using Arc = std::tuple<NodeId, Weight, EdgeId>;  // (neighbor, weight, id)
+  std::vector<Arc> got;
+  for (size_t i = 0; i < g.neighbors(0).size(); ++i) {
+    got.emplace_back(g.neighbors(0)[i], g.weights(0)[i], g.edge_ids(0)[i]);
+  }
+  const std::vector<Arc> want = {
+      {2, 2.0, 1}, {5, 4.0, 6}, {4, 5.0, 3}, {3, 5.0, 5}, {1, 9.0, 0}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(WeightedGraphTest, MinWeight) {

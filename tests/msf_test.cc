@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/connectivity.h"
 #include "graph/generators.h"
 #include "seq/msf.h"
 
@@ -35,8 +36,18 @@ WeightedEdgeList ShapeWeighted(int shape, uint64_t seed) {
     case 3:
       raw = graph::GenerateGrid(20, 25);
       break;
-    default:
+    case 4:
       raw = graph::GenerateDoubleCycle(250);
+      break;
+    // Shapes 5 and 6 are shapes 0 and 1 with every weight tied, so the
+    // edge id alone orders the edges: AmpcConnectivity's input, where
+    // searches meet R-MAT hubs whose adjacency is one long tie.
+    case 5:
+      raw = graph::GenerateErdosRenyi(300, 1200, seed);
+      return graph::MakeUnitWeighted(raw);
+    default:
+      raw = graph::GenerateRmat(9, 2500, seed);
+      return graph::MakeUnitWeighted(raw);
   }
   return graph::MakeRandomWeighted(raw, seed ^ 0xbeef);
 }
@@ -68,7 +79,7 @@ TEST_P(MsfEqualityTest, ExactlyMatchesKruskal) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MsfEqualityTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5, 6),
                        ::testing::Values(1u, 2u, 3u)));
 
 TEST(AmpcMsfTest, TernarizedPathMatchesKruskalToo) {
@@ -165,6 +176,44 @@ TEST(AmpcMsfTest, ParallelEdgesAndSelfLoopsTolerated) {
   MsfResult r = AmpcMsf(cluster, list);
   EXPECT_EQ(r.edges, seq::KruskalMsf(list));
   EXPECT_EQ(r.edges, (std::vector<graph::EdgeId>{1, 3}));
+}
+
+// Pins the charged costs of a multi-round AmpcMsf and AmpcConnectivity
+// run, uncached so every counter and the simulated clock are exact. The
+// values were recorded with the earlier eager heap of arc copies: the
+// search's host-side data structures may change; what it reads, and so
+// what it is charged, may not.
+TEST(AmpcMsfTest, ChargedCostsMatchParent) {
+  const EdgeList raw = graph::GenerateRmat(12, 20000, 7);
+  sim::ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  config.query_cache.enabled = false;
+  config.in_memory_threshold_arcs = 64;
+  MsfOptions options;
+  options.seed = 7;
+  // rounds, kv_reads, kv_lookup_trips, kv_batches, kv_read_bytes,
+  // kv_write_bytes.
+  const auto counters = [](sim::Cluster& cluster) {
+    const Metrics& m = cluster.metrics();
+    return std::vector<int64_t>{m.Get("rounds"), m.Get("kv_reads"),
+                                m.Get("kv_lookup_trips"), m.Get("kv_batches"),
+                                m.Get("kv_read_bytes"),
+                                m.Get("kv_write_bytes")};
+  };
+
+  sim::Cluster msf(config);
+  AmpcMsf(msf, graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw)),
+          options);
+  EXPECT_EQ(counters(msf),
+            (std::vector<int64_t>{18, 33615, 9055, 4035, 3366128, 666132}));
+  EXPECT_DOUBLE_EQ(msf.SimSeconds(), 1.102666546);
+
+  sim::Cluster cc(config);
+  AmpcConnectivity(cc, raw, options);
+  EXPECT_EQ(counters(cc),
+            (std::vector<int64_t>{21, 32749, 6458, 2936, 26488420, 666312}));
+  EXPECT_DOUBLE_EQ(cc.SimSeconds(), 1.29827504);
 }
 
 TEST(AmpcMsfTest, PointerJumpChainsStayShort) {
