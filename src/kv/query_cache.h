@@ -15,9 +15,14 @@
 //     kv::ShardedStore::version() captured *before* the underlying
 //     lookup, so a cached value — including a cached negative — can
 //     never survive a later write phase: stale reads are impossible.
-//   * Thread-safe: the machine's worker threads share one cache; the
-//     key space is split over internal lock shards (concurrency only —
-//     nothing to do with the DHT's machine sharding).
+//   * Thread-safe: the machine's simulated worker threads share one
+//     cache; the key space is split over internal lock shards
+//     (concurrency only — nothing to do with the DHT's machine
+//     sharding). The simulator itself runs a machine's workers on one
+//     host task in every round that probes a cache (push rounds; a pull
+//     round probes none), so a cache sees its reads in one fixed order
+//     and every cached charge is schedule-independent. The locks stay,
+//     so a caller outside that rule is still race-free.
 //
 // Two uses share this type. MachineContext::Lookup/LookupMany consult a
 // per-(store, machine) QueryCache<const V*> read-through instance

@@ -891,36 +891,51 @@ void Cluster::RunMapPhaseImpl(
       }
     }
   }
+  // Host tasks are runs of consecutive slices [task_begin[t],
+  // task_begin[t + 1]): in a push round one per machine, its slices in
+  // worker order, so the query caches the machine's workers share see
+  // one fixed sequence of reads; in a pull round, which probes no cache
+  // (MachineContext::caching_enabled), one per slice.
+  std::vector<size_t> task_begin;
+  for (size_t s = 0; s < slices.size(); ++s) {
+    if (pull != nullptr || s == 0 ||
+        slices[s].machine != slices[s - 1].machine) {
+      task_begin.push_back(s);
+    }
+  }
+  const size_t num_tasks = task_begin.size();
+  task_begin.push_back(slices.size());
   struct Latch {
     std::mutex mu;
     std::condition_variable cv;
-    int remaining;
+    size_t remaining;
   };
   Latch latch;
-  latch.remaining = static_cast<int>(slices.size());
+  latch.remaining = num_tasks;
   // One tally per slice, written once, when the slice's context hands
   // over its private tally.
   std::vector<WorkerTally> tallies(slices.size());
-  for (size_t s = 0; s < slices.size(); ++s) {
-    const int m = slices[s].machine;
-    const int w = slices[s].worker;
-    const int64_t lo = slices[s].lo;
-    const int64_t hi = slices[s].hi;
-    pool_->Schedule([&, s, m, w, lo, hi] {
-      {
-        // Scoped so the context's destructor — which settles any
-        // deferred pipeline trips and hands over the tally — runs
-        // before the latch releases the settle.
-        MachineContext ctx(
-            this, &tallies[s], m, w,
-            Hash64(HashCombine(Hash64(m, config_.seed), w),
-                   HashCombine(config_.seed,
-                               std::hash<std::string>{}(phase))),
-            /*pull_round=*/pull != nullptr);
-        slice_fn(std::span<const int64_t>(buckets.data() + lo, hi - lo),
-                 ctx);
+  for (size_t t = 0; t < num_tasks; ++t) {
+    pool_->Schedule([&, t] {
+      for (size_t s = task_begin[t]; s < task_begin[t + 1]; ++s) {
+        const WorkerSlice& slice = slices[s];
+        {
+          // Scoped so the context's destructor — which settles any
+          // deferred pipeline trips and hands over the tally — runs
+          // before the latch releases the settle.
+          MachineContext ctx(
+              this, &tallies[s], slice.machine, slice.worker,
+              Hash64(HashCombine(Hash64(slice.machine, config_.seed),
+                                 slice.worker),
+                     HashCombine(config_.seed,
+                                 std::hash<std::string>{}(phase))),
+              /*pull_round=*/pull != nullptr);
+          slice_fn(std::span<const int64_t>(buckets.data() + slice.lo,
+                                            slice.hi - slice.lo),
+                   ctx);
+        }
+        tallies[s].client.items = slice.hi - slice.lo;
       }
-      tallies[s].client.items = hi - lo;
       std::unique_lock<std::mutex> lock(latch.mu);
       if (--latch.remaining == 0) latch.cv.notify_all();
     });

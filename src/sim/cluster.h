@@ -388,7 +388,10 @@ class Cluster {
   /// query_cache config. Disabled config => every ForMachine() is
   /// nullptr and algorithms fall back to uncached resolution. Hit/miss
   /// accounting stays with the caller via
-  /// MachineContext::CountCacheHit/Miss.
+  /// MachineContext::CountCacheHit/Miss. For push rounds only: a push
+  /// round runs each machine's worker slices on one host task, so a
+  /// machine's cache sees its reads in a fixed order; pull-round slices
+  /// run concurrently and must not share one.
   template <typename V>
   kv::MachineCaches<V> MakeMachineCaches() const {
     if (!config_.query_cache.enabled) return {};
@@ -753,8 +756,12 @@ class Cluster {
   // partitions the work items (all of [0, key_space), or the explicit
   // `items` subset when `explicit_items` is set) onto machines by
   // MachineOf(item, key_space), runs one slice per (machine, worker),
-  // each with its own WorkerTally, and settles. A non-null `pull` puts
-  // every context in pull mode and the settle on the pull cost model.
+  // each with its own WorkerTally, and settles. A push round runs one
+  // host task per machine, which runs that machine's slices in worker
+  // order, so the query caches its workers share see a fixed sequence
+  // of reads on any host; a pull round, which touches no cache, runs
+  // one host task per slice. A non-null `pull` puts every context in
+  // pull mode and the settle on the pull cost model.
   void RunMapPhaseImpl(
       const std::string& phase, int64_t key_space,
       std::span<const int64_t> items, bool explicit_items,
@@ -939,9 +946,13 @@ class MachineContext {
   int machine_id() const { return machine_id_; }
   int worker_id() const { return worker_id_; }
 
-  /// True when the caching optimization is enabled for this run.
+  /// True when this context's reads go through the machine's query
+  /// cache: caching is enabled for the run and this is a push round. A
+  /// pull round resolves every read against its step's exchange and
+  /// never touches a cache, which is what lets its worker slices run as
+  /// separate host tasks (see Cluster::RunMapPhaseImpl).
   bool caching_enabled() const {
-    return cluster_->config().query_cache.enabled;
+    return cluster_->config().query_cache.enabled && !pull_round_;
   }
 
   /// Sub-batch bound for batched lookups (ClusterConfig::max_batch_keys;
@@ -965,7 +976,7 @@ class MachineContext {
   /// (callers must handle this: the store is a remote service, not
   /// library-internal state).
   /// A scalar lookup pays its trip at once and forms no wire batch, in
-  /// pull rounds too.
+  /// pull rounds too; a pull round's scalar lookup skips the cache.
   template <typename V>
   const V* Lookup(const kv::ShardedStore<V>& store, uint64_t key) {
     CheckStoreMatchesCluster(store);

@@ -11,8 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/kcore.h"
+#include "core/matching.h"
+#include "core/mis.h"
 #include "core/msf.h"
+#include "core/one_vs_two_cycle.h"
 #include "core/pagerank.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -1466,6 +1470,36 @@ TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
   EXPECT_EQ(cluster.metrics().Get("kv_reads"), kSteps * n);
 }
 
+TEST(ClusterTest, ScalarLookupInPullRoundBypassesQueryCache) {
+  // A pull round resolves its reads against the step's exchange, so a
+  // scalar Lookup there must not probe the machine's query cache, even
+  // for a key the same worker read a moment ago. Pull slices run as
+  // separate host tasks, which is only sound because of this.
+  ClusterConfig config;
+  config.num_machines = 2;
+  config.threads_per_machine = 1;
+  Cluster cluster(config);
+  const int64_t n = 64;
+  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
+  cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return 3 * k; });
+  std::atomic<int64_t> wrong{0};
+  cluster.RunPullPhase(
+      "pull", n, [&](std::span<const int64_t> items, MachineContext& ctx) {
+        EXPECT_FALSE(ctx.caching_enabled());
+        for (const int64_t item : items) {
+          for (int rep = 0; rep < 2; ++rep) {
+            const int64_t* value =
+                ctx.Lookup(store, static_cast<uint64_t>(item));
+            if (value == nullptr || *value != 3 * item) ++wrong;
+          }
+        }
+      });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cluster.metrics().Get("kv_reads"), 2 * n);
+  EXPECT_EQ(cluster.metrics().Get("cache_hits"), 0);
+  EXPECT_EQ(cluster.metrics().Get("cache_misses"), 0);
+}
+
 // Runs `job` on a cluster built from `config_a` and one built from
 // `config_b` and expects the same charged costs from both: simulated
 // seconds and timers, every counter, and every round's per-machine
@@ -1565,6 +1599,62 @@ TEST(ClusterTest, TwinClustersChargeEqualCostsForPullPageRank) {
                          Counting(kPullRounds, [&](Cluster& cluster) {
                            core::AmpcMonteCarloPageRank(cluster, g, options);
                          }));
+}
+
+// Cache on, the default: a machine's workers share its query caches,
+// and a cached push round must still charge the same on every run,
+// whichever host thread reaches a machine's cache first. One thread per
+// machine interleaves nothing; four and eight do.
+ClusterConfig CachedTwinConfig(int threads) {
+  ClusterConfig config;
+  config.num_machines = 8;
+  config.threads_per_machine = threads;
+  config.in_memory_threshold_arcs = 64;
+  return config;
+}
+
+// Every adaptive core back to back, cache on. The job must really hit
+// the caches, and under churn really lose machines.
+void ExpectCachedTwinCosts(const ClusterConfig& config) {
+  const graph::EdgeList list = graph::GenerateRmat(12, 30000, 17);
+  const graph::Graph g = graph::BuildGraph(list);
+  const graph::WeightedEdgeList weighted = graph::MakeDegreeWeighted(list, g);
+  const graph::Graph cycle =
+      graph::BuildGraph(graph::GenerateDoubleCycle(4096));
+  core::PageRankMcOptions pagerank;
+  pagerank.walks_per_node = 4;
+  const bool churn = config.faults.fault_rate_per_machine_sec > 0;
+  ExpectTwinClusterCosts(
+      config, config, Counting("cache_hits", [&](Cluster& cluster) {
+        core::AmpcMis(cluster, g, /*seed=*/17);
+        core::AmpcMatching(cluster, g);
+        core::AmpcMsf(cluster, weighted);
+        core::AmpcConnectivity(cluster, list);
+        core::AmpcKCore(cluster, g);
+        core::AmpcMonteCarloPageRank(cluster, g, pagerank);
+        core::AmpcOneVsTwoCycle(cluster, cycle);
+        if (churn) {
+          EXPECT_GT(cluster.metrics().Get("machines_lost"), 0);
+        }
+      }));
+}
+
+TEST(ClusterTest, TwinClustersChargeEqualCachedCosts) {
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE(threads);
+    ExpectCachedTwinCosts(CachedTwinConfig(threads));
+  }
+}
+
+TEST(ClusterTest, TwinClustersChargeEqualCachedCostsUnderChurn) {
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE(threads);
+    ClusterConfig config = CachedTwinConfig(threads);
+    config.faults.fault_seed = 7;
+    config.faults.replication = 2;
+    config.faults.fault_rate_per_machine_sec = 5.0;
+    ExpectCachedTwinCosts(config);
+  }
 }
 
 // kSparse is the policy's "always push" answer, nothing more: a hybrid
