@@ -29,6 +29,7 @@ BoruvkaResult MpcBoruvkaMsf(sim::Cluster& cluster,
   const int64_t threshold = cluster.config().in_memory_threshold_arcs;
 
   while (2 * static_cast<int64_t>(current.edges.size()) > threshold) {
+    WallTimer timer;
     ++result.phases;
     const uint64_t phase_seed = seed + 7919ULL * result.phases;
     const int64_t k = current.num_nodes;
@@ -49,7 +50,6 @@ BoruvkaResult MpcBoruvkaMsf(sim::Cluster& cluster,
 
     // Blue vertices hook into red neighbors along their minimum edge.
     std::vector<NodeId> cluster_of(k);
-    int64_t hooks = 0;
     for (int64_t v = 0; v < k; ++v) {
       cluster_of[v] = static_cast<NodeId>(v);
       if (min_edge[v] == kNoEdge) continue;
@@ -61,17 +61,16 @@ BoruvkaResult MpcBoruvkaMsf(sim::Cluster& cluster,
       if (!other_red) continue;
       cluster_of[v] = other;
       result.edges.push_back(e.id);
-      ++hooks;
     }
 
-    // Contract (three shuffles in the Flume implementation).
-    WallTimer timer;
-    graph::ContractedGraph contracted =
-        graph::ContractEdgeList(current, cluster_of);
-    const double wall = timer.Seconds();
+    // Contract (three shuffles in the Flume implementation). The three
+    // shuffles share the host time of the whole phase.
     const int64_t edge_bytes =
         static_cast<int64_t>(current.edges.size()) *
         static_cast<int64_t>(sizeof(WeightedEdge));
+    graph::ContractedGraph contracted =
+        graph::ContractEdgeList(std::move(current), cluster_of);
+    const double wall = timer.Seconds();
     const int64_t contracted_bytes =
         static_cast<int64_t>(contracted.list.edges.size()) *
         static_cast<int64_t>(sizeof(WeightedEdge));
@@ -79,12 +78,8 @@ BoruvkaResult MpcBoruvkaMsf(sim::Cluster& cluster,
     cluster.AccountShuffle("BoruvkaRelabel", edge_bytes, wall / 3);
     cluster.AccountShuffle("BoruvkaRebuild", contracted_bytes, wall / 3);
 
-    if (hooks == 0 && contracted.list.num_nodes >= k) {
-      // No progress this phase (possible but exponentially unlikely for
-      // several phases in a row); the loop simply retries with fresh
-      // colors. Guard against an edgeless stall:
-      if (current.edges.empty()) break;
-    }
+    // A phase without hooks (unlikely for several phases in a row) just
+    // retries with fresh colors.
     current = std::move(contracted.list);
     if (current.edges.empty()) break;
   }

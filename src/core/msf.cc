@@ -323,10 +323,11 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
 
     // --- Contract (two shuffles in the Flume implementation) -------------
     WallTimer contract_timer;
-    ContractedGraph contracted = graph::ContractEdgeList(current, root_of);
     const int64_t edge_bytes =
         static_cast<int64_t>(current.edges.size()) *
         static_cast<int64_t>(sizeof(graph::WeightedEdge));
+    ContractedGraph contracted =
+        graph::ContractEdgeList(std::move(current), root_of);
     const int64_t contracted_bytes =
         static_cast<int64_t>(contracted.list.edges.size()) *
         static_cast<int64_t>(sizeof(graph::WeightedEdge));

@@ -1,39 +1,46 @@
 #include "graph/contraction.h"
 
-#include <unordered_map>
-
 #include "common/logging.h"
 
 namespace ampc::graph {
 
-ContractedGraph ContractEdgeList(const WeightedEdgeList& list,
+ContractedGraph ContractEdgeList(WeightedEdgeList list,
                                  const std::vector<NodeId>& cluster_of) {
   AMPC_CHECK_EQ(static_cast<int64_t>(cluster_of.size()), list.num_nodes);
+  for (const NodeId root : cluster_of) AMPC_CHECK_LT(root, list.num_nodes);
   ContractedGraph out;
 
-  // Compact cluster ids that appear on at least one surviving edge.
-  std::unordered_map<NodeId, NodeId> compact;
+  // Compact cluster ids that appear on at least one surviving edge, in
+  // order of first appearance.
+  std::vector<NodeId> compact(list.num_nodes, kInvalidNode);
   auto compact_id = [&](NodeId root) {
-    auto [it, fresh] = compact.emplace(
-        root, static_cast<NodeId>(compact.size()));
-    if (fresh) out.representative.push_back(root);
-    return it->second;
+    NodeId& id = compact[root];
+    if (id == kInvalidNode) {
+      id = static_cast<NodeId>(out.representative.size());
+      out.representative.push_back(root);
+    }
+    return id;
   };
 
-  for (const WeightedEdge& e : list.edges) {
+  // Surviving edges overwrite the list's own prefix: the write index never
+  // passes the read index.
+  size_t kept = 0;
+  for (size_t i = 0; i < list.edges.size(); ++i) {
+    const WeightedEdge e = list.edges[i];
     const NodeId ru = cluster_of[e.u];
     const NodeId rv = cluster_of[e.v];
     if (ru == rv) continue;
-    out.list.edges.push_back(
-        WeightedEdge{compact_id(ru), compact_id(rv), e.w, e.id});
+    list.edges[kept++] =
+        WeightedEdge{compact_id(ru), compact_id(rv), e.w, e.id};
   }
-  out.list.num_nodes = static_cast<int64_t>(compact.size());
+  list.edges.resize(kept);
 
-  out.compact_of_vertex.assign(list.num_nodes, kInvalidNode);
+  out.compact_of_vertex.resize(list.num_nodes);
   for (int64_t v = 0; v < list.num_nodes; ++v) {
-    auto it = compact.find(cluster_of[v]);
-    if (it != compact.end()) out.compact_of_vertex[v] = it->second;
+    out.compact_of_vertex[v] = compact[cluster_of[v]];
   }
+  list.num_nodes = static_cast<int64_t>(out.representative.size());
+  out.list = std::move(list);
   return out;
 }
 

@@ -27,7 +27,18 @@ struct ContractedGraph {
 /// Contracts `list` according to `cluster_of` (vertex -> cluster root; the
 /// mapping need not be compact). Parallel edges are kept (the MSF
 /// algorithms tolerate them); self-loops are removed.
-ContractedGraph ContractEdgeList(const WeightedEdgeList& list,
+///
+/// - Precondition: every root is a vertex of `list`, i.e.
+///   `cluster_of[v] < list.num_nodes` (checked).
+/// - Cluster ids are numbered in order of first appearance on a surviving
+///   edge: edges in input order, u before v within an edge. Later phases
+///   of the MPC baselines color and hook by these ids, so their charged
+///   costs depend on this numbering.
+/// - `list` is taken by value and rewritten in place: the surviving,
+///   relabeled edges overwrite its prefix and it becomes `out.list`.
+///   Callers that no longer need their list pass it with `std::move` and
+///   pay no copy.
+ContractedGraph ContractEdgeList(WeightedEdgeList list,
                                  const std::vector<NodeId>& cluster_of);
 
 }  // namespace ampc::graph

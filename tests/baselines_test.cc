@@ -150,6 +150,38 @@ TEST(RootsetMisTest, InMemoryOnlyPathWorks) {
   EXPECT_EQ(r.in_mis, seq::GreedyMis(g, ranks));
 }
 
+TEST(BaselinesTest, ChargedCostsMatchParent) {
+  // Pins the charged costs, not only the outputs: any cluster numbering
+  // gives the same MSF, but later phases color and hook by those ids.
+  const EdgeList raw = graph::GenerateRmat(12, 20000, 7);
+  sim::ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  config.in_memory_threshold_arcs = 64;
+  // rounds, shuffles, shuffle_bytes.
+  const auto counters = [](sim::Cluster& cluster) {
+    const Metrics& m = cluster.metrics();
+    return std::vector<int64_t>{m.Get("rounds"), m.Get("shuffles"),
+                                m.Get("shuffle_bytes")};
+  };
+
+  sim::Cluster boruvka_cluster(config);
+  const BoruvkaResult boruvka = MpcBoruvkaMsf(
+      boruvka_cluster, graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw)),
+      7);
+  EXPECT_EQ(boruvka.phases, 33);
+  EXPECT_EQ(counters(boruvka_cluster),
+            (std::vector<int64_t>{100, 100, 22519447}));
+  EXPECT_DOUBLE_EQ(boruvka_cluster.SimSeconds(), 7.0);
+
+  sim::Cluster lc_cluster(config);
+  const LocalContractionResult lc = MpcLocalContractionCC(lc_cluster, raw, 7);
+  EXPECT_EQ(lc.iterations, 6);
+  EXPECT_EQ(lc.num_components, 1470);
+  EXPECT_EQ(counters(lc_cluster), (std::vector<int64_t>{19, 19, 3767384}));
+  EXPECT_DOUBLE_EQ(lc_cluster.SimSeconds(), 1.33008192);
+}
+
 TEST(BoruvkaTest, DisconnectedInputGivesForest) {
   EdgeList raw = graph::GenerateDoubleCycle(100);
   WeightedEdgeList list = graph::MakeRandomWeighted(raw, 5);
