@@ -63,9 +63,10 @@ struct EdgeOrder {
 // word held in the machine's shared kv::QueryCache. kPrefix(p) means every
 // edge (v, y) with rank <= rank(v, p) is known to be out of the matching;
 // kVMatched(p) means (v, p) is in it. The cache is bounded (an evicted
-// word is recomputed, never wrong) and versioned against the staged
-// adjacency store, so the derived facts die with the graph they were
-// derived from.
+// word is recomputed, never wrong) and stamped with the machine's
+// MachineContext::CacheEpoch of the staged adjacency store, so the
+// derived facts die with the graph they were derived from and with a
+// kill of the machine.
 // ---------------------------------------------------------------------------
 
 enum VertexCacheState : uint64_t { kVUnsearched = 0, kVPrefix = 1, kVMatched = 2 };
@@ -98,7 +99,7 @@ class VertexCache {
   }
 
   // Extends v's known out-of-matching prefix to cover rank(v, upto).
-  // Monotone read-modify-write under the cache's shard lock (the shared
+  // Monotone read-modify-write under the cache's lock (the shared
   // QueryCache replaces the old per-slot compare-exchange loop).
   void ExtendPrefix(NodeId v, NodeId upto) {
     if (cache_ == nullptr) return;
@@ -408,7 +409,8 @@ StagedGraph StageGraph(sim::Cluster& cluster, const Graph& g,
 
 // One IsInMM sweep over the unsettled vertices. Returns how many remain.
 // Derived vertex-status words live in the shared per-machine caches
-// (sim::Cluster::MakeMachineCaches), versioned against the staged store.
+// (sim::Cluster::MakeMachineCaches), stamped with each machine's
+// CacheEpoch of the staged store.
 int64_t RunMatchingPhase(sim::Cluster& cluster, const AdjStore& store,
                          const EdgeOrder& order,
                          kv::MachineCaches<uint64_t>& caches,
@@ -417,7 +419,6 @@ int64_t RunMatchingPhase(sim::Cluster& cluster, const AdjStore& store,
                          std::vector<uint8_t>& settled,
                          std::vector<NodeId>& partner) {
   const int64_t n = static_cast<int64_t>(settled.size());
-  const uint64_t epoch = store.version();
   std::atomic<int64_t> unsettled{0};
   cluster.RunMapPhase(phase, n, [&](int64_t item, sim::MachineContext& ctx) {
     if (settled[item]) return;
@@ -425,7 +426,8 @@ int64_t RunMatchingPhase(sim::Cluster& cluster, const AdjStore& store,
       settled[item] = 1;
       return;
     }
-    VertexCache cache(caches.ForMachine(ctx.machine_id()), epoch, &order);
+    VertexCache cache(caches.ForMachine(ctx.machine_id()),
+                      ctx.CacheEpoch(store), &order);
     NodeId p = kInvalidNode;
     const VertexOutcome outcome = ProcessVertex(
         static_cast<NodeId>(item), ctx, store, cache, order, max_queries, &p);

@@ -45,7 +45,7 @@ struct MisResolveState {
   NodeId pending = 0;
   bool done = false;
   kv::QueryCache<uint8_t>* cache = nullptr;
-  uint64_t epoch = 0;  // the adjacency store's version (see CacheGet)
+  uint64_t epoch = 0;  // MachineContext::CacheEpoch of the adjacency store
 
   uint8_t CacheGet(NodeId x) const {
     if (cache == nullptr) return kUnknown;
@@ -161,7 +161,7 @@ MisResult AmpcMis(sim::Cluster& cluster, const Graph& g, uint64_t seed) {
       "IsInMIS", n,
       [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
         kv::QueryCache<uint8_t>* cache = caches.ForMachine(ctx.machine_id());
-        const uint64_t epoch = store.version();
+        const uint64_t epoch = ctx.CacheEpoch(store);
         std::vector<MisResolveState> states;
         states.reserve(items.size());
         for (const int64_t item : items) {

@@ -7,36 +7,37 @@
 // round trip for keys the machine has already seen. QueryCache models
 // that client-side cache as a first-class citizen:
 //
-//   * Bounded: `capacity` entries, sharded-LRU eviction, so a machine's
-//     cache footprint is a config knob rather than an O(n) side array.
+//   * Bounded: `capacity` entries in one LRU, so a machine's cache
+//     footprint is a config knob rather than an O(n) side array.
 //   * Versioned: every entry is stamped with the epoch observed when it
 //     was inserted, and Get() treats any entry from another epoch as
-//     absent (and drops it). Read-through callers stamp entries with
-//     kv::ShardedStore::version() captured *before* the underlying
-//     lookup, so a cached value — including a cached negative — can
-//     never survive a later write phase: stale reads are impossible.
-//   * Thread-safe: the machine's simulated worker threads share one
-//     cache; the key space is split over internal lock shards
-//     (concurrency only — nothing to do with the DHT's machine
-//     sharding). The simulator itself runs a machine's workers on one
-//     host task in every round that probes a cache (push rounds; a pull
-//     round probes none), so a cache sees its reads in one fixed order
-//     and every cached charge is schedule-independent. The locks stay,
-//     so a caller outside that rule is still race-free.
+//     absent (and drops it). Callers in the simulator stamp entries with
+//     sim::MachineContext::CacheEpoch, which packs the machine's kill
+//     generation above the store's version, captured *before* the
+//     underlying lookup. So a cached value — including a cached
+//     negative — can never survive a later write phase, and a killed
+//     machine's replacement starts cold. Invalidation is lazy: a stale
+//     entry is only ever dropped or overwritten, never moved up the LRU,
+//     so it sits behind every live entry and is evicted first — the
+//     live set, and so every hit and miss, is the same as if the cache
+//     had been cleared when its epoch moved.
+//   * One mutex: a push round runs each machine's workers on one host
+//     task and a pull round probes no cache, so the simulator never
+//     contends the lock. It stays because derived caches are reachable
+//     from algorithm code in any round kind, and a caller outside that
+//     rule must still be race-free.
 //
-// Two uses share this type. MachineContext::Lookup/LookupMany consult a
-// per-(store, machine) QueryCache<const V*> read-through instance
-// (attached by sim::Cluster::MakeStore); hits are served locally with
-// no trip and no owner bytes. Algorithms additionally park *derived*
-// per-key facts — mis's three-valued states, matching's vertex status
-// words — in per-machine caches minted by
-// sim::Cluster::MakeMachineCaches<V>(), replacing the bespoke unbounded
-// atomic arrays they owned before. Hit/miss accounting stays with the
-// caller (MachineContext::CountCacheHit/Miss) in both cases.
+// Two uses share this type, each as a MachineCaches set (one cache per
+// machine). MachineContext::Lookup/LookupMany consult a store's
+// read-through QueryCache<const V*> instances (attached by
+// sim::Cluster::MakeStore); hits are served locally with no trip and no
+// owner bytes. Algorithms additionally park *derived* per-key facts —
+// mis's three-valued states, matching's vertex status words — in sets
+// minted by sim::Cluster::MakeMachineCaches<V>(). Hit/miss accounting
+// stays with the caller (MachineContext::CountCacheHit/Miss) in both
+// cases.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -47,46 +48,16 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/random.h"
 
 namespace ampc::kv {
 
-/// Type-erased handle to a cache that can be dropped wholesale — the
-/// hook the fault model uses: when a simulated machine is lost, its
-/// replacement starts with cold caches, so every cache attached to that
-/// machine is cleared (see CacheDropRegistry). Epoch semantics make the
-/// drop safe by construction: entries only ever mirror the backing
-/// store (which recovery restores bit-identically), so a cleared cache
-/// re-warms through the normal read-through path with no correctness
-/// effect — only extra misses, which is exactly the cost a cold
-/// replacement machine should pay.
-class QueryCacheBase {
- public:
-  virtual ~QueryCacheBase() = default;
-  /// Drops every entry (all epochs, all lock shards).
-  virtual void Clear() = 0;
-};
-
-/// A bounded, versioned, thread-safe key -> V cache (sharded LRU).
+/// A bounded, versioned, thread-safe key -> V cache: one LRU of
+/// `capacity` entries under one mutex.
 template <typename V>
-class QueryCache : public QueryCacheBase {
+class QueryCache {
  public:
-  /// `capacity` total entries, split over `lock_shards` internal shards
-  /// (each shard holds capacity / lock_shards entries and its own lock).
-  /// Effective lock shards are clamped to min(lock_shards, capacity):
-  /// with more shards than entries, the per-shard floor of one entry
-  /// would silently inflate tiny budgets (a capacity-4 cache with 8
-  /// lock shards could hold 8 entries), so capacity() never exceeds the
-  /// requested bound.
-  explicit QueryCache(int64_t capacity, int lock_shards = 8) {
+  explicit QueryCache(int64_t capacity) : capacity_(capacity) {
     AMPC_CHECK_GE(capacity, 1);
-    const int shards = static_cast<int>(
-        std::min<int64_t>(std::max(1, lock_shards), capacity));
-    per_shard_capacity_ = std::max<int64_t>(1, capacity / shards);
-    shards_.reserve(shards);
-    for (int s = 0; s < shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
   }
 
   QueryCache(const QueryCache&) = delete;
@@ -96,86 +67,65 @@ class QueryCache : public QueryCacheBase {
   /// with a different epoch is stale — it is dropped and reported absent
   /// (epochs only move forward, so it can never become valid again).
   std::optional<V> Get(uint64_t key, uint64_t epoch) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it == shard.index.end()) return std::nullopt;
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
     if (it->second->epoch != epoch) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
+      lru_.erase(it->second);
+      index_.erase(it);
       return std::nullopt;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return shard.lru.front().value;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lru_.front().value;
   }
 
   /// Inserts (or refreshes) `key` -> `value` at `epoch`, evicting the
-  /// least recently used entry of the key's lock shard when full.
+  /// least recently used entry when full.
   void Put(uint64_t key, uint64_t epoch, V value) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
       it->second->epoch = epoch;
       it->second->value = std::move(value);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    InsertLocked(shard, key, epoch, std::move(value));
+    InsertLocked(key, epoch, std::move(value));
   }
 
-  /// Atomic read-modify-write under the key's shard lock:
+  /// Atomic read-modify-write under the cache's lock:
   /// `fn(std::optional<V>)` receives the current epoch-valid value (or
   /// nullopt) and returns the value to store. Replaces the
   /// compare-exchange loops of the old bespoke atomic-array caches
   /// (e.g. matching's monotone prefix extension).
   template <typename Fn>
   void Update(uint64_t key, uint64_t epoch, Fn&& fn) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && it->second->epoch == epoch) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = index_.find(key);
+    if (it != index_.end() && it->second->epoch == epoch) {
       it->second->value = fn(std::optional<V>(it->second->value));
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    if (it != shard.index.end()) {  // stale: replace wholesale
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
+    if (it != index_.end()) {  // stale: replace wholesale
+      lru_.erase(it->second);
+      index_.erase(it);
     }
-    InsertLocked(shard, key, epoch, fn(std::nullopt));
+    InsertLocked(key, epoch, fn(std::nullopt));
   }
 
-  /// Drops every entry. Used by the fault model when this cache's
-  /// machine is lost: the replacement machine starts cold and re-warms
-  /// through the read-through path. Not counted as eviction (capacity
-  /// pressure) — the entries were lost with the machine, not displaced.
-  void Clear() override {
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->lru.clear();
-      shard->index.clear();
-    }
-  }
-
-  /// Entries currently held (all lock shards). O(lock_shards).
+  /// Entries currently held, stale ones included.
   int64_t size() const {
-    int64_t total = 0;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      total += static_cast<int64_t>(shard->index.size());
-    }
-    return total;
+    std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<int64_t>(index_.size());
   }
 
-  /// Total entry budget across lock shards.
-  int64_t capacity() const {
-    return per_shard_capacity_ * static_cast<int64_t>(shards_.size());
-  }
+  int64_t capacity() const { return capacity_; }
 
   /// LRU evictions so far (capacity pressure, not epoch staleness).
   int64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    return evictions_;
   }
 
  private:
@@ -184,36 +134,29 @@ class QueryCache : public QueryCacheBase {
     uint64_t epoch;
     V value;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index;
-  };
 
-  Shard& ShardFor(uint64_t key) {
-    return *shards_[Hash64(key, 0x7163616368ULL) %
-                    static_cast<uint64_t>(shards_.size())];
-  }
-
-  void InsertLocked(Shard& shard, uint64_t key, uint64_t epoch, V value) {
-    shard.lru.push_front(Entry{key, epoch, std::move(value)});
-    shard.index.emplace(key, shard.lru.begin());
-    if (static_cast<int64_t>(shard.index.size()) > per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().key);
-      shard.lru.pop_back();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+  void InsertLocked(uint64_t key, uint64_t epoch, V value) {
+    lru_.push_front(Entry{key, epoch, std::move(value)});
+    index_.emplace(key, lru_.begin());
+    if (static_cast<int64_t>(index_.size()) > capacity_) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evictions_;
     }
   }
 
-  int64_t per_shard_capacity_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> evictions_{0};
+  const int64_t capacity_;
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index_;
+  int64_t evictions_ = 0;
 };
 
-/// One QueryCache per logical machine, for algorithms caching *derived*
-/// per-key facts (sim::Cluster::MakeMachineCaches). Default-constructed
-/// = caching disabled: every ForMachine() is nullptr and callers fall
-/// back to uncached resolution.
+/// One QueryCache per logical machine: a store's read-through caches
+/// (kv::ShardedStore::EnableQueryCache) and algorithms' derived-fact
+/// caches (sim::Cluster::MakeMachineCaches). Default-constructed =
+/// caching disabled: every ForMachine() is nullptr and callers fall back
+/// to uncached resolution.
 template <typename V>
 class MachineCaches {
  public:
@@ -232,47 +175,6 @@ class MachineCaches {
 
  private:
   std::vector<std::unique_ptr<QueryCache<V>>> caches_;
-};
-
-/// Weak registry of every per-machine cache a cluster has minted,
-/// keyed by machine id. Stores register their read-through caches at
-/// creation (kv::ShardedStore::EnableQueryCache); when the fault model
-/// kills machine m, DropMachine(m) clears whichever of m's caches are
-/// still alive — the replacement machine's RAM starts cold — without
-/// the registry ever owning a cache or extending its lifetime (stores
-/// are minted and dropped every round; expired entries are pruned as
-/// they are encountered).
-class CacheDropRegistry {
- public:
-  void Register(int machine, std::weak_ptr<QueryCacheBase> cache) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (machine >= static_cast<int>(by_machine_.size())) {
-      by_machine_.resize(machine + 1);
-    }
-    by_machine_[machine].push_back(std::move(cache));
-  }
-
-  /// Clears machine `m`'s live caches; returns how many were cleared.
-  int64_t DropMachine(int m) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (m < 0 || m >= static_cast<int>(by_machine_.size())) return 0;
-    int64_t dropped = 0;
-    auto& caches = by_machine_[m];
-    size_t out = 0;
-    for (size_t i = 0; i < caches.size(); ++i) {
-      if (std::shared_ptr<QueryCacheBase> cache = caches[i].lock()) {
-        cache->Clear();
-        ++dropped;
-        caches[out++] = std::move(caches[i]);
-      }
-    }
-    caches.resize(out);
-    return dropped;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::vector<std::weak_ptr<QueryCacheBase>>> by_machine_;
 };
 
 }  // namespace ampc::kv

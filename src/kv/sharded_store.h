@@ -227,27 +227,20 @@ class ShardedStore {
   /// so a cached value — including a cached negative — can never
   /// survive a later write phase. O(1): a dedicated counter, not the
   /// per-shard size sum, because this sits on the hot cached-lookup
-  /// path of every machine.
+  /// path of every machine. Never above capacity() <= 2^32 - 1
+  /// (ShardMap::Build checks the bound, Store::Put rejects a second
+  /// write), which sim::MachineContext::CacheEpoch relies on to pack it
+  /// into 32 bits.
   uint64_t version() const {
     return version_->load(std::memory_order_relaxed);
   }
 
   /// Attaches one bounded read-through cache per shard-owning machine
   /// (cache m serves machine m's repeated lookups locally). Idempotent
-  /// per call: replaces any existing caches. When `registry` is given,
-  /// each machine's cache is registered with it so the fault model can
-  /// clear the caches of a machine lost mid-job (the replacement starts
-  /// cold); the registry holds weak references only, so the caches
-  /// still die with the store.
-  void EnableQueryCache(int64_t capacity_per_machine,
-                        CacheDropRegistry* registry = nullptr) {
-    query_caches_.clear();
-    query_caches_.reserve(static_cast<size_t>(num_shards()));
-    for (int s = 0; s < num_shards(); ++s) {
-      query_caches_.push_back(
-          std::make_shared<QueryCache<const V*>>(capacity_per_machine));
-      if (registry != nullptr) registry->Register(s, query_caches_.back());
-    }
+  /// per call: replaces any existing caches.
+  void EnableQueryCache(int64_t capacity_per_machine) {
+    query_caches_ =
+        MachineCaches<const V*>(num_shards(), capacity_per_machine);
   }
 
   /// Machine `m`'s read-through cache, or nullptr when caching is off.
@@ -255,7 +248,7 @@ class ShardedStore {
   /// shards live behind unique_ptr and records are write-once), so a
   /// hit returns exactly what the remote lookup would have.
   QueryCache<const V*>* QueryCacheFor(int m) const {
-    return query_caches_.empty() ? nullptr : query_caches_[m].get();
+    return query_caches_.ForMachine(m);
   }
 
  private:
@@ -268,9 +261,7 @@ class ShardedStore {
   // Per-machine read-through caches (empty = caching off). Mutable: the
   // cache warms through const lookup paths (MachineContext::Lookup takes
   // the store by const reference — caching never changes answers).
-  // shared_ptr so a CacheDropRegistry can hold weak references that the
-  // fault model clears when a machine dies (kv/query_cache.h).
-  mutable std::vector<std::shared_ptr<QueryCache<const V*>>> query_caches_;
+  mutable MachineCaches<const V*> query_caches_;
   // Insert counter behind version() (unique_ptr keeps the store movable).
   std::unique_ptr<std::atomic<uint64_t>> version_ =
       std::make_unique<std::atomic<uint64_t>>(0);

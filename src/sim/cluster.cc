@@ -33,6 +33,7 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   for (int m = 0; m < config_.num_machines; ++m) shard_hosts_[m] = m;
   drained_.assign(config_.num_machines, 0);
   shard_primary_bytes_.assign(config_.num_machines, 0);
+  cache_generation_.assign(config_.num_machines, 0);
   if (config_.faults.fault_rate_per_machine_sec > 0.0 ||
       config_.faults.domain_fault_rate_sec > 0.0) {
     FaultInjector::Config injector;
@@ -493,9 +494,10 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
   // ampc-lint: allow(metric-zero-guard): only reached when a kill fires;
   // a fault-free config never calls RecoverFromKill.
   metrics_.Add("machines_lost", 1);
-  // The replacement machine's RAM starts cold: every read-through cache
-  // the dead machine held is dropped (extra misses, never wrong values).
-  cache_registry_.DropMachine(kill.machine);
+  // The replacement machine's RAM starts cold: moving the machine's
+  // cache epoch invalidates every entry it cached, read-through and
+  // derived (extra misses, never wrong values).
+  ++cache_generation_[kill.machine];
   if (!drained_.empty() && drained_[kill.machine]) {
     // The warned-and-drained kill: the machine's shards migrated away
     // when the warning fired, no work has been scheduled here since,
@@ -650,9 +652,6 @@ void Cluster::DrainMachine(int machine) {
   // ampc-lint: allow(metric-zero-guard): only reached on a warned kill;
   // warning_lead_sec 0 never drains a machine.
   metrics_.Add("machines_drained", 1);
-  // The drained machine's read-through caches leave with it; the new
-  // hosts start cold (extra misses, never wrong values).
-  cache_registry_.DropMachine(machine);
   const kv::Placement placement = PlacementFor(0);
   int64_t moved_bytes = 0;
   int64_t shards_moved = 0;

@@ -120,16 +120,19 @@ struct ClusterConfig {
   /// (counted via cache_hits; no round trip, no owner bytes) and
   /// duplicate keys within one batch are fetched once. Algorithms park
   /// derived per-key facts in MakeMachineCaches() instances under the
-  /// same budget. Disabling it reverts to the uncached client without
-  /// changing any returned value — the caching axis of the Figure-4
-  /// ablation grid.
+  /// same budget. Every entry is valid only under the epoch
+  /// MachineContext::CacheEpoch returns, so a write phase or a kill of
+  /// the machine invalidates it. Disabling it reverts to the uncached
+  /// client without changing any returned value — the caching axis of
+  /// the Figure-4 ablation grid.
   struct QueryCacheConfig {
     /// false disables caching entirely — the uncached historical
     /// client, bit-identical outputs, cost-only difference.
     bool enabled = true;
     /// Cached entries per machine (per store, and per derived-fact
-    /// cache set minted by MakeMachineCaches). Cost-only: capacity
-    /// never changes returned values, just the hit rate.
+    /// cache set minted by MakeMachineCaches), evicted least recently
+    /// used first. Cost-only: capacity never changes returned values,
+    /// just the hit rate.
     int64_t capacity = 1 << 16;
   };
   QueryCacheConfig query_cache;
@@ -198,7 +201,9 @@ struct ClusterConfig {
     /// Poisson kill rate per machine-second of *simulated* time. A
     /// killed machine is immediately replaced (the scheduler reruns the
     /// slot), but its shard contents, caches, and in-flight slice are
-    /// lost and recovered at a cost. 0 disables injection.
+    /// lost and recovered at a cost. Its caches — read-through and
+    /// derived alike — go cold because the kill moves the machine's
+    /// MachineContext::CacheEpoch. 0 disables injection.
     double fault_rate_per_machine_sec = 0.0;
     /// Seed of the injected kill schedule — independent of `seed` so
     /// churn can vary while algorithmic randomness stays fixed. Inert
@@ -371,14 +376,13 @@ class Cluster {
   /// pure function of (capacity, machines, seed), so it is computed once
   /// per capacity and shared across the run's stores (algorithms mint a
   /// fresh same-shaped store every round). When query caching is on the
-  /// store carries one bounded read-through cache per machine.
+  /// store carries one bounded read-through cache per machine, whose
+  /// entries MachineContext stamps with CacheEpoch.
   template <typename V>
   kv::ShardedStore<V> MakeStore(int64_t capacity) const {
     kv::ShardedStore<V> store(ShardMapFor(capacity));
     if (config_.query_cache.enabled) {
-      // Registering with the drop registry lets the fault model clear a
-      // lost machine's caches (the replacement starts cold).
-      store.EnableQueryCache(config_.query_cache.capacity, &cache_registry_);
+      store.EnableQueryCache(config_.query_cache.capacity);
     }
     return store;
   }
@@ -386,8 +390,10 @@ class Cluster {
   /// Per-machine bounded caches for *derived* per-key facts (mis's
   /// three-valued vertex states, matching's status words), sized by the
   /// query_cache config. Disabled config => every ForMachine() is
-  /// nullptr and algorithms fall back to uncached resolution. Hit/miss
-  /// accounting stays with the caller via
+  /// nullptr and algorithms fall back to uncached resolution. Callers
+  /// stamp entries with MachineContext::CacheEpoch of the store the
+  /// facts derive from, so they die with a write to it and with a kill
+  /// of the machine. Hit/miss accounting stays with the caller via
   /// MachineContext::CountCacheHit/Miss. For push rounds only: a push
   /// round runs each machine's worker slices on one host task, so a
   /// machine's cache sees its reads in a fixed order; pull-round slices
@@ -609,13 +615,13 @@ class Cluster {
   /// Proactively drains machine `machine` as if the injector had warned
   /// it: every shard it hosts migrates to its least-loaded live replica
   /// (fresh least-loaded owner at replication 1) at shuffle bandwidth
-  /// on the sim clock ("sim:drain", kv_migration_bytes), the machine's
-  /// query caches are dropped (a migrated shard can never serve a stale
-  /// epoch from the old owner), and the shard map is hot-swapped so
-  /// subsequent rounds route the shard's work and server charges to the
-  /// new host. A later kill of a drained machine costs nothing — that
-  /// is the whole point of the warning. Idempotent until the kill
-  /// lands.
+  /// on the sim clock ("sim:drain", kv_migration_bytes), and the shard
+  /// map is hot-swapped so subsequent rounds route the shard's work and
+  /// server charges to the new host. Caches are left alone: a drained
+  /// machine hosts no shard, so no work item runs on it until its kill
+  /// lands and moves its cache epoch. A later kill of a drained machine
+  /// costs nothing — that is the whole point of the warning. Idempotent
+  /// until the kill lands.
   void DrainMachine(int machine);
 
   /// Straggler model (ClusterConfig::faults.slow_machine_rate): whether
@@ -817,8 +823,9 @@ class Cluster {
   // recovery streams from a replica only if each hosted shard still has
   // a copy on a live machine — a rack loss that beat the whole
   // ReplicaSet is a replica_wipeout and falls back to checkpoint
-  // restore or whole-job replay. A drained machine's kill short-
-  // circuits to zero cost.
+  // restore or whole-job replay. Every kill bumps the machine's cache
+  // generation, so the replacement starts with cold caches. A drained
+  // machine's kill short-circuits to zero cost.
   void RecoverFromKill(const FaultEvent& kill,
                        const std::vector<uint8_t>& dead);
 
@@ -881,14 +888,15 @@ class Cluster {
   // replication 1 — nothing to hedge to).
   StragglerModel straggler_;
   std::vector<int> hedge_follower_;
-  // Per-machine KV bytes captured by the last checkpoint, the matching
-  // clock/round positions, and the registry recovery uses to cold-start
-  // a replaced machine's caches. The registry is mutable because
-  // MakeStore (const) registers the caches it mints.
+  // Per-machine KV bytes captured by the last checkpoint and the
+  // matching clock/round positions.
   std::vector<int64_t> checkpointed_bytes_;
   double last_checkpoint_time_ = 0.0;
   size_t last_checkpoint_round_ = 0;
-  mutable kv::CacheDropRegistry cache_registry_;
+  // cache_generation_[m] counts machine m's kills: the high half of its
+  // MachineContext::CacheEpoch. Bumped only between rounds
+  // (RecoverFromKill), read by every machine's task.
+  std::vector<uint64_t> cache_generation_;
   mutable std::mutex shard_map_mu_;
   // Bounded LRU of key assignments: same-shaped stores within (and
   // across adjacent) rounds share one map, while contraction-style
@@ -955,6 +963,20 @@ class MachineContext {
     return cluster_->config().query_cache.enabled && !pull_round_;
   }
 
+  /// The epoch under which this machine's cache entries derived from
+  /// `store` are valid: the machine's kill generation in the high 32
+  /// bits, `store.version()` in the low 32 (exact: a version never
+  /// exceeds the store's capacity, at most 2^32 - 1). A write to the
+  /// store or a kill of the machine moves it, so neither a stale record
+  /// nor a dead machine's entry is ever served. Capture it *before* the
+  /// lookups it stamps: an entry inserted while a write phase
+  /// interleaves is then already stale.
+  template <typename V>
+  uint64_t CacheEpoch(const kv::ShardedStore<V>& store) const {
+    return (cluster_->cache_generation_[machine_id_] << 32) |
+           store.version();
+  }
+
   /// Sub-batch bound for batched lookups (ClusterConfig::max_batch_keys;
   /// <= 0 = unbounded). DriveLookupPipelined gathers frontier windows of
   /// at most this many keys per sub-batch.
@@ -983,9 +1005,7 @@ class MachineContext {
     ++tally_.client.kv_queries;
     kv::QueryCache<const V*>* cache =
         caching_enabled() ? store.QueryCacheFor(machine_id_) : nullptr;
-    // Capture the version *before* the lookup: if a concurrent write
-    // phase interleaves, the inserted entry is already stale.
-    const uint64_t epoch = cache != nullptr ? store.version() : 0;
+    const uint64_t epoch = cache != nullptr ? CacheEpoch(store) : 0;
     const KeyRead<V> read = ResolveKey(store, cache, epoch, key);
     if (read.cache_hit) {
       CountCacheHit();
@@ -1055,7 +1075,7 @@ class MachineContext {
     // the async model a write phase can settle while earlier windows are
     // still in flight, and entries this window inserts must be stamped
     // against the store as this window saw it.
-    const uint64_t epoch = cache != nullptr ? store.version() : 0;
+    const uint64_t epoch = cache != nullptr ? CacheEpoch(store) : 0;
     int sub_destinations = 0;
     int64_t sub_misses = 0, hits = 0;
     for (const uint64_t key : keys) {

@@ -364,7 +364,7 @@ TEST(ShardedStoreTest, RoundTripsUnderEveryPlacementPolicy) {
 }
 
 TEST(QueryCacheTest, PutGetRoundTripAndEpochValidation) {
-  QueryCache<int> cache(/*capacity=*/16, /*lock_shards=*/1);
+  QueryCache<int> cache(/*capacity=*/16);
   EXPECT_EQ(cache.Get(7, /*epoch=*/1), std::nullopt);
   cache.Put(7, 1, 70);
   EXPECT_EQ(cache.Get(7, 1), std::optional<int>(70));
@@ -376,7 +376,7 @@ TEST(QueryCacheTest, PutGetRoundTripAndEpochValidation) {
 }
 
 TEST(QueryCacheTest, CapacityEvictionIsLeastRecentlyUsed) {
-  QueryCache<int> cache(/*capacity=*/4, /*lock_shards=*/1);
+  QueryCache<int> cache(/*capacity=*/4);
   EXPECT_EQ(cache.capacity(), 4);
   for (uint64_t k = 0; k < 4; ++k) {
     cache.Put(k, 0, static_cast<int>(k) * 10);
@@ -392,13 +392,8 @@ TEST(QueryCacheTest, CapacityEvictionIsLeastRecentlyUsed) {
   EXPECT_EQ(cache.size(), 4);
 }
 
-// Satellite regression: tiny capacities must not be silently inflated
-// by the lock-shard split. Before the clamp, a capacity-4 cache with 8
-// lock shards got 8 one-entry shards and held up to 8 entries; the
-// effective shard count is now min(lock_shards, capacity), so
-// capacity() never exceeds the requested budget.
-TEST(QueryCacheTest, TinyCapacityNotInflatedByLockShards) {
-  QueryCache<int> cache(/*capacity=*/4, /*lock_shards=*/8);
+TEST(QueryCacheTest, TinyCapacitiesAreNeverExceeded) {
+  QueryCache<int> cache(/*capacity=*/4);
   EXPECT_EQ(cache.capacity(), 4);
   for (uint64_t k = 0; k < 64; ++k) {
     cache.Put(k, 0, static_cast<int>(k));
@@ -406,22 +401,15 @@ TEST(QueryCacheTest, TinyCapacityNotInflatedByLockShards) {
   EXPECT_LE(cache.size(), 4);
   EXPECT_GE(cache.evictions(), 60);
 
-  QueryCache<int> single(/*capacity=*/1, /*lock_shards=*/8);
+  QueryCache<int> single(/*capacity=*/1);
   EXPECT_EQ(single.capacity(), 1);
   single.Put(1, 0, 10);
   single.Put(2, 0, 20);
   EXPECT_EQ(single.size(), 1);
-
-  // Budgets at or above the shard count keep the full split (and a
-  // budget that does not divide evenly still never exceeds the bound).
-  QueryCache<int> wide(/*capacity=*/20, /*lock_shards=*/8);
-  EXPECT_LE(wide.capacity(), 20);
-  QueryCache<int> exact(/*capacity=*/16, /*lock_shards=*/8);
-  EXPECT_EQ(exact.capacity(), 16);
 }
 
 TEST(QueryCacheTest, UpdateIsReadModifyWrite) {
-  QueryCache<int> cache(/*capacity=*/8, /*lock_shards=*/1);
+  QueryCache<int> cache(/*capacity=*/8);
   // Absent: fn sees nullopt and seeds the entry.
   cache.Update(3, 1, [](std::optional<int> cur) {
     EXPECT_EQ(cur, std::nullopt);
@@ -444,7 +432,7 @@ TEST(QueryCacheTest, ConcurrentMixedOpsStayConsistent) {
   // Run under TSAN in CI: threads race Get/Put/Update over overlapping
   // keys of one shared cache (as a machine's worker threads do). Every
   // value written for key k is k * 2, so any hit must read k * 2.
-  QueryCache<int64_t> cache(/*capacity=*/128, /*lock_shards=*/4);
+  QueryCache<int64_t> cache(/*capacity=*/128);
   std::vector<std::thread> threads;
   std::atomic<int> bad{0};
   for (int t = 0; t < 8; ++t) {
@@ -591,65 +579,6 @@ TEST(ShardedStoreTest, ReplicationOneSnapshotIsUnchanged) {
   EXPECT_EQ(store.replication(), 1);
   EXPECT_EQ(store.ReplicatedShardBytesSnapshot(),
             store.ShardBytesSnapshot());
-}
-
-TEST(QueryCacheTest, ClearDropsEveryEntryWithoutCountingEvictions) {
-  QueryCache<int> cache(/*capacity=*/64, /*lock_shards=*/4);
-  for (uint64_t k = 0; k < 32; ++k) {
-    cache.Put(k, /*epoch=*/1, static_cast<int>(k));
-  }
-  EXPECT_GT(cache.size(), 0);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0);
-  EXPECT_EQ(cache.evictions(), 0);
-  for (uint64_t k = 0; k < 32; ++k) {
-    EXPECT_FALSE(cache.Get(k, 1).has_value()) << k;
-  }
-  // The cache re-warms normally after the drop.
-  cache.Put(7, 1, 70);
-  EXPECT_EQ(cache.Get(7, 1).value_or(-1), 70);
-}
-
-TEST(CacheDropRegistryTest, DropsOnlyTheDeadMachinesLiveCaches) {
-  CacheDropRegistry registry;
-  auto cache0 = std::make_shared<QueryCache<int>>(16);
-  auto cache1 = std::make_shared<QueryCache<int>>(16);
-  registry.Register(0, cache0);
-  registry.Register(1, cache1);
-  cache0->Put(1, 1, 10);
-  cache1->Put(2, 1, 20);
-  EXPECT_EQ(registry.DropMachine(1), 1);
-  EXPECT_EQ(cache0->size(), 1);  // machine 0 untouched
-  EXPECT_EQ(cache1->size(), 0);
-  // Out-of-range machines and machines with no caches are harmless.
-  EXPECT_EQ(registry.DropMachine(7), 0);
-  EXPECT_EQ(registry.DropMachine(-1), 0);
-}
-
-TEST(CacheDropRegistryTest, ExpiredCachesArePrunedNotResurrected) {
-  CacheDropRegistry registry;
-  {
-    auto ephemeral = std::make_shared<QueryCache<int>>(16);
-    registry.Register(2, ephemeral);
-    EXPECT_EQ(registry.DropMachine(2), 1);
-  }  // cache dies with its store
-  EXPECT_EQ(registry.DropMachine(2), 0);
-}
-
-TEST(ShardedStoreTest, EnableQueryCacheRegistersPerMachineCaches) {
-  CacheDropRegistry registry;
-  ShardedStore<int64_t> store(256, 4, /*seed=*/5);
-  store.EnableQueryCache(/*capacity_per_machine=*/64, &registry);
-  for (int64_t k = 0; k < 256; ++k) store.Put(k, k * 2);
-  // Warm machine 1's read-through cache by hand.
-  const int64_t* record = store.Lookup(10);
-  store.QueryCacheFor(1)->Put(10, store.version(), record);
-  EXPECT_EQ(store.QueryCacheFor(1)->size(), 1);
-  EXPECT_EQ(registry.DropMachine(1), 1);
-  EXPECT_EQ(store.QueryCacheFor(1)->size(), 0);
-  // Other machines' caches were registered under their own ids.
-  EXPECT_EQ(registry.DropMachine(0), 1);
-  EXPECT_EQ(registry.DropMachine(4), 0);  // no such machine
 }
 
 TEST(NetworkModelTest, PresetsAreOrdered) {
