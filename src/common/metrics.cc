@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/logging.h"
+
 namespace ampc {
 
 MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
@@ -56,9 +58,16 @@ int64_t Metrics::Get(const std::string& name) const {
 }
 
 void Metrics::AddTime(const std::string& phase, double seconds) {
-  GetTimeCell(phase)->nanos.fetch_add(
-      static_cast<int64_t>(std::llround(seconds * 1e9)),
-      std::memory_order_relaxed);
+  AMPC_CHECK(std::abs(seconds) < kMaxTimerSeconds)
+      << "timer \"" << phase << "\" given " << seconds
+      << " s, beyond the int64 nanosecond range";
+  const int64_t nanos = std::llround(seconds * 1e9);
+  const int64_t prior =
+      GetTimeCell(phase)->nanos.fetch_add(nanos, std::memory_order_relaxed);
+  int64_t sum;
+  AMPC_CHECK(!__builtin_add_overflow(prior, nanos, &sum))
+      << "timer \"" << phase << "\" overflows the int64 nanosecond range ("
+      << prior * 1e-9 << " s + " << seconds << " s)";
 }
 
 double Metrics::GetTime(const std::string& phase) const {

@@ -30,16 +30,27 @@ struct MetricsSnapshot {
 /// Canonical counter names used across the library:
 ///   "shuffles"            number of shuffle phases (costly rounds)
 ///   "shuffle_bytes"       total bytes moved through shuffles
+///   "shuffle_hot_machine_bytes"  sum over sharded shuffles of the
+///                         busiest machine's bytes
 ///   "rounds"              total AMPC rounds (shuffles + map-only rounds)
+///   "map_items"           work items run by map phases
 ///   "kv_reads"            KV-store lookup operations
 ///   "kv_read_bytes"       bytes returned by KV lookups
+///   "kv_hot_machine_read_bytes"  sum over map phases of the bytes the
+///                         busiest serving machine shipped
 ///   "kv_writes"           KV-store write operations
 ///   "kv_write_bytes"      bytes written to the KV store
+///   "kv_hot_machine_write_bytes"  sum over write phases of the busiest
+///                         shard's bytes
 ///   "cache_hits"/"cache_misses"  per-machine query-cache behaviour
 ///   "kv_lookup_trips"     latency-bearing round trips (after batching
 ///                         and pipeline overlap)
+///   "kv_batches"          wire batches sent by batched lookups (a
+///                         fully cache-served window sends none)
 ///   "kv_peak_inflight_keys"  watermark: most keys any worker held in
 ///                         flight at once (pipelining memory cost)
+///   "autotune_probe_rounds"  query-bearing rounds run under the
+///                         AutoTuner's A/B probe schedule
 ///   "machines_lost"       injected machine failures absorbed so far
 ///   "domains_lost"        correlated domain (rack) failures absorbed —
 ///                         each counts once however many machines it
@@ -67,12 +78,20 @@ struct MetricsSnapshot {
 ///   "frontier_exchange_bytes"  record bytes moved by pull rounds'
 ///                         aggregate exchanges (the pull-side analogue
 ///                         of per-lookup read bytes)
+/// Timers: "sim:<phase>" and "wall:<phase>" (simulated and host seconds
+/// of each phase's rounds), "sim_total" and "wall_total" (their sums),
+/// "sim:autotune_probe" (simulated seconds of the tuner's probe rounds).
 /// Fault-model timers: "sim:recovery" (total recovery time charged),
 /// "recovery_replay_seconds" (its replay component, excluding replica
 /// streams and checkpoint restores), "sim:checkpoint" (checkpoint
 /// rounds), "sim:drain" (live shard migration off warned machines).
+/// A timer holds integer nanoseconds in an int64: one AddTime and every
+/// running sum must stay below kMaxTimerSeconds (about 292 years), or
+/// the process stops with the timer's name instead of wrapping.
 class Metrics {
  public:
+  static constexpr double kMaxTimerSeconds = 9.2e9;  // < 2^63 ns
+
   Metrics() = default;
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
@@ -84,6 +103,7 @@ class Metrics {
   int64_t Get(const std::string& name) const;
 
   /// Accumulates wall/simulated seconds into a named phase timer.
+  /// AMPC_CHECKs that `seconds` and the new sum are in range.
   void AddTime(const std::string& phase, double seconds);
 
   double GetTime(const std::string& phase) const;

@@ -86,9 +86,7 @@ PCollection<Out> ParDo(sim::Cluster& cluster, const std::string& phase,
                        const PCollection<In>& input, Fn fn) {
   WallTimer timer;
   PCollection<Out> out = ParDoEngine<In, Out>(cluster.pool(), input, fn);
-  cluster.AccountMapRound(phase);
-  cluster.metrics().AddTime("wall:" + phase, timer.Seconds());
-  cluster.metrics().AddTime("wall_total", timer.Seconds());
+  cluster.AccountMapRound(phase, timer.Seconds());
   return out;
 }
 

@@ -47,17 +47,9 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   }
   straggler_.slow_rate = config_.faults.slow_machine_rate;
   straggler_.seed = config_.faults.fault_seed;
-  // The hedge target table: replica sets are pure functions of
-  // (seed, machines, replication, domain width) — none of which the
-  // tuner ever moves — so shard s's first follower is fixed for the
-  // cluster's lifetime.
-  hedge_follower_.assign(config_.num_machines, -1);
-  if (config_.faults.replication > 1) {
-    const kv::Placement placement = PlacementFor(0);
-    for (int s = 0; s < config_.num_machines; ++s) {
-      const kv::ReplicaSet replicas = placement.ReplicasOfShard(s);
-      if (replicas.machines.size() > 1) hedge_follower_[s] = replicas.machines[1];
-    }
+  const kv::Placement placement = PlacementFor(0);
+  for (int s = 0; s < config_.num_machines; ++s) {
+    replicas_.push_back(placement.ReplicasOfShard(s).machines);
   }
   if (config_.auto_tune.enabled) {
     TunedKnobs base;
@@ -146,23 +138,46 @@ void Cluster::ApplyTunedKnobs(const TunedKnobs& knobs) {
   config_.frontier.mode = knobs.frontier_mode;
 }
 
-void Cluster::AccountShuffle(const std::string& phase, int64_t bytes,
-                             double wall_seconds) {
-  metrics_.Add("shuffles", 1);
+void Cluster::RecordRound(const std::string& phase, double sim,
+                          std::vector<int64_t> kv_read_bytes,
+                          std::vector<int64_t> kv_write_bytes) {
   metrics_.Add("rounds", 1);
-  metrics_.Add("shuffle_bytes", bytes);
-  const double throughput =
-      config_.shuffle_bytes_per_sec * config_.num_machines;
-  const double sim =
-      std::max(config_.shuffle_min_sec,
-               static_cast<double>(bytes) / throughput) +
-      config_.round_spawn_sec;
-  RecordRound(phase, sim);
   metrics_.AddTime("sim:" + phase, sim);
   metrics_.AddTime("sim_total", sim);
+  last_round_start_ = sim_clock_;
+  sim_clock_ += sim;
+  // A KV-free round's columns are all zeros.
+  kv_read_bytes.resize(config_.num_machines, 0);
+  kv_write_bytes.resize(config_.num_machines, 0);
+  rounds_.push_back(RoundFootprint{phase, sim, std::move(kv_read_bytes),
+                                   std::move(kv_write_bytes)});
+}
+
+void Cluster::ChargeRound(const std::string& phase, double sim,
+                          double wall_seconds,
+                          std::vector<int64_t> kv_read_bytes,
+                          std::vector<int64_t> kv_write_bytes) {
+  RecordRound(phase, sim, std::move(kv_read_bytes), std::move(kv_write_bytes));
   metrics_.AddTime("wall:" + phase, wall_seconds);
   metrics_.AddTime("wall_total", wall_seconds);
   ProcessFaultsAndCheckpoints();
+}
+
+void Cluster::ExtendLastRound(const std::string& timer, double sim) {
+  if (!rounds_.empty()) rounds_.back().sim_seconds += sim;
+  sim_clock_ += sim;
+  metrics_.AddTime(timer, sim);
+  metrics_.AddTime("sim_total", sim);
+}
+
+void Cluster::AccountShuffle(const std::string& phase, int64_t bytes,
+                             double wall_seconds) {
+  metrics_.Add("shuffles", 1);
+  metrics_.Add("shuffle_bytes", bytes);
+  const double throughput =
+      config_.shuffle_bytes_per_sec * config_.num_machines;
+  ChargeRound(phase, ShuffleSeconds(static_cast<double>(bytes) / throughput),
+              wall_seconds);
 }
 
 void Cluster::AccountShardedShuffle(
@@ -175,30 +190,15 @@ void Cluster::AccountShardedShuffle(
     hottest = std::max(hottest, bytes);
   }
   metrics_.Add("shuffles", 1);
-  metrics_.Add("rounds", 1);
   metrics_.Add("shuffle_bytes", total);
   metrics_.Add("shuffle_hot_machine_bytes", hottest);
   // Machines shuffle concurrently; the round lasts as long as the
   // hottest machine's durable-storage writes. Matches AccountShuffle
   // (total / (per-machine throughput * P)) when the bytes are uniform.
-  const double sim =
-      std::max(config_.shuffle_min_sec,
-               static_cast<double>(hottest) / config_.shuffle_bytes_per_sec) +
-      config_.round_spawn_sec;
-  RecordRound(phase, sim);
-  metrics_.AddTime("sim:" + phase, sim);
-  metrics_.AddTime("sim_total", sim);
-  metrics_.AddTime("wall:" + phase, wall_seconds);
-  metrics_.AddTime("wall_total", wall_seconds);
-  ProcessFaultsAndCheckpoints();
-}
-
-void Cluster::AccountMapRound(const std::string& phase) {
-  metrics_.Add("rounds", 1);
-  RecordRound(phase, config_.round_spawn_sec);
-  metrics_.AddTime("sim:" + phase, config_.round_spawn_sec);
-  metrics_.AddTime("sim_total", config_.round_spawn_sec);
-  ProcessFaultsAndCheckpoints();
+  ChargeRound(phase,
+              ShuffleSeconds(static_cast<double>(hottest) /
+                             config_.shuffle_bytes_per_sec),
+              wall_seconds);
 }
 
 void Cluster::AccountInMemoryFinish(const std::string& phase, int64_t bytes,
@@ -211,25 +211,27 @@ void Cluster::AccountInMemoryFinish(const std::string& phase, int64_t bytes,
 
 void Cluster::AccountInMemoryCompute(const std::string& phase,
                                      int64_t items) {
-  const double sim = static_cast<double>(items) * config_.map_item_cpu_sec;
-  ExtendLastRound(sim);
-  metrics_.AddTime("sim:" + phase, sim);
-  metrics_.AddTime("sim_total", sim);
+  ExtendLastRound("sim:" + phase,
+                  static_cast<double>(items) * config_.map_item_cpu_sec);
   ProcessFaultsAndCheckpoints();
 }
 
 void Cluster::SettleMapPhase(const std::string& phase,
                              const std::vector<WorkerTally>& tallies,
-                             double wall_seconds,
-                             const PullPhaseInfo* pull) {
+                             double wall_seconds, int64_t key_space,
+                             bool pull) {
+  const int machines = config_.num_machines;
   const int overlap =
       config_.multithreading ? config_.threads_per_machine : 1;
   // Fold the worker tallies in slice order: client-side counts go to
-  // the slice's machine, served bytes to each hosting machine.
-  std::vector<PhaseCounters> per_machine(config_.num_machines);
-  std::vector<int64_t> served(config_.num_machines, 0);
+  // the slice's machine and to the round's total, served bytes to each
+  // hosting machine.
+  std::vector<PhaseCounters> per_machine(machines);
+  PhaseCounters total;
+  std::vector<int64_t> served(machines, 0);
   for (const WorkerTally& tally : tallies) {
     per_machine[tally.machine].Absorb(tally.client);
+    total.Absorb(tally.client);
     for (size_t m = 0; m < tally.served_bytes.size(); ++m) {
       served[m] += tally.served_bytes[m];
     }
@@ -242,21 +244,13 @@ void Cluster::SettleMapPhase(const std::string& phase,
   // its local share of the key space against the bitmap at map-item
   // CPU rate — the cost that makes pull a *dense*-frontier win and
   // keeps tiny frontiers cheaper in their sparse representation.
-  int64_t pull_steps = 0;
-  int64_t pull_exchange_bytes = 0;
-  int64_t bitmap_slice_bytes = 0;
+  int64_t broadcast_bytes = 0;
   double pull_machine_time = 0.0;
-  if (pull != nullptr) {
-    for (const PhaseCounters& counters : per_machine) {
-      pull_steps = std::max(pull_steps, counters.pull_steps);
-      pull_exchange_bytes += counters.pull_bytes;
-    }
-    pull_steps = std::max<int64_t>(1, pull_steps);
-    const int64_t bitmap_bytes = (pull->key_space + 7) / 8;
-    bitmap_slice_bytes =
-        (bitmap_bytes + config_.num_machines - 1) / config_.num_machines;
-    const int64_t sweep_items =
-        (pull->key_space + config_.num_machines - 1) / config_.num_machines;
+  if (pull) {
+    const int64_t pull_steps = std::max<int64_t>(1, total.pull_steps);
+    const int64_t bitmap_slice_bytes =
+        ((key_space + 7) / 8 + machines - 1) / machines;
+    const int64_t sweep_items = (key_space + machines - 1) / machines;
     const double step_time =
         2.0 * config_.network.lookup_latency_sec +
         static_cast<double>(bitmap_slice_bytes) /
@@ -264,46 +258,28 @@ void Cluster::SettleMapPhase(const std::string& phase,
         static_cast<double>(sweep_items) * config_.map_item_cpu_sec /
             overlap;
     pull_machine_time = static_cast<double>(pull_steps) * step_time;
+    broadcast_bytes = pull_steps * bitmap_slice_bytes * machines;
+    metrics_.Add("frontier_dense_rounds", 1);
+    metrics_.Add("frontier_broadcast_bytes", broadcast_bytes);
+    metrics_.Add("frontier_exchange_bytes", total.pull_bytes);
   }
   double slowest_machine = 0;
-  int64_t total_queries = 0, total_trips = 0, total_batches = 0;
-  int64_t total_bytes = 0, total_items = 0;
-  int64_t total_hits = 0, total_misses = 0, hottest_served = 0;
-  int64_t peak_inflight = 0;
-  int64_t total_slow = 0, total_hedged = 0, total_hedge_wins = 0;
-  for (size_t m = 0; m < per_machine.size(); ++m) {
+  int64_t hottest_served = 0;
+  for (int m = 0; m < machines; ++m) {
     const PhaseCounters& counters = per_machine[m];
-    const int64_t trips = counters.kv_lookup_trips;
-    const int64_t bytes = counters.kv_read_bytes;
-    const int64_t items = counters.items;
-    const int64_t served_bytes = served[m];
-    total_queries += counters.kv_queries;
-    total_trips += trips;
-    total_batches += counters.kv_batches;
-    total_bytes += bytes;
-    total_items += items;
-    total_hits += counters.cache_hits;
-    total_misses += counters.cache_misses;
-    peak_inflight = std::max(peak_inflight, counters.peak_inflight_keys);
-    hottest_served = std::max(hottest_served, served_bytes);
+    hottest_served = std::max(hottest_served, served[m]);
     // Straggler tax on this machine's trips (StragglerModel): a slow
     // destination's trip runs at slowdown x latency — extra
     // (slowdown - 1) trips' worth — unless a hedge won, in which case
     // the trip completed at 2 x latency (timeout + replica round trip:
     // extra 1), with both legs charged. Integer trip counts converted
-    // to seconds exactly once, here.
-    const int64_t slow = counters.kv_slow_trips;
+    // to seconds exactly once, here; 0.0 when no trip was slow.
     const int64_t wins = counters.kv_hedge_wins;
-    double straggler_extra_sec = 0.0;
-    if (slow != 0) {
-      total_slow += slow;
-      total_hedged += counters.kv_hedged_trips;
-      total_hedge_wins += wins;
-      straggler_extra_sec =
-          (static_cast<double>(slow - wins) * (straggler_.slowdown - 1.0) +
-           static_cast<double>(wins)) *
-          config_.network.lookup_latency_sec;
-    }
+    const double straggler_extra_sec =
+        (static_cast<double>(counters.kv_slow_trips - wins) *
+             (straggler_.slowdown - 1.0) +
+         static_cast<double>(wins)) *
+        config_.network.lookup_latency_sec;
     // Client side: round-trip latency (one trip per scalar lookup, one
     // per destination machine of a batch — the Section 5.3 batching
     // pipeline) and per-item CPU, hidden behind `overlap` worker threads
@@ -311,63 +287,55 @@ void Cluster::SettleMapPhase(const std::string& phase,
     // through this machine's NIC (a hot *reader* gathering from every
     // shard is also a straggler).
     const double client_time =
-        (trips * config_.network.lookup_latency_sec + straggler_extra_sec +
-         items * config_.map_item_cpu_sec) /
+        (counters.kv_lookup_trips * config_.network.lookup_latency_sec +
+         straggler_extra_sec +
+         counters.items * config_.map_item_cpu_sec) /
             overlap +
-        bytes / config_.network.bytes_per_sec;
+        counters.kv_read_bytes / config_.network.bytes_per_sec;
     // Server side: this machine's NIC ships every byte its shard serves;
     // extra worker threads do not widen a NIC, so no overlap division.
     // Hot shards make their machine the round's straggler.
-    const double server_time =
-        served_bytes / config_.network.bytes_per_sec;
+    const double server_time = served[m] / config_.network.bytes_per_sec;
     slowest_machine = std::max(
         slowest_machine, client_time + server_time + pull_machine_time);
   }
   // The cluster-wide network ceiling (paper Section 5.7) floors the
   // round; a pull round's bitmap broadcasts cross the network too.
-  const int64_t broadcast_bytes =
-      pull == nullptr
-          ? 0
-          : pull_steps * bitmap_slice_bytes * config_.num_machines;
   const double network_floor =
-      static_cast<double>(total_bytes + broadcast_bytes) /
+      static_cast<double>(total.kv_read_bytes + broadcast_bytes) /
       config_.network.aggregate_bytes_per_sec;
   const double sim =
       std::max(slowest_machine, network_floor) + config_.round_spawn_sec;
 
-  if (pull != nullptr) {
-    metrics_.Add("frontier_dense_rounds", 1);
-    metrics_.Add("frontier_broadcast_bytes", broadcast_bytes);
-    metrics_.Add("frontier_exchange_bytes", pull_exchange_bytes);
-  }
-  metrics_.Add("rounds", 1);
-  RecordRound(phase, sim, std::move(served));
-  metrics_.Add("kv_reads", total_queries);
-  metrics_.Add("kv_lookup_trips", total_trips);
-  metrics_.Add("kv_batches", total_batches);
-  metrics_.Add("kv_read_bytes", total_bytes);
+  metrics_.Add("kv_reads", total.kv_queries);
+  metrics_.Add("kv_lookup_trips", total.kv_lookup_trips);
+  metrics_.Add("kv_batches", total.kv_batches);
+  metrics_.Add("kv_read_bytes", total.kv_read_bytes);
   metrics_.Add("kv_hot_machine_read_bytes", hottest_served);
-  metrics_.Add("map_items", total_items);
-  metrics_.Add("cache_hits", total_hits);
-  metrics_.Add("cache_misses", total_misses);
+  metrics_.Add("map_items", total.items);
+  metrics_.Add("cache_hits", total.cache_hits);
+  metrics_.Add("cache_misses", total.cache_misses);
   // Guarded like kv_replication_bytes: the straggler metrics only exist
   // in runs where the model fired, keeping zero-rate metric output
   // byte-identical to the historical model.
-  if (total_slow != 0) metrics_.Add("kv_slow_trips", total_slow);
-  if (total_hedged != 0) metrics_.Add("kv_hedged_trips", total_hedged);
-  if (total_hedge_wins != 0) metrics_.Add("kv_hedge_wins", total_hedge_wins);
+  if (total.kv_slow_trips != 0) {
+    metrics_.Add("kv_slow_trips", total.kv_slow_trips);
+  }
+  if (total.kv_hedged_trips != 0) {
+    metrics_.Add("kv_hedged_trips", total.kv_hedged_trips);
+  }
+  if (total.kv_hedge_wins != 0) {
+    metrics_.Add("kv_hedge_wins", total.kv_hedge_wins);
+  }
   // A watermark, not a sum: the metric holds the largest per-worker
   // in-flight key count seen by any phase so far (settles run serially,
   // so the read-then-top-up is race-free).
   const int64_t prior_peak = metrics_.Get("kv_peak_inflight_keys");
-  if (peak_inflight > prior_peak) {
-    metrics_.Add("kv_peak_inflight_keys", peak_inflight - prior_peak);
+  if (total.peak_inflight_keys > prior_peak) {
+    metrics_.Add("kv_peak_inflight_keys",
+                 total.peak_inflight_keys - prior_peak);
   }
-  metrics_.AddTime("sim:" + phase, sim);
-  metrics_.AddTime("sim_total", sim);
-  metrics_.AddTime("wall:" + phase, wall_seconds);
-  metrics_.AddTime("wall_total", wall_seconds);
-  ProcessFaultsAndCheckpoints();
+  ChargeRound(phase, sim, wall_seconds, std::move(served));
 }
 
 void Cluster::SettleKvWritePhase(const std::string& phase,
@@ -381,25 +349,16 @@ void Cluster::SettleKvWritePhase(const std::string& phase,
   // remembers the primary bytes resident per base shard — the bytes a
   // later drain of the host must move. Replication: shard s's records
   // also land on its followers' hosts, whose NICs absorb a full copy.
-  // The guards keep replication 1 and the unmigrated case
-  // byte-for-byte identical to the historical model.
   std::vector<int64_t> inbound(config_.num_machines, 0);
   std::vector<int64_t> host_writes(config_.num_machines, 0);
+  int64_t replication_bytes = 0;
   for (int s = 0; s < config_.num_machines; ++s) {
     inbound[HostOf(s)] += bytes[s];
     host_writes[HostOf(s)] += writes[s];
     shard_primary_bytes_[s] += bytes[s];
-  }
-  int64_t replication_bytes = 0;
-  if (config_.faults.replication > 1) {
-    const kv::Placement placement = PlacementFor(0);
-    for (int s = 0; s < config_.num_machines; ++s) {
-      if (bytes[s] == 0) continue;
-      const kv::ReplicaSet replicas = placement.ReplicasOfShard(s);
-      for (size_t i = 1; i < replicas.machines.size(); ++i) {
-        inbound[HostOf(replicas.machines[i])] += bytes[s];
-        replication_bytes += bytes[s];
-      }
+    for (size_t i = 1; i < replicas_[s].size(); ++i) {
+      inbound[HostOf(replicas_[s][i])] += bytes[s];
+      replication_bytes += bytes[s];
     }
   }
   int64_t total_writes = 0, total_bytes = 0, hottest_bytes = 0;
@@ -426,20 +385,14 @@ void Cluster::SettleKvWritePhase(const std::string& phase,
                    config_.network.aggregate_bytes_per_sec) +
       config_.round_spawn_sec;
 
-  metrics_.Add("rounds", 1);
-  RecordRound(phase, sim, /*kv_read_bytes=*/{},
-              /*kv_write_bytes=*/inbound);
   metrics_.Add("kv_writes", total_writes);
   metrics_.Add("kv_write_bytes", total_bytes - replication_bytes);
   metrics_.Add("kv_hot_machine_write_bytes", hottest_bytes);
   if (replication_bytes != 0) {
     metrics_.Add("kv_replication_bytes", replication_bytes);
   }
-  metrics_.AddTime("sim:" + phase, sim);
-  metrics_.AddTime("sim_total", sim);
-  metrics_.AddTime("wall:" + phase, wall_seconds);
-  metrics_.AddTime("wall_total", wall_seconds);
-  ProcessFaultsAndCheckpoints();
+  ChargeRound(phase, sim, wall_seconds, /*kv_read_bytes=*/{},
+              /*kv_write_bytes=*/std::move(inbound));
 }
 
 void Cluster::ProcessFaultsAndCheckpoints() {
@@ -498,7 +451,7 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
   // cache epoch invalidates every entry it cached, read-through and
   // derived (extra misses, never wrong values).
   ++cache_generation_[kill.machine];
-  if (!drained_.empty() && drained_[kill.machine]) {
+  if (drained_[kill.machine]) {
     // The warned-and-drained kill: the machine's shards migrated away
     // when the warning fired, no work has been scheduled here since,
     // and nothing resident is lost — the kill costs zero and the
@@ -507,7 +460,7 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
     drained_[kill.machine] = 0;
     return;
   }
-  const size_t round = round_log_.empty() ? 0 : round_log_.size() - 1;
+  const size_t round = rounds_.empty() ? 0 : rounds_.size() - 1;
   // How far into the interrupted round the kill landed — the in-flight
   // work the dead machine loses.
   const double elapsed = std::clamp(kill.time - last_round_start_, 0.0,
@@ -519,21 +472,15 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
   // machine hosted. A correlated domain kill can take out a whole
   // ReplicaSet at once (domain-oblivious placement permits co-domain
   // copies); each wiped set is counted and recovery falls back to the
-  // checkpoint/restart paths below.
+  // checkpoint/restart paths below. Replication 1 has no replica to
+  // stream from; its primary alone would count as a wiped-out set.
   bool replicas_survive = config_.faults.replication > 1;
   if (replicas_survive) {
-    const kv::Placement placement = PlacementFor(0);
     for (int s = 0; s < config_.num_machines; ++s) {
       if (HostOf(s) != kill.machine) continue;
-      const kv::ReplicaSet replicas = placement.ReplicasOfShard(s);
-      bool survivor = false;
-      for (const int copy : replicas.machines) {
-        const int host = HostOf(copy);
-        if (static_cast<size_t>(host) >= dead.size() || !dead[host]) {
-          survivor = true;
-          break;
-        }
-      }
+      const bool survivor =
+          std::any_of(replicas_[s].begin(), replicas_[s].end(),
+                      [&](int copy) { return !dead[HostOf(copy)]; });
       if (!survivor) {
         metrics_.Add("replica_wipeouts", 1);
         replicas_survive = false;
@@ -552,20 +499,17 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
     transfer = static_cast<double>(checkpointed_bytes_[kill.machine]) /
                config_.shuffle_bytes_per_sec;
     for (size_t r = last_checkpoint_round_; r < round; ++r) {
-      replay += round_log_[r] * ReplaySliceShare(r, kill.machine);
+      replay += rounds_[r].sim_seconds * ReplaySliceShare(r, kill.machine);
     }
     replay += partial;
   } else {
     // Nothing persisted anywhere: the whole job restarts — the
     // kInMemory discipline of sim/faults.h, and the baseline the
     // recovery paths above must beat (bench/micro_churn).
-    for (size_t r = 0; r < round; ++r) replay += round_log_[r];
+    for (size_t r = 0; r < round; ++r) replay += rounds_[r].sim_seconds;
     replay += elapsed;
   }
-  const double recovery = transfer + replay;
-  ExtendLastRound(recovery);
-  metrics_.AddTime("sim:recovery", recovery);
-  metrics_.AddTime("sim_total", recovery);
+  ExtendLastRound("sim:recovery", transfer + replay);
   metrics_.AddTime("recovery_replay_seconds", replay);
 }
 
@@ -578,32 +522,26 @@ void Cluster::TakeCheckpoint() {
     hottest = std::max(hottest, delta);
   }
   if (total > 0) {
+    metrics_.Add("checkpoints", 1);
+    metrics_.Add("checkpoint_bytes", total);
     // Charged like a sharded shuffle of each machine's delta: machines
     // checkpoint concurrently, so the round lasts as long as the
     // hottest machine's durable write.
-    const double sim =
-        std::max(config_.shuffle_min_sec,
-                 static_cast<double>(hottest) /
-                     config_.shuffle_bytes_per_sec) +
-        config_.round_spawn_sec;
-    metrics_.Add("rounds", 1);
-    metrics_.Add("checkpoints", 1);
-    metrics_.Add("checkpoint_bytes", total);
-    RecordRound("checkpoint", sim);
-    metrics_.AddTime("sim:checkpoint", sim);
-    metrics_.AddTime("sim_total", sim);
+    RecordRound("checkpoint",
+                ShuffleSeconds(static_cast<double>(hottest) /
+                               config_.shuffle_bytes_per_sec));
   }
   // The snapshot and clock move even when nothing new landed — an idle
   // period must not retry a checkpoint every subsequent round.
   checkpointed_bytes_ = machine_kv_write_bytes_;
   last_checkpoint_time_ = sim_clock_;
-  last_checkpoint_round_ = round_log_.size();
+  last_checkpoint_round_ = rounds_.size();
   fault_injector_.SkipTo(sim_clock_);
 }
 
 double Cluster::ReplaySliceShare(size_t round, int machine) const {
-  if (round >= round_footprints_.size()) return 1.0;
-  const RoundFootprint& fp = round_footprints_[round];
+  if (round >= rounds_.size()) return 1.0;
+  const RoundFootprint& fp = rounds_[round];
   int64_t hottest = 0;
   for (size_t m = 0; m < fp.kv_read_bytes.size(); ++m) {
     hottest =
@@ -652,7 +590,6 @@ void Cluster::DrainMachine(int machine) {
   // ampc-lint: allow(metric-zero-guard): only reached on a warned kill;
   // warning_lead_sec 0 never drains a machine.
   metrics_.Add("machines_drained", 1);
-  const kv::Placement placement = PlacementFor(0);
   int64_t moved_bytes = 0;
   int64_t shards_moved = 0;
   for (int s = 0; s < config_.num_machines; ++s) {
@@ -664,18 +601,14 @@ void Cluster::DrainMachine(int machine) {
     // re-stream either way). Ties break to the lowest machine id so the
     // choice is deterministic.
     int target = -1;
-    if (placement.EffectiveReplication() > 1) {
-      const kv::ReplicaSet replicas = placement.ReplicasOfShard(s);
-      for (size_t i = 1; i < replicas.machines.size(); ++i) {
-        const int host = HostOf(replicas.machines[i]);
-        if (host == machine || drained_[host]) continue;
-        if (target < 0 ||
-            machine_kv_write_bytes_[host] < machine_kv_write_bytes_[target] ||
-            (machine_kv_write_bytes_[host] ==
-                 machine_kv_write_bytes_[target] &&
-             host < target)) {
-          target = host;
-        }
+    for (size_t i = 1; i < replicas_[s].size(); ++i) {
+      const int host = HostOf(replicas_[s][i]);
+      if (host == machine || drained_[host]) continue;
+      if (target < 0 ||
+          machine_kv_write_bytes_[host] < machine_kv_write_bytes_[target] ||
+          (machine_kv_write_bytes_[host] == machine_kv_write_bytes_[target] &&
+           host < target)) {
+        target = host;
       }
     }
     if (target < 0) {
@@ -717,11 +650,7 @@ void Cluster::DrainMachine(int machine) {
     // drain-vs-reactive bench weighs against replaying lost work.
     const double sim =
         static_cast<double>(moved_bytes) / config_.shuffle_bytes_per_sec;
-    if (sim > 0.0) {
-      ExtendLastRound(sim);
-      metrics_.AddTime("sim:drain", sim);
-      metrics_.AddTime("sim_total", sim);
-    }
+    if (sim > 0.0) ExtendLastRound("sim:drain", sim);
   }
 }
 
@@ -772,8 +701,8 @@ void Cluster::RunPullPhase(
     const std::string& phase, int64_t key_space,
     const std::function<void(std::span<const int64_t>, MachineContext&)>&
         fn) {
-  const PullPhaseInfo pull{key_space};
-  RunMapPhaseImpl(phase, key_space, {}, /*explicit_items=*/false, fn, &pull);
+  RunMapPhaseImpl(phase, key_space, {}, /*explicit_items=*/false, fn,
+                  /*pull=*/true);
 }
 
 void Cluster::RunPullPhase(
@@ -781,9 +710,8 @@ void Cluster::RunPullPhase(
     std::span<const int64_t> items,
     const std::function<void(std::span<const int64_t>, MachineContext&)>&
         fn) {
-  const PullPhaseInfo pull{key_space};
   RunMapPhaseImpl(phase, key_space, items, /*explicit_items=*/true, fn,
-                  &pull);
+                  /*pull=*/true);
 }
 
 bool Cluster::UsePullPhase(int64_t frontier_size, int64_t frontier_edges,
@@ -800,7 +728,7 @@ void Cluster::RunMapPhaseImpl(
     std::span<const int64_t> items, bool explicit_items,
     const std::function<void(std::span<const int64_t>, MachineContext&)>&
         slice_fn,
-    const PullPhaseInfo* pull) {
+    bool pull) {
   // Before anything reads the placement: the tuner may hot-swap knobs
   // (including placement_policy) for the coming round.
   const TuneScope tune_scope = AutoTuneBeginRound();
@@ -866,7 +794,6 @@ void Cluster::RunMapPhaseImpl(
   const int workers = config_.threads_per_machine;
   struct WorkerSlice {
     int machine;
-    int worker;
     int64_t lo;
     int64_t hi;
   };
@@ -879,13 +806,12 @@ void Cluster::RunMapPhaseImpl(
     if (span < workers * kMinWorkerGrain) {
       const std::vector<IndexChunk> chunks =
           SplitIndexChunks(begin, end, kMinWorkerGrain, workers);
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        slices.push_back(WorkerSlice{m, static_cast<int>(c),
-                                     chunks[c].begin, chunks[c].end});
+      for (const IndexChunk& chunk : chunks) {
+        slices.push_back(WorkerSlice{m, chunk.begin, chunk.end});
       }
     } else {
       for (int w = 0; w < workers; ++w) {
-        slices.push_back(WorkerSlice{m, w, begin + span * w / workers,
+        slices.push_back(WorkerSlice{m, begin + span * w / workers,
                                      begin + span * (w + 1) / workers});
       }
     }
@@ -897,7 +823,7 @@ void Cluster::RunMapPhaseImpl(
   // (MachineContext::caching_enabled), one per slice.
   std::vector<size_t> task_begin;
   for (size_t s = 0; s < slices.size(); ++s) {
-    if (pull != nullptr || s == 0 ||
+    if (pull || s == 0 ||
         slices[s].machine != slices[s - 1].machine) {
       task_begin.push_back(s);
     }
@@ -922,13 +848,8 @@ void Cluster::RunMapPhaseImpl(
           // Scoped so the context's destructor — which settles any
           // deferred pipeline trips and hands over the tally — runs
           // before the latch releases the settle.
-          MachineContext ctx(
-              this, &tallies[s], slice.machine, slice.worker,
-              Hash64(HashCombine(Hash64(slice.machine, config_.seed),
-                                 slice.worker),
-                     HashCombine(config_.seed,
-                                 std::hash<std::string>{}(phase))),
-              /*pull_round=*/pull != nullptr);
+          MachineContext ctx(this, &tallies[s], slice.machine,
+                             /*pull_round=*/pull);
           slice_fn(std::span<const int64_t>(buckets.data() + slice.lo,
                                             slice.hi - slice.lo),
                    ctx);
@@ -943,7 +864,7 @@ void Cluster::RunMapPhaseImpl(
     std::unique_lock<std::mutex> lock(latch.mu);
     latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
   }
-  SettleMapPhase(phase, tallies, timer.Seconds(), pull);
+  SettleMapPhase(phase, tallies, timer.Seconds(), key_space, pull);
   AutoTuneEndRound(tune_scope, key_space, n);
 }
 

@@ -85,7 +85,6 @@
 
 #include "common/frontier.h"
 #include "common/metrics.h"
-#include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "kv/network_model.h"
@@ -315,13 +314,17 @@ struct ClusterConfig {
 
 class MachineContext;
 
-/// Per-machine KV traffic of one simulated round, aligned with
-/// Cluster::round_log(): read_bytes[m] is what machine m's shard served,
-/// write_bytes[m] what landed on it. Rounds without KV traffic carry
-/// zeros. sim::ReplayMemoryPressureSeconds (sim/faults.h) consumes the
-/// write columns to replay memory pressure round by round.
+/// One charged round, the cluster's only per-round record
+/// (Cluster::round_footprints()): its phase, its simulated duration
+/// (including in-memory compute, recovery and drain time that extended
+/// it), and its per-machine KV traffic — kv_read_bytes[m] is what
+/// machine m's shard served, kv_write_bytes[m] what landed on it.
+/// Rounds without KV traffic carry zeros. sim::ReplayMemoryPressureSeconds
+/// (sim/faults.h) consumes the write columns to replay memory pressure
+/// round by round.
 struct RoundFootprint {
   std::string phase;
+  double sim_seconds = 0.0;
   std::vector<int64_t> kv_read_bytes;
   std::vector<int64_t> kv_write_bytes;
 };
@@ -359,9 +362,7 @@ class Cluster {
   /// slot tables of every live store keep serving unchanged. Mutated
   /// only between rounds (same discipline as the tuner's retired
   /// placements), read concurrently by workers.
-  int HostOf(int shard) const {
-    return shard_hosts_.empty() ? shard : shard_hosts_[shard];
-  }
+  int HostOf(int shard) const { return shard_hosts_[shard]; }
 
   /// The machine that owns key/item `key` in a key space of `capacity`
   /// keys. The machine running item v is the machine whose shard holds
@@ -447,8 +448,13 @@ class Cluster {
                              const std::vector<int64_t>& per_machine_bytes,
                              double wall_seconds = 0.0);
 
-  /// Records a cheap (map-only) round that is not a shuffle.
-  void AccountMapRound(const std::string& phase);
+  /// Records a cheap (map-only) round that is not a shuffle: one spawn
+  /// constant of simulated time. `wall_seconds` is the real time the
+  /// caller spent running the round (mpc::ParDo measures it; callers
+  /// that measure nothing charge a zero "wall:<phase>").
+  void AccountMapRound(const std::string& phase, double wall_seconds = 0.0) {
+    ChargeRound(phase, config_.round_spawn_sec, wall_seconds);
+  }
 
   /// Records work done by the single-machine in-memory fallback: one
   /// gather shuffle of `bytes` plus `items` sequential item costs.
@@ -553,20 +559,24 @@ class Cluster {
   double SimSeconds() const { return metrics_.GetTime("sim_total"); }
   double WallSeconds() const { return metrics_.GetTime("wall_total"); }
 
-  /// Simulated duration of every round charged so far, in order. One
-  /// entry per "rounds" metric increment; in-memory compute time extends
-  /// the round that gathered its input. Consumed by sim/faults.h to
-  /// model per-round preemption behaviour.
-  const std::vector<double>& round_log() const { return round_log_; }
+  /// The sim_seconds column of round_footprints(): the simulated
+  /// duration of every round charged so far, in order, one entry per
+  /// "rounds" metric increment. Consumed by sim/faults.h to model
+  /// per-round preemption behaviour.
+  std::vector<double> round_log() const {
+    std::vector<double> seconds;
+    seconds.reserve(rounds_.size());
+    for (const RoundFootprint& fp : rounds_) seconds.push_back(fp.sim_seconds);
+    return seconds;
+  }
 
-  /// Per-round, per-machine KV traffic, aligned index-for-index with
-  /// round_log(). Where machine_kv_write_bytes() is the cumulative
-  /// footprint, this is the phase-resolved history: feed the write
-  /// columns to sim::ReplayMemoryPressureSeconds to replay memory
-  /// pressure round by round instead of judging the whole job by its
-  /// final footprint.
+  /// Every round charged so far, in order (see RoundFootprint). Where
+  /// machine_kv_write_bytes() is the cumulative footprint, this is the
+  /// phase-resolved history: feed the write columns to
+  /// sim::ReplayMemoryPressureSeconds to replay memory pressure round by
+  /// round instead of judging the whole job by its final footprint.
   const std::vector<RoundFootprint>& round_footprints() const {
-    return round_footprints_;
+    return rounds_;
   }
 
   /// The write columns of round_footprints(), shaped for
@@ -574,10 +584,8 @@ class Cluster {
   /// that round.
   std::vector<std::vector<int64_t>> RoundKvWriteBytes() const {
     std::vector<std::vector<int64_t>> bytes;
-    bytes.reserve(round_footprints_.size());
-    for (const RoundFootprint& fp : round_footprints_) {
-      bytes.push_back(fp.kv_write_bytes);
-    }
+    bytes.reserve(rounds_.size());
+    for (const RoundFootprint& fp : rounds_) bytes.push_back(fp.kv_write_bytes);
     return bytes;
   }
 
@@ -629,7 +637,7 @@ class Cluster {
   /// slow during the currently accumulating round.
   bool stragglers_enabled() const { return straggler_.enabled(); }
   bool DestinationSlow(int machine) const {
-    return straggler_.Slow(static_cast<int64_t>(round_log_.size()), machine);
+    return straggler_.Slow(static_cast<int64_t>(rounds_.size()), machine);
   }
 
   /// Hedged lookups (ClusterConfig::faults.hedge_lookups), and the
@@ -638,8 +646,7 @@ class Cluster {
   /// has no replica to hedge to.
   bool hedging_enabled() const { return config_.faults.hedge_lookups; }
   int HedgeHostOf(int shard) const {
-    if (hedge_follower_.empty() || hedge_follower_[shard] < 0) return -1;
-    return HostOf(hedge_follower_[shard]);
+    return replicas_[shard].size() > 1 ? HostOf(replicas_[shard][1]) : -1;
   }
 
   /// The AutoTuner driving this cluster's knobs, or nullptr when
@@ -734,23 +741,15 @@ class Cluster {
     std::vector<int64_t> served_bytes;
   };
 
-  // Marks a map phase as a pull round (RunPullPhase) for the settle:
-  // key_space sizes the broadcast bitmap and the per-machine shard
-  // sweep.
-  struct PullPhaseInfo {
-    int64_t key_space = 0;
-  };
-
   // Folds the worker tallies per machine, converts them into simulated
   // round time (the slowest machine's client + server + CPU time,
   // floored by the aggregate network ceiling) and records everything in
-  // metrics. A non-null `pull` adds the pull model's charges (bitmap
-  // broadcast, exchange latency, local shard sweep) on top; null leaves
-  // the historical arithmetic untouched.
+  // metrics. A pull round (RunPullPhase) adds the pull model's charges
+  // on top: a bitmap broadcast sized by `key_space`, exchange latency
+  // and the local shard sweep.
   void SettleMapPhase(const std::string& phase,
                       const std::vector<WorkerTally>& tallies,
-                      double wall_seconds,
-                      const PullPhaseInfo* pull = nullptr);
+                      double wall_seconds, int64_t key_space, bool pull);
 
   // Same for a KV write phase, from per-machine write/byte deltas.
   void SettleKvWritePhase(const std::string& phase,
@@ -766,52 +765,51 @@ class Cluster {
   // host task per machine, which runs that machine's slices in worker
   // order, so the query caches its workers share see a fixed sequence
   // of reads on any host; a pull round, which touches no cache, runs
-  // one host task per slice. A non-null `pull` puts every context in
-  // pull mode and the settle on the pull cost model.
+  // one host task per slice. `pull` puts every context in pull mode and
+  // the settle on the pull cost model.
   void RunMapPhaseImpl(
       const std::string& phase, int64_t key_space,
       std::span<const int64_t> items, bool explicit_items,
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
           slice_fn,
-      const PullPhaseInfo* pull = nullptr);
+      bool pull = false);
 
-  // Appends a round of simulated duration `sim` to the log, with the
-  // per-machine KV traffic it carried (empty vectors = a KV-free round).
-  // Also moves the simulated clock: the round occupies
-  // [last_round_start_, sim_clock_), the interval the fault injector is
-  // advanced across when the round settles.
+  // The one round ledger. RecordRound counts a round of simulated
+  // duration `sim`, charges it to "sim:<phase>" and "sim_total", moves
+  // the clock — the round occupies [last_round_start_, sim_clock_), the
+  // interval the fault injector is advanced across — and appends its
+  // record with the per-machine KV traffic it carried (empty vectors =
+  // a KV-free round). ChargeRound is the tail of every round a job
+  // runs: RecordRound, plus the host time on "wall:<phase>" and
+  // "wall_total", plus the churn hook. TakeCheckpoint, which runs
+  // inside that hook, records its round without re-entering it.
   void RecordRound(const std::string& phase, double sim,
                    std::vector<int64_t> kv_read_bytes = {},
-                   std::vector<int64_t> kv_write_bytes = {}) {
-    round_log_.push_back(sim);
-    last_round_start_ = sim_clock_;
-    sim_clock_ += sim;
-    RoundFootprint fp;
-    fp.phase = phase;
-    fp.kv_read_bytes = std::move(kv_read_bytes);
-    fp.kv_write_bytes = std::move(kv_write_bytes);
-    if (fp.kv_read_bytes.empty()) {
-      fp.kv_read_bytes.assign(config_.num_machines, 0);
-    }
-    if (fp.kv_write_bytes.empty()) {
-      fp.kv_write_bytes.assign(config_.num_machines, 0);
-    }
-    round_footprints_.push_back(std::move(fp));
-  }
-  // Extends the most recent round (in-memory compute riding a gather,
-  // recovery extending the round the kill interrupted). Advances the
-  // clock unconditionally to stay an exact mirror of "sim_total".
-  void ExtendLastRound(double sim) {
-    if (!round_log_.empty()) round_log_.back() += sim;
-    sim_clock_ += sim;
+                   std::vector<int64_t> kv_write_bytes = {});
+  void ChargeRound(const std::string& phase, double sim, double wall_seconds,
+                   std::vector<int64_t> kv_read_bytes = {},
+                   std::vector<int64_t> kv_write_bytes = {});
+  // Extends the most recent round by `sim` seconds charged to `timer`
+  // and "sim_total" (in-memory compute riding a gather, recovery
+  // extending the round the kill interrupted, a drain's migration).
+  // Advances the clock unconditionally to stay an exact mirror of
+  // "sim_total".
+  void ExtendLastRound(const std::string& timer, double sim);
+  // The one shuffle formula: a round through durable storage lasts as
+  // long as its busiest machine's write, `busiest` seconds, floored at
+  // shuffle_min_sec, plus the spawn constant.
+  double ShuffleSeconds(double busiest) const {
+    return std::max(config_.shuffle_min_sec, busiest) +
+           config_.round_spawn_sec;
   }
 
-  // The churn hook every Account*/Settle* path runs after charging its
-  // round: harvests the injector's kills over the round's interval,
-  // recovers each one (replica stream, checkpoint restore + windowed
-  // replay, or whole-job replay — whichever the config provides), and
-  // takes a periodic checkpoint when one is due. No-op when injection
-  // and checkpointing are both off.
+  // The churn hook every charged round runs once it is recorded
+  // (ChargeRound, AccountInMemoryCompute): harvests the injector's kills
+  // over the round's interval, recovers each one (replica stream,
+  // checkpoint restore + windowed replay, or whole-job replay —
+  // whichever the config provides), and takes a periodic checkpoint
+  // when one is due. No-op when injection and checkpointing are both
+  // off.
   void ProcessFaultsAndCheckpoints();
 
   // Recovers one machine loss and charges it: the recovery extends the
@@ -864,8 +862,8 @@ class Cluster {
   ClusterConfig config_;
   Metrics metrics_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<double> round_log_;
-  std::vector<RoundFootprint> round_footprints_;
+  // Every charged round, in order (RecordRound/ExtendLastRound).
+  std::vector<RoundFootprint> rounds_;
   std::vector<int64_t> machine_kv_write_bytes_;
   // Elasticity state. sim_clock_/last_round_start_ mirror "sim_total"
   // (maintained by RecordRound/ExtendLastRound) so kills land inside
@@ -883,11 +881,13 @@ class Cluster {
   std::vector<int> shard_hosts_;
   std::vector<uint8_t> drained_;
   std::vector<int64_t> shard_primary_bytes_;
-  // Straggler model and the hedge target table: hedge_follower_[s] is
-  // shard s's first follower under the run's replica placement (-1 at
-  // replication 1 — nothing to hedge to).
+  // replicas_[s]: the machines holding base shard s, primary first
+  // (the placement's replica set; just {s} at replication 1).
+  // Replica sets are pure functions of (seed, machines, replication,
+  // domain width) — none of which the tuner ever moves — so the table
+  // is built once and fixed for the cluster's lifetime.
+  std::vector<std::vector<int>> replicas_;
   StragglerModel straggler_;
-  std::vector<int> hedge_follower_;
   // Per-machine KV bytes captured by the last checkpoint and the
   // matching clock/round positions.
   std::vector<int64_t> checkpointed_bytes_;
@@ -927,13 +927,11 @@ class Cluster {
 class MachineContext {
  public:
   MachineContext(Cluster* cluster, Cluster::WorkerTally* out, int machine_id,
-                 int worker_id, uint64_t rng_seed, bool pull_round)
+                 bool pull_round)
       : cluster_(cluster),
         out_(out),
         machine_id_(machine_id),
-        worker_id_(worker_id),
         pull_round_(pull_round),
-        rng_(rng_seed),
         destination_seen_(cluster->config().num_machines, 0),
         pipeline_window_counts_(cluster->config().num_machines, 0) {
     tally_.machine = machine_id;
@@ -952,7 +950,6 @@ class MachineContext {
   }
 
   int machine_id() const { return machine_id_; }
-  int worker_id() const { return worker_id_; }
 
   /// True when this context's reads go through the machine's query
   /// cache: caching is enabled for the run and this is a push round. A
@@ -1227,11 +1224,6 @@ class MachineContext {
   void CountCacheHit() { ++tally_.client.cache_hits; }
   void CountCacheMiss() { ++tally_.client.cache_misses; }
 
-  /// Per-worker deterministic RNG (seeded from cluster seed, phase,
-  /// machine and worker ids). Must not influence algorithm outputs that
-  /// are compared across runtimes.
-  Rng& rng() { return rng_; }
-
  private:
   template <typename V>
   void CheckStoreMatchesCluster(const kv::ShardedStore<V>& store) const {
@@ -1392,11 +1384,9 @@ class MachineContext {
   Cluster::WorkerTally* out_;
   Cluster::WorkerTally tally_;
   int machine_id_;
-  int worker_id_;
   // Set for every context of a Cluster::RunPullPhase round: the batched
   // entry points then resolve as local sweeps (see LookupManyAsync).
   bool pull_round_;
-  Rng rng_;
   // Scratch distinct-destination flags for the sub-batch being issued,
   // with the list of flags actually set — resetting only those keeps a
   // window O(keys + touched), not O(machines). Contexts are per worker,

@@ -100,9 +100,11 @@ std::vector<double> MemoryPressureRates(
 /// derive from the cumulative per-machine KV bytes after rounds 0..r
 /// (each round's own traffic is already resident while it runs), so
 /// early rounds run at the base rate and only the rounds after a shard
-/// fills up pay the elevated risk. `round_machine_kv_bytes[r][m]` is the
-/// KV bytes machine m's shard absorbed in round r — the write columns of
-/// sim::Cluster::round_footprints() (see Cluster::RoundKvWriteBytes).
+/// fills up pay the elevated risk. Both inputs are columns of the
+/// cluster's one round log, sim::Cluster::round_footprints():
+/// `round_seconds` is Cluster::round_log(), and
+/// `round_machine_kv_bytes[r][m]`, the KV bytes machine m's shard
+/// absorbed in round r, is Cluster::RoundKvWriteBytes().
 double ReplayMemoryPressureSeconds(
     const std::vector<double>& round_seconds,
     const std::vector<std::vector<int64_t>>& round_machine_kv_bytes,

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/boruvka.h"
 #include "core/connectivity.h"
 #include "core/kcore.h"
 #include "core/matching.h"
@@ -1721,6 +1722,61 @@ TEST(ClusterTest, SmallShareRegroupsIntoGrainSizedSlices) {
   std::sort(slice_sizes.begin(), slice_sizes.end());
   EXPECT_EQ(slice_sizes, (std::vector<size_t>{4, 32, 32, 32}));
   EXPECT_EQ(cluster.metrics().Get("map_items"), 100);
+}
+
+// Pins the fault-path charges: independent and domain kills, replica
+// wipeouts, drains, checkpoints and whole-job restarts. A slip in the
+// shared round tail (a checkpoint that re-runs the churn hook, a drain
+// charged to the wrong timer) changes one of these numbers. Each value
+// is the same unpinned and on one core.
+TEST(ClusterTest, FaultChargesMatchParent) {
+  const graph::EdgeList raw = graph::GenerateRmat(10, 6000, 7);
+  const graph::WeightedEdgeList w =
+      graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw));
+  ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 2;
+  config.in_memory_threshold_arcs = 64;
+  config.faults.fault_seed = 7;
+
+  // Job A: replicated AMPC MSF under independent and domain kills, with
+  // checkpoints and warned drains.
+  ClusterConfig churn = config;
+  churn.faults.fault_rate_per_machine_sec = 4.0;
+  churn.faults.replication = 2;
+  churn.faults.checkpoint_period_sec = 0.1;
+  churn.faults.machines_per_domain = 2;
+  churn.faults.domain_fault_rate_sec = 2.0;
+  churn.faults.domain_aware_placement = false;
+  churn.faults.warning_lead_sec = 0.02;
+  Cluster a(churn);
+  core::AmpcMsf(a, w);
+  const Metrics& ma = a.metrics();
+  EXPECT_EQ(ma.Get("rounds"), 33);
+  EXPECT_EQ(ma.Get("machines_lost"), 48);
+  EXPECT_EQ(ma.Get("domains_lost"), 6);
+  EXPECT_EQ(ma.Get("replica_wipeouts"), 12);
+  EXPECT_EQ(ma.Get("machines_drained"), 39);
+  EXPECT_EQ(ma.Get("shards_migrated"), 67);
+  EXPECT_EQ(ma.Get("checkpoints"), 6);
+  EXPECT_DOUBLE_EQ(a.SimSeconds(), 2.62598396);
+  EXPECT_DOUBLE_EQ(ma.GetTime("sim:recovery"), 0.409736926);
+  EXPECT_DOUBLE_EQ(ma.GetTime("recovery_replay_seconds"), 0.37895755);
+  EXPECT_DOUBLE_EQ(ma.GetTime("sim:checkpoint"), 0.42);
+  EXPECT_DOUBLE_EQ(ma.GetTime("sim:drain"), 0.1454572);
+
+  // Job B: the MPC Boruvka baseline with nothing persisted, so every
+  // kill restarts the whole job.
+  ClusterConfig restart = config;
+  restart.faults.fault_rate_per_machine_sec = 1.0;
+  Cluster b(restart);
+  baselines::MpcBoruvkaMsf(b, w, 7);
+  const Metrics& mb = b.metrics();
+  EXPECT_EQ(mb.Get("rounds"), 52);
+  EXPECT_EQ(mb.Get("machines_lost"), 14);
+  EXPECT_DOUBLE_EQ(b.SimSeconds(), 2616.011995606);
+  EXPECT_DOUBLE_EQ(mb.GetTime("sim:recovery"), 2612.371995606);
+  EXPECT_DOUBLE_EQ(mb.GetTime("recovery_replay_seconds"), 2612.371995606);
 }
 
 }  // namespace

@@ -78,5 +78,19 @@ TEST(MetricsTest, ToStringMentionsCounters) {
   EXPECT_NE(s.find("shuffles=5"), std::string::npos);
 }
 
+// Timers hold int64 nanoseconds. A value or a running sum past 2^63 ns
+// (about 292 simulated years) must stop the run, naming the timer,
+// instead of wrapping to garbage.
+TEST(MetricsTest, TimerValueOutOfRangeDies) {
+  Metrics m;
+  EXPECT_DEATH(m.AddTime("sim:recovery", 1e10), "sim:recovery");
+}
+
+TEST(MetricsTest, TimerSumOverflowDies) {
+  Metrics m;
+  m.AddTime("sim_total", 5e9);
+  EXPECT_DEATH(m.AddTime("sim_total", 5e9), "sim_total");
+}
+
 }  // namespace
 }  // namespace ampc
