@@ -25,6 +25,7 @@
 // (size, edges) sequence, preserving the determinism contract.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -53,8 +54,9 @@ bool ParseFrontierMode(const std::string& name, FrontierMode* mode);
 
 /// The sparse frontier: a queue with an explicit window. Producers
 /// Push next-round vertices behind the window while consumers read the
-/// current window; SlideWindow promotes everything pushed since the
-/// last slide into the new window. Single-threaded by design — cores
+/// current window; SlideWindow drops the consumed window and promotes
+/// everything pushed since the last slide into the new one, so the queue
+/// holds at most two rounds' vertices. Single-threaded by design — cores
 /// collect per-chunk discoveries deterministically and push them in
 /// chunk order, so the window's element order is schedule-independent.
 class SlidingQueue {
@@ -65,25 +67,26 @@ class SlidingQueue {
   }
 
   /// Appends `v` to the *next* window (not visible until SlideWindow).
-  void Push(int64_t v) { items_.push_back(v); }
+  void Push(int64_t v) {
+    items_.push_back(v);
+    ++total_pushed_;
+  }
 
-  /// Promotes everything pushed since the previous slide into the
-  /// current window.
+  /// Drops the current window and promotes everything pushed since the
+  /// previous slide into the new current window.
   void SlideWindow() {
-    window_begin_ = window_end_;
+    items_.erase(items_.begin(),
+                 items_.begin() + static_cast<std::ptrdiff_t>(window_end_));
     window_end_ = items_.size();
   }
 
   /// The current window — the frontier a round consumes.
   std::span<const int64_t> Window() const {
-    return std::span<const int64_t>(items_.data() + window_begin_,
-                                    window_end_ - window_begin_);
+    return std::span<const int64_t>(items_.data(), window_end_);
   }
 
-  int64_t WindowSize() const {
-    return static_cast<int64_t>(window_end_ - window_begin_);
-  }
-  bool WindowEmpty() const { return window_end_ == window_begin_; }
+  int64_t WindowSize() const { return static_cast<int64_t>(window_end_); }
+  bool WindowEmpty() const { return window_end_ == 0; }
 
   /// Items pushed since the last slide (the next window's size so far).
   int64_t PendingSize() const {
@@ -91,18 +94,19 @@ class SlidingQueue {
   }
 
   /// Total items ever pushed (all windows).
-  int64_t TotalPushed() const { return static_cast<int64_t>(items_.size()); }
+  int64_t TotalPushed() const { return total_pushed_; }
 
   void Reset() {
     items_.clear();
-    window_begin_ = 0;
     window_end_ = 0;
+    total_pushed_ = 0;
   }
 
  private:
+  // The current window, items_[0, window_end_), then the next one.
   std::vector<int64_t> items_;
-  size_t window_begin_ = 0;
   size_t window_end_ = 0;
+  int64_t total_pushed_ = 0;
 };
 
 /// Per-phase direction selector. Construct once per frontier-shaped

@@ -90,19 +90,18 @@ void HIndexSlice(std::span<const int64_t> items, sim::MachineContext& ctx,
 }  // namespace
 
 int32_t HIndex(std::vector<int32_t>& values) {
-  // Count-down histogram computation: h is the largest value with
-  // |{x : x >= h}| >= h; sorting descending makes it the largest i+1
-  // with values[i] >= i+1.
-  std::sort(values.begin(), values.end(), std::greater<int32_t>());
-  int32_t h = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] >= static_cast<int32_t>(i) + 1) {
-      h = static_cast<int32_t>(i) + 1;
-    } else {
-      break;
-    }
+  // h is the largest value with |{x : x >= h}| >= h, and h <= d =
+  // |values|. So histogram the values clamped to [0, d] and scan down
+  // from d, counting the values that reach each level.
+  const int32_t d = static_cast<int32_t>(values.size());
+  std::vector<int32_t> at_level(static_cast<size_t>(d) + 1, 0);
+  for (const int32_t x : values) ++at_level[std::clamp(x, 0, d)];
+  int32_t reaching = 0;
+  for (int32_t h = d; h > 0; --h) {
+    reaching += at_level[h];
+    if (reaching >= h) return h;
   }
-  return h;
+  return 0;
 }
 
 KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,

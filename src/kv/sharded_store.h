@@ -17,6 +17,8 @@
 // them.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -38,6 +40,9 @@ namespace ampc::kv {
 /// stores (one fresh DHT per round) build it once and share it (see
 /// sim::Cluster::MakeStore).
 struct ShardMap {
+  /// shard[k] = the shard owning key k: the placement evaluated once per
+  /// key here, so no read or write re-hashes its key.
+  std::vector<uint16_t> shard;
   /// local_slot[k] = slot of key k within its owning shard.
   std::vector<uint32_t> local_slot;
   /// shard_counts[s] = number of keys owned by shard s.
@@ -46,19 +51,23 @@ struct ShardMap {
 
   static std::shared_ptr<const ShardMap> Build(Placement placement) {
     AMPC_CHECK_GE(placement.num_shards, 1);
+    AMPC_CHECK_LE(placement.num_shards,
+                  int64_t{std::numeric_limits<uint16_t>::max()} + 1);
     AMPC_CHECK_GE(placement.capacity, 0);
     AMPC_CHECK_LE(placement.capacity,
                   static_cast<int64_t>(std::numeric_limits<uint32_t>::max()));
     auto map = std::make_shared<ShardMap>();
     map->placement = placement;
-    // One sequential pass keeps the assignment deterministic; the cost
-    // is one placement evaluation per key, the same order as the slot
-    // tables' own O(capacity) initialization.
+    // One sequential pass keeps the assignment deterministic, and is the
+    // only placement evaluation of a key below capacity: the shard column
+    // keeps its result, 2 bytes per key (hence at most 65,536 shards).
+    map->shard.resize(placement.capacity);
     map->local_slot.resize(placement.capacity);
     map->shard_counts.assign(placement.num_shards, 0);
     for (int64_t k = 0; k < placement.capacity; ++k) {
-      map->local_slot[k] = static_cast<uint32_t>(
-          map->shard_counts[placement.ShardOf(k)]++);
+      const int s = placement.ShardOf(k);
+      map->shard[k] = static_cast<uint16_t>(s);
+      map->local_slot[k] = static_cast<uint32_t>(map->shard_counts[s]++);
     }
     return map;
   }
@@ -77,11 +86,10 @@ struct ShardMap {
 };
 
 /// A dense key -> V store partitioned into per-machine shards by a
-/// kv::Placement. Keys must be < capacity. Writes are thread-safe
-/// (delegated to the owning shard's per-slot atomic publication);
-/// lookups are thread-safe with respect to completed writes of other
-/// keys. Re-writing an existing key is not supported (AMPC stores are
-/// write-once per round). Movable so factories
+/// kv::Placement. Keys must be < capacity. Writes of distinct keys may
+/// run concurrently, and a lookup sees every record published before it
+/// (see PutRange). Re-writing an existing key is not supported (AMPC
+/// stores are write-once per round). Movable so factories
 /// (sim::Cluster::MakeStore) can return it by value.
 template <typename V>
 class ShardedStore {
@@ -108,26 +116,77 @@ class ShardedStore {
   uint64_t seed() const { return map_->placement.seed; }
   const Placement& placement() const { return map_->placement; }
 
-  /// The shard (= logical machine) owning `key`.
-  int ShardOf(uint64_t key) const { return map_->placement.ShardOf(key); }
+  /// The shard (= logical machine) owning `key`: the key map's column
+  /// below capacity, the placement itself past it (an absent key still
+  /// has an owner to charge).
+  int ShardOf(uint64_t key) const {
+    return key < static_cast<uint64_t>(capacity())
+               ? map_->shard[key]
+               : map_->placement.ShardOf(key);
+  }
 
-  /// Inserts (key, value) into the owning shard. Returns the wire size of
-  /// the record.
+  /// Writes value = make(key) for every key of [lo, hi) as one batch:
+  /// publishes each record in its owning shard, then counts the batch
+  /// with one add per touched shard's counters and one version() bump of
+  /// hi - lo, so both move only after every record is visible. Batches
+  /// over disjoint key ranges may run concurrently. Returns the batch's
+  /// wire bytes.
+  template <typename Make>
+  int64_t PutRange(uint64_t lo, uint64_t hi, Make&& make) {
+    AMPC_CHECK_LE(lo, hi);
+    AMPC_CHECK_LE(hi, static_cast<uint64_t>(capacity()));
+    // tally[s]: shard s's records of this batch, published but not yet
+    // counted, for the shards in [first, last]. On the stack up to
+    // kStackShards shards and counted over the touched range only, so a
+    // one-record Put allocates nothing and visits one shard.
+    struct Tally {
+      int64_t records;
+      int64_t bytes;
+    };
+    std::array<Tally, kStackShards> on_stack;
+    std::vector<Tally> on_heap(num_shards() > kStackShards ? num_shards() : 0);
+    Tally* tally = on_heap.empty() ? on_stack.data() : on_heap.data();
+    std::fill_n(tally, num_shards(), Tally{0, 0});
+    int first = num_shards(), last = -1;
+    for (uint64_t key = lo; key < hi; ++key) {
+      const int s = map_->shard[key];
+      tally[s].bytes += shards_[s]->Publish(map_->local_slot[key], make(key));
+      ++tally[s].records;
+      first = std::min(first, s);
+      last = std::max(last, s);
+    }
+    int64_t total = 0;
+    for (int s = first; s <= last; ++s) {
+      if (tally[s].records == 0) continue;
+      shards_[s]->Count(tally[s].records, tally[s].bytes);
+      total += tally[s].bytes;
+    }
+    // Bumped *after* the batch is published: a reader that captures the
+    // pre-bump version and still misses a value stamps its cached
+    // negative with an epoch the bump immediately outdates.
+    version_->fetch_add(hi - lo, std::memory_order_relaxed);
+    return total;
+  }
+
+  /// Inserts (key, value) into the owning shard: the one-record batch.
+  /// Returns the wire size of the record.
   int64_t Put(uint64_t key, V value) {
     AMPC_CHECK_LT(key, static_cast<uint64_t>(capacity()));
-    const int64_t bytes =
-        shards_[ShardOf(key)]->Put(map_->local_slot[key], std::move(value));
-    // Bumped *after* the shard publishes the record: a reader that
-    // captures the pre-bump version and still misses the value stamps
-    // its cached negative with an epoch the bump immediately outdates.
-    version_->fetch_add(1, std::memory_order_relaxed);
-    return bytes;
+    return PutRange(key, key + 1, [&value](uint64_t) {
+      return std::move(value);
+    });
   }
 
   /// Returns the value for `key`, or nullptr when absent.
   const V* Lookup(uint64_t key) const {
     if (key >= static_cast<uint64_t>(capacity())) return nullptr;
-    return shards_[ShardOf(key)]->Lookup(map_->local_slot[key]);
+    return LookupInShard(map_->shard[key], key);
+  }
+
+  /// Lookup for a caller that already holds `shard` == ShardOf(key).
+  const V* LookupInShard(int shard, uint64_t key) const {
+    if (key >= static_cast<uint64_t>(capacity())) return nullptr;
+    return shards_[shard]->Lookup(map_->local_slot[key]);
   }
 
   bool Contains(uint64_t key) const { return Lookup(key) != nullptr; }
@@ -221,16 +280,16 @@ class ShardedStore {
   // ClusterConfig::query_cache; see kv/query_cache.h).
 
   /// Monotone content version: the number of records inserted so far
-  /// (stores are write-once per key, so every write moves it). Query
-  /// caches stamp entries with the version captured *before* the
-  /// underlying lookup and treat entries from older versions as stale,
-  /// so a cached value — including a cached negative — can never
-  /// survive a later write phase. O(1): a dedicated counter, not the
-  /// per-shard size sum, because this sits on the hot cached-lookup
-  /// path of every machine. Never above capacity() <= 2^32 - 1
-  /// (ShardMap::Build checks the bound, Store::Put rejects a second
-  /// write), which sim::MachineContext::CacheEpoch relies on to pack it
-  /// into 32 bits.
+  /// (stores are write-once per key, so every write moves it; a batch
+  /// moves it once, after its last record is published). Query caches
+  /// stamp entries with the version captured *before* the underlying
+  /// lookup and treat entries from older versions as stale, so a cached
+  /// value — including a cached negative — can never survive a later
+  /// write phase. O(1): a dedicated counter, not the per-shard size sum,
+  /// because this sits on the hot cached-lookup path of every machine.
+  /// Never above capacity() <= 2^32 - 1 (ShardMap::Build checks the
+  /// bound, Store::Publish rejects a second write), which
+  /// sim::MachineContext::CacheEpoch relies on to pack it into 32 bits.
   uint64_t version() const {
     return version_->load(std::memory_order_relaxed);
   }
@@ -252,9 +311,10 @@ class ShardedStore {
   }
 
  private:
-  // key -> slot within its owning shard (the shard id is recomputed from
-  // the placement; storing it would double the table's footprint).
-  // Shared: every same-shaped store minted by a cluster reuses one map.
+  static constexpr int kStackShards = 64;
+
+  // key -> (owning shard, slot within it). Shared: every same-shaped
+  // store minted by a cluster reuses one map.
   std::shared_ptr<const ShardMap> map_;
   // unique_ptr keeps the atomic-bearing slot tables movable as a group.
   std::vector<std::unique_ptr<Store<V>>> shards_;

@@ -21,11 +21,14 @@
 
 namespace ampc::kv {
 
-/// A dense key -> V store. Keys must be < capacity. Writes are
-/// thread-safe (per-slot publication via an atomic presence flag);
-/// Lookup is thread-safe with respect to completed writes of other keys.
-/// Re-writing an existing key is not supported (AMPC stores are
-/// write-once per round).
+/// A dense key -> V store. Keys must be < capacity. Publish makes a
+/// record visible (the slot, then its presence flag's release store);
+/// Count adds published records to size() and total_bytes(), which lets
+/// a writer count many with one atomic add per counter
+/// (ShardedStore::PutRange counts a chunk per shard); Put does both for
+/// one record. Writes of distinct keys may run concurrently. Re-writing
+/// an existing key is not supported (AMPC stores are write-once per
+/// round).
 template <typename V>
 class Store {
  public:
@@ -39,17 +42,29 @@ class Store {
 
   int64_t capacity() const { return static_cast<int64_t>(slots_.size()); }
 
-  /// Inserts (key, value). Returns the wire size of the record.
+  /// Inserts (key, value): publishes the record and counts it. Returns
+  /// the wire size of the record.
   int64_t Put(uint64_t key, V value) {
+    const int64_t record_bytes = Publish(key, std::move(value));
+    Count(1, record_bytes);
+    return record_bytes;
+  }
+
+  /// Writes and publishes the record for `key` without counting it.
+  /// Returns its wire size, which the writer owes to Count.
+  int64_t Publish(uint64_t key, V value) {
     AMPC_CHECK_LT(key, slots_.size());
     AMPC_CHECK_EQ(present_[key].load(std::memory_order_acquire), 0)
         << "duplicate Put for key " << key;
     slots_[key] = std::move(value);
     present_[key].store(1, std::memory_order_release);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    const int64_t record_bytes = kKeyBytes + KvByteSize(slots_[key]);
-    bytes_.fetch_add(record_bytes, std::memory_order_relaxed);
-    return record_bytes;
+    return kKeyBytes + KvByteSize(slots_[key]);
+  }
+
+  /// Counts `records` published records of `bytes` wire bytes in all.
+  void Count(int64_t records, int64_t bytes) {
+    count_.fetch_add(records, std::memory_order_relaxed);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
   /// Returns the value for `key`, or nullptr when absent.
@@ -67,12 +82,12 @@ class Store {
     return v == nullptr ? 0 : kKeyBytes + KvByteSize(*v);
   }
 
-  /// Number of present keys. O(1): maintained as an atomic insert
+  /// Number of counted keys. O(1): maintained as an atomic insert
   /// counter (keys are write-once, so inserts never repeat).
   int64_t size() const { return count_.load(std::memory_order_relaxed); }
 
-  /// Total wire bytes of every record inserted so far. O(1): maintained
-  /// as an atomic byte counter alongside the insert counter.
+  /// Total wire bytes of every counted record. O(1): maintained as an
+  /// atomic byte counter alongside the insert counter.
   int64_t total_bytes() const {
     return bytes_.load(std::memory_order_relaxed);
   }

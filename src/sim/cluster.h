@@ -70,7 +70,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -1262,8 +1261,8 @@ class MachineContext {
       }
     }
     KeyRead<V> read;
-    read.value = store.Lookup(key);
     read.shard = store.ShardOf(key);
+    read.value = store.LookupInShard(read.shard, key);
     read.bytes = read.value == nullptr
                      ? kv::kKeyBytes
                      : kv::kKeyBytes + kv::KvByteSize(*read.value);
@@ -1318,66 +1317,33 @@ class MachineContext {
   }
 
   // The set of keys one worker has exchanged in the current pull step:
-  // open addressing with linear probing over a power-of-two table that
-  // doubles at half load. Each slot carries the generation (step) that
-  // filled it, so opening a step is one increment — never a sweep of a
-  // table sized by the largest step so far — and the table is reused
-  // across steps without per-key heap nodes.
+  // one bit per key, grown on demand to the largest key read, plus the
+  // list of words set in this step. Opening a step zeroes only those
+  // words, so a step costs what it touched, never a sweep of the whole
+  // bitmap. Pull callers read record ids below the round's key space, so
+  // a worker holds at most key_space / 8 bytes.
   class PullStepKeySet {
    public:
     // Empties the set.
     void NextStep() {
-      size_ = 0;
-      if (++generation_ == 0) {  // stamps wrapped: sweep once
-        for (Slot& slot : slots_) slot.generation = 0;
-        generation_ = 1;
-      }
+      for (const size_t w : touched_words_) words_[w] = 0;
+      touched_words_.clear();
     }
 
     // Adds `key`; false when it is already in the set.
     bool Insert(uint64_t key) {
-      if (2 * (size_ + 1) > slots_.size()) Grow();
-      return Place(key);
+      const size_t w = static_cast<size_t>(key >> 6);
+      if (w >= words_.size()) words_.resize(w + 1, 0);
+      const uint64_t bit = uint64_t{1} << (key & 63);
+      if ((words_[w] & bit) != 0) return false;
+      if (words_[w] == 0) touched_words_.push_back(w);
+      words_[w] |= bit;
+      return true;
     }
 
    private:
-    struct Slot {
-      uint64_t key = 0;
-      uint32_t generation = 0;  // 0 never matches a live generation
-    };
-    static constexpr size_t kInitialSlots = 1024;
-
-    bool Place(uint64_t key) {
-      // Fibonacci hashing: the top bits of key * 2^64/phi.
-      size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >>
-                                     shift_);
-      for (;; i = (i + 1) & (slots_.size() - 1)) {
-        Slot& slot = slots_[i];
-        if (slot.generation != generation_) {
-          slot = Slot{key, generation_};
-          ++size_;
-          return true;
-        }
-        if (slot.key == key) return false;
-      }
-    }
-
-    void Grow() {
-      const size_t slots =
-          slots_.empty() ? kInitialSlots : 2 * slots_.size();
-      const std::vector<Slot> old =
-          std::exchange(slots_, std::vector<Slot>(slots));
-      shift_ = 64 - std::countr_zero(slots);
-      size_ = 0;
-      for (const Slot& slot : old) {
-        if (slot.generation == generation_) Place(slot.key);
-      }
-    }
-
-    std::vector<Slot> slots_;
-    uint32_t generation_ = 1;
-    size_t size_ = 0;
-    int shift_ = 64;
+    std::vector<uint64_t> words_;
+    std::vector<size_t> touched_words_;
   };
 
   Cluster* cluster_;
@@ -1505,10 +1471,13 @@ void Cluster::RunKvWritePhase(const std::string& phase,
   for (int m = 0; m < config_.num_machines; ++m) {
     writes_before[m] = store.ShardSize(m);
   }
+  // One batch per chunk: the chunk's records are published, then counted
+  // once per shard (kv::ShardedStore::PutRange).
   ParallelForChunked(*pool_, 0, n, 1024, [&](int64_t lo, int64_t hi) {
-    for (int64_t key = lo; key < hi; ++key) {
-      store.Put(static_cast<uint64_t>(key), producer(key));
-    }
+    store.PutRange(static_cast<uint64_t>(lo), static_cast<uint64_t>(hi),
+                   [&](uint64_t key) {
+                     return producer(static_cast<int64_t>(key));
+                   });
   });
   const double wall = timer.Seconds();
   std::vector<int64_t> bytes(config_.num_machines);

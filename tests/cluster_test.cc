@@ -201,18 +201,37 @@ TEST(ClusterTest, MakeStoreShardingMatchesMachineOf) {
 }
 
 TEST(ClusterTest, WritePhaseChargesOwningShards) {
-  Cluster cluster(TestConfig());
-  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(1000);
-  cluster.RunKvWritePhase("w", store, 1000, [](int64_t k) { return k; });
-  const int64_t record = kv::kKeyBytes + static_cast<int64_t>(sizeof(int64_t));
-  int64_t expected_hot = 0;
-  for (int m = 0; m < store.num_shards(); ++m) {
-    EXPECT_EQ(store.ShardBytes(m), store.ShardSize(m) * record);
-    EXPECT_EQ(cluster.machine_kv_write_bytes()[m], store.ShardBytes(m));
-    expected_hot = std::max(expected_hot, store.ShardBytes(m));
-  }
-  EXPECT_EQ(cluster.metrics().Get("kv_hot_machine_write_bytes"),
-            expected_hot);
+  // 1,000 keys fit in one chunk, which runs inline. 100,000 records of
+  // varying wire size run as concurrent chunks, each of which publishes
+  // its records and then counts them once per shard: the per-shard
+  // counters must still add up to a serial sum over the records.
+  const auto check = [](int64_t n, auto value_of) {
+    using V = decltype(value_of(int64_t{0}));
+    Cluster cluster(TestConfig());
+    kv::ShardedStore<V> store = cluster.MakeStore<V>(n);
+    cluster.RunKvWritePhase("w", store, n, value_of);
+    std::vector<int64_t> records(store.num_shards(), 0);
+    std::vector<int64_t> bytes(store.num_shards(), 0);
+    for (int64_t k = 0; k < n; ++k) {
+      ++records[store.ShardOf(k)];
+      bytes[store.ShardOf(k)] += store.RecordBytes(k);
+    }
+    int64_t expected_hot = 0;
+    for (int m = 0; m < store.num_shards(); ++m) {
+      EXPECT_EQ(store.ShardSize(m), records[m]) << "n " << n << " shard " << m;
+      EXPECT_EQ(store.ShardBytes(m), bytes[m]) << "n " << n << " shard " << m;
+      EXPECT_EQ(cluster.machine_kv_write_bytes()[m], bytes[m]);
+      expected_hot = std::max(expected_hot, bytes[m]);
+    }
+    EXPECT_EQ(store.version(), static_cast<uint64_t>(n));
+    EXPECT_EQ(cluster.metrics().Get("kv_writes"), n);
+    EXPECT_EQ(cluster.metrics().Get("kv_hot_machine_write_bytes"),
+              expected_hot);
+  };
+  check(1000, [](int64_t k) { return k; });
+  check(100000, [](int64_t k) {
+    return std::vector<int64_t>(static_cast<size_t>(k % 13), k);
+  });
 }
 
 // Regression for the old uniform bytes/num_machines charging: a skewed
@@ -1385,106 +1404,127 @@ TEST(ClusterTest, HedgingRecoversStragglerTrips) {
 
 TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
   // One machine, one worker: the whole pull round is one worker slice
-  // and one pull step. Its 3n reads cover n distinct keys — several
-  // times the dedup set's initial 1024 slots, so the set grows mid-step
-  // — and each distinct record is exchanged exactly once, across both
-  // LookupMany calls and all of their windows. Keys past the written
-  // range are absent and cost their key bytes.
-  ClusterConfig config;
-  config.num_machines = 1;
-  config.threads_per_machine = 1;
-  Cluster cluster(config);
+  // and one pull step. Its 3n reads cover n distinct keys, and each
+  // distinct record is exchanged exactly once, across both LookupMany
+  // calls and all of their windows. Keys past the written range are
+  // absent and cost their key bytes. The distinct keys are [0, n) at
+  // stride 1, which packs 64 of them per word of the worker's dedup
+  // bitmap, and at stride 67, which puts each in a word of its own.
   const int64_t n = 6000;
-  const int64_t written = n / 2;
-  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
-  cluster.RunKvWritePhase("w", store, written, [](int64_t k) { return k; });
-  std::vector<uint64_t> keys;
-  for (int rep = 0; rep < 3; ++rep) {
-    // 7919 is prime, so each pass is a permutation of [0, n).
-    for (int64_t k = 0; k < n; ++k) keys.push_back((k * 7919 + rep) % n);
-  }
-  int64_t expected_bytes = 0;
-  for (int64_t k = 0; k < n; ++k) {
-    expected_bytes += k < written ? store.RecordBytes(k) : kv::kKeyBytes;
-  }
-  const size_t half = keys.size() / 2;
-  int64_t wrong = 0;
-  cluster.RunPullPhase(
-      "pull", n, [&](std::span<const int64_t>, MachineContext& ctx) {
-        const std::span<const uint64_t> all(keys);
-        for (const std::span<const uint64_t> part :
-             {all.first(half), all.subspan(half)}) {
-          const kv::LookupBatchResult<int64_t> batch =
-              ctx.LookupMany(store, part);
-          for (size_t i = 0; i < part.size(); ++i) {
-            const int64_t key = static_cast<int64_t>(part[i]);
-            const int64_t* value = batch.values[i];
-            if (key < written ? value == nullptr || *value != key
-                              : value != nullptr) {
-              ++wrong;
+  for (const int64_t stride : {1, 67}) {
+    ClusterConfig config;
+    config.num_machines = 1;
+    config.threads_per_machine = 1;
+    Cluster cluster(config);
+    const int64_t key_space = stride * n;
+    const int64_t written = key_space / 2;
+    kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(key_space);
+    cluster.RunKvWritePhase("w", store, written, [](int64_t k) { return k; });
+    std::vector<uint64_t> keys;
+    for (int rep = 0; rep < 3; ++rep) {
+      // 7919 is prime, so each pass is a permutation of [0, n).
+      for (int64_t k = 0; k < n; ++k) {
+        keys.push_back(static_cast<uint64_t>(stride * ((k * 7919 + rep) % n)));
+      }
+    }
+    int64_t expected_bytes = 0;
+    for (int64_t k = 0; k < key_space; k += stride) {
+      expected_bytes += k < written ? store.RecordBytes(k) : kv::kKeyBytes;
+    }
+    const size_t half = keys.size() / 2;
+    int64_t wrong = 0;
+    cluster.RunPullPhase(
+        "pull", key_space, [&](std::span<const int64_t>, MachineContext& ctx) {
+          const std::span<const uint64_t> all(keys);
+          for (const std::span<const uint64_t> part :
+               {all.first(half), all.subspan(half)}) {
+            const kv::LookupBatchResult<int64_t> batch =
+                ctx.LookupMany(store, part);
+            for (size_t i = 0; i < part.size(); ++i) {
+              const int64_t key = static_cast<int64_t>(part[i]);
+              const int64_t* value = batch.values[i];
+              if (key < written ? value == nullptr || *value != key
+                                : value != nullptr) {
+                ++wrong;
+              }
             }
           }
-        }
-      });
-  EXPECT_EQ(wrong, 0);
-  EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"), expected_bytes);
-  EXPECT_EQ(cluster.metrics().Get("kv_read_bytes"), expected_bytes);
-  EXPECT_EQ(cluster.metrics().Get("kv_reads"), 3 * n);
-  EXPECT_EQ(cluster.metrics().Get("kv_lookup_trips"), 0);
-  EXPECT_EQ(cluster.metrics().Get("kv_batches"), 0);
-  EXPECT_EQ(cluster.metrics().Get("cache_hits") +
-                cluster.metrics().Get("cache_misses"),
-            0);
-  EXPECT_EQ(cluster.metrics().Get("kv_peak_inflight_keys"), 0);
+        });
+    const Metrics& m = cluster.metrics();
+    EXPECT_EQ(wrong, 0) << "stride " << stride;
+    EXPECT_EQ(m.Get("frontier_exchange_bytes"), expected_bytes)
+        << "stride " << stride;
+    EXPECT_EQ(m.Get("kv_read_bytes"), expected_bytes) << "stride " << stride;
+    EXPECT_EQ(m.Get("kv_reads"), 3 * n);
+    EXPECT_EQ(m.Get("kv_lookup_trips"), 0);
+    EXPECT_EQ(m.Get("kv_batches"), 0);
+    EXPECT_EQ(m.Get("cache_hits") + m.Get("cache_misses"), 0);
+    EXPECT_EQ(m.Get("kv_peak_inflight_keys"), 0);
+  }
 }
 
 TEST(ClusterTest, PullStepsChargeRepeatedKeysAgain) {
-  // Every state reads the same key for three adaptive steps. The driver
-  // opens a fresh exchange at each step (BeginAdaptiveStep), so a key is
-  // charged once per step, however many states ask for it within the
-  // step.
-  ClusterConfig config;
-  config.num_machines = 1;
-  config.threads_per_machine = 1;
-  Cluster cluster(config);
-  const int64_t n = 64;
-  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
-  cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return 5 * k; });
-  struct Walker {
-    uint64_t key;
-    int steps_left;
-  };
-  const int kSteps = 3;
+  // Every state reads one of kDistinct keys at each of four adaptive
+  // steps. The driver opens a fresh exchange at each step
+  // (BeginAdaptiveStep), so a key is charged once per step, however
+  // many states ask for it within the step. In the first input every
+  // step reads the same keys. In the second, consecutive steps read
+  // disjoint keys that lie in different words of the worker's dedup
+  // bitmap, [0, 8) and [128, 136) in turn: each step's reset must clear
+  // the words its own step set, or the step after next reads its keys
+  // for free.
+  const int64_t n = 256;
+  const int kSteps = 4;
   const uint64_t kDistinct = 8;
-  int64_t wrong = 0;
-  cluster.RunPullPhase(
-      "pull", n, [&](std::span<const int64_t> items, MachineContext& ctx) {
-        std::vector<Walker> walkers;
-        for (const int64_t item : items) {
-          walkers.push_back(Walker{static_cast<uint64_t>(item) % kDistinct,
-                                   kSteps});
-        }
-        DriveLookupPipelined(
-            ctx, store, walkers,
-            [](const Walker& w) { return w.steps_left == 0; },
-            [](const Walker& w) { return w.key; },
-            [&](Walker& w, const int64_t* value) {
-              if (value == nullptr ||
-                  *value != 5 * static_cast<int64_t>(w.key)) {
-                ++wrong;
-              }
-              --w.steps_left;
-            });
-      });
-  EXPECT_EQ(wrong, 0);
-  int64_t step_bytes = 0;
-  for (uint64_t k = 0; k < kDistinct; ++k) step_bytes += store.RecordBytes(k);
-  EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"),
-            kSteps * step_bytes);
-  // One ceil(n / 8)-byte bitmap broadcast per step.
-  EXPECT_EQ(cluster.metrics().Get("frontier_broadcast_bytes"),
-            kSteps * ((n + 7) / 8));
-  EXPECT_EQ(cluster.metrics().Get("kv_reads"), kSteps * n);
+  for (const uint64_t step_offset : {uint64_t{0}, uint64_t{128}}) {
+    ClusterConfig config;
+    config.num_machines = 1;
+    config.threads_per_machine = 1;
+    Cluster cluster(config);
+    kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
+    cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return 5 * k; });
+    struct Walker {
+      uint64_t key;
+      int steps_left;
+    };
+    const auto key_at = [&](uint64_t item, int step) {
+      return item % kDistinct + static_cast<uint64_t>(step % 2) * step_offset;
+    };
+    int64_t wrong = 0;
+    cluster.RunPullPhase(
+        "pull", n, [&](std::span<const int64_t> items, MachineContext& ctx) {
+          std::vector<Walker> walkers;
+          for (const int64_t item : items) {
+            walkers.push_back(
+                Walker{key_at(static_cast<uint64_t>(item), 0), kSteps});
+          }
+          DriveLookupPipelined(
+              ctx, store, walkers,
+              [](const Walker& w) { return w.steps_left == 0; },
+              [](const Walker& w) { return w.key; },
+              [&](Walker& w, const int64_t* value) {
+                if (value == nullptr ||
+                    *value != 5 * static_cast<int64_t>(w.key)) {
+                  ++wrong;
+                }
+                --w.steps_left;
+                w.key = key_at(w.key % kDistinct, kSteps - w.steps_left);
+              });
+        });
+    EXPECT_EQ(wrong, 0);
+    int64_t exchanged = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      for (uint64_t k = 0; k < kDistinct; ++k) {
+        exchanged += store.RecordBytes(key_at(k, step));
+      }
+    }
+    EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"), exchanged)
+        << "offset " << step_offset;
+    // One ceil(n / 8)-byte bitmap broadcast per step.
+    EXPECT_EQ(cluster.metrics().Get("frontier_broadcast_bytes"),
+              kSteps * ((n + 7) / 8));
+    EXPECT_EQ(cluster.metrics().Get("kv_reads"), kSteps * n);
+  }
 }
 
 TEST(ClusterTest, ScalarLookupInPullRoundBypassesQueryCache) {

@@ -3,9 +3,13 @@
 // shuffle-count contrast between the two.
 #include "core/kcore.h"
 
+#include <algorithm>
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "baselines/mpc_kcore.h"
+#include "common/random.h"
 #include "graph/generators.h"
 #include "seq/kcore.h"
 
@@ -104,6 +108,24 @@ TEST(HIndexTest, KnownValues) {
   EXPECT_EQ(core::HIndex(zeros), 0);
   std::vector<int32_t> ones = {1, 1, 1};
   EXPECT_EQ(core::HIndex(ones), 1);
+
+  // Random vectors against the definition, evaluated on a descending
+  // sort: the largest i + 1 with sorted[i] >= i + 1.
+  const auto reference = [](std::vector<int32_t> values) {
+    std::sort(values.begin(), values.end(), std::greater<int32_t>());
+    int32_t h = 0;
+    while (h < static_cast<int32_t>(values.size()) && values[h] >= h + 1) ++h;
+    return h;
+  };
+  // Lengths 0-64 and values 0-100: duplicates, zeros, and values above
+  // the length all occur.
+  Rng rng(20);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<int32_t> values(rng.NextBelow(65));
+    for (int32_t& v : values) v = static_cast<int32_t>(rng.NextBelow(101));
+    const int32_t expected = reference(values);
+    EXPECT_EQ(core::HIndex(values), expected) << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -135,6 +157,49 @@ TEST(AmpcKCoreTest, PathConvergesSlowlyButCorrectly) {
   core::KCoreResult result = core::AmpcKCore(cluster, g);
   for (const int32_t c : result.coreness) EXPECT_EQ(c, 1);
   EXPECT_GE(result.iterations, 40 / 2 - 2);
+}
+
+// Pins the charged costs of a hybrid and a dense AmpcKCore run: the pull
+// rounds' per-worker exchange dedup and the per-round write phases'
+// per-shard bookkeeping. The values were recorded with the earlier
+// hash-table dedup and per-record write counters: how the simulator
+// tracks what it charges may change; what it charges may not.
+TEST(AmpcKCoreTest, ChargedCostsMatchParent) {
+  const Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(4096, 32768, 11));
+  // kv_reads, kv_read_bytes, frontier_exchange_bytes,
+  // frontier_broadcast_bytes, kv_writes, kv_write_bytes,
+  // kv_hot_machine_read_bytes, kv_hot_machine_write_bytes, rounds.
+  const auto run = [&](FrontierMode mode, double* sim_seconds) {
+    sim::ClusterConfig config;
+    config.num_machines = 4;
+    config.threads_per_machine = 4;
+    config.frontier.mode = mode;
+    sim::Cluster cluster(config);
+    EXPECT_EQ(core::AmpcKCore(cluster, g).coreness,
+              seq::CoreDecomposition(g));
+    *sim_seconds = cluster.SimSeconds();
+    const Metrics& m = cluster.metrics();
+    return std::vector<int64_t>{
+        m.Get("kv_reads"),
+        m.Get("kv_read_bytes"),
+        m.Get("frontier_exchange_bytes"),
+        m.Get("frontier_broadcast_bytes"),
+        m.Get("kv_writes"),
+        m.Get("kv_write_bytes"),
+        m.Get("kv_hot_machine_read_bytes"),
+        m.Get("kv_hot_machine_write_bytes"),
+        m.Get("rounds")};
+  };
+  double sim_seconds = 0;
+  EXPECT_EQ(run(FrontierMode::kHybrid, &sim_seconds),
+            (std::vector<int64_t>{509910, 3922092, 3909324, 4096, 45056,
+                                  818560, 1022460, 212652, 22}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 1.12249426);
+  EXPECT_EQ(run(FrontierMode::kDense, &sim_seconds),
+            (std::vector<int64_t>{509910, 3922092, 3922092, 5120, 45056,
+                                  818560, 1022460, 212652, 22}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 1.122499603);
 }
 
 TEST(AmpcKCoreTest, UsesExactlyOneShuffle) {

@@ -149,36 +149,39 @@ TEST(ShardedStoreTest, ShardOwnershipMatchesPlacementHash) {
 
 TEST(ShardedStoreTest, PerShardOccupancyTotalsAndCapacity) {
   const int64_t n = 2048;
-  const int shards = 6;
-  ShardedStore<int32_t> store(n, shards, /*seed=*/11);
-  // Write only even keys; shard sizes must sum to the written count and
-  // match a direct ownership count, and capacities partition [0, n).
-  std::vector<int64_t> expected_size(shards, 0),
-      expected_capacity(shards, 0);
-  for (int64_t k = 0; k < n; ++k) {
-    ++expected_capacity[store.ShardOf(k)];
-    if (k % 2 == 0) {
-      store.Put(k, static_cast<int32_t>(k));
-      ++expected_size[store.ShardOf(k)];
+  // 100 shards take Put's per-shard tally past its stack buffer.
+  for (const int shards : {6, 100}) {
+    ShardedStore<int32_t> store(n, shards, /*seed=*/11);
+    // Write only even keys; shard sizes must sum to the written count
+    // and match a direct ownership count, and capacities partition
+    // [0, n).
+    std::vector<int64_t> expected_size(shards, 0),
+        expected_capacity(shards, 0);
+    for (int64_t k = 0; k < n; ++k) {
+      ++expected_capacity[store.ShardOf(k)];
+      if (k % 2 == 0) {
+        store.Put(k, static_cast<int32_t>(k));
+        ++expected_size[store.ShardOf(k)];
+      }
     }
+    int64_t total_size = 0, total_capacity = 0;
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_EQ(store.ShardSize(s), expected_size[s]) << shards << "/" << s;
+      EXPECT_EQ(store.ShardCapacity(s), expected_capacity[s]) << s;
+      EXPECT_NEAR(store.ShardOccupancy(s),
+                  expected_capacity[s] == 0
+                      ? 0.0
+                      : static_cast<double>(expected_size[s]) /
+                            expected_capacity[s],
+                  1e-15)
+          << s;
+      total_size += store.ShardSize(s);
+      total_capacity += store.ShardCapacity(s);
+    }
+    EXPECT_EQ(total_size, n / 2);
+    EXPECT_EQ(total_size, store.size());
+    EXPECT_EQ(total_capacity, n);
   }
-  int64_t total_size = 0, total_capacity = 0;
-  for (int s = 0; s < shards; ++s) {
-    EXPECT_EQ(store.ShardSize(s), expected_size[s]) << s;
-    EXPECT_EQ(store.ShardCapacity(s), expected_capacity[s]) << s;
-    EXPECT_NEAR(store.ShardOccupancy(s),
-                expected_capacity[s] == 0
-                    ? 0.0
-                    : static_cast<double>(expected_size[s]) /
-                          expected_capacity[s],
-                1e-15)
-        << s;
-    total_size += store.ShardSize(s);
-    total_capacity += store.ShardCapacity(s);
-  }
-  EXPECT_EQ(total_size, n / 2);
-  EXPECT_EQ(total_size, store.size());
-  EXPECT_EQ(total_capacity, n);
 }
 
 TEST(ShardedStoreTest, PerShardByteAccounting) {
@@ -359,6 +362,14 @@ TEST(ShardedStoreTest, RoundTripsUnderEveryPlacementPolicy) {
       ASSERT_NE(v, nullptr) << PlacementPolicyName(policy) << " key " << k;
       EXPECT_EQ(*v, static_cast<int64_t>(k) * 7);
       EXPECT_EQ(store.ShardOf(k), placement.ShardOf(k));
+    }
+    // Past capacity a key is absent but still has an owner to charge:
+    // the placement's, not the key map's.
+    for (const uint64_t k : {uint64_t{300}, uint64_t{301}, uint64_t{4096},
+                             uint64_t{1} << 40, ~uint64_t{0}}) {
+      EXPECT_EQ(store.Lookup(k), nullptr);
+      EXPECT_EQ(store.ShardOf(k), placement.ShardOf(k))
+          << PlacementPolicyName(policy) << " key " << k;
     }
   }
 }

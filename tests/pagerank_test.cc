@@ -164,6 +164,38 @@ TEST(AmpcPageRankTest, UsesOneShuffleAndIsSchedulingDeterministic) {
   EXPECT_EQ(first.total_steps, second.total_steps);
 }
 
+// Pins the charged costs of a dense AmpcMonteCarloPageRank run, whose
+// walk rounds are multi-step pull rounds: every step opens a fresh
+// exchange, so a worker's dedup must forget exactly the previous step's
+// keys. The values were recorded with the earlier hash-table dedup and
+// per-record write counters.
+TEST(AmpcPageRankTest, ChargedCostsMatchParent) {
+  const Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(4096, 32768, 11));
+  sim::ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  config.frontier.mode = FrontierMode::kDense;
+  sim::Cluster cluster(config);
+  core::AmpcMonteCarloPageRank(cluster, g);
+  const Metrics& m = cluster.metrics();
+  // kv_reads, kv_read_bytes, frontier_exchange_bytes,
+  // frontier_broadcast_bytes, kv_writes, kv_write_bytes,
+  // kv_hot_machine_read_bytes, kv_hot_machine_write_bytes, rounds.
+  EXPECT_EQ((std::vector<int64_t>{m.Get("kv_reads"),
+                                  m.Get("kv_read_bytes"),
+                                  m.Get("frontier_exchange_bytes"),
+                                  m.Get("frontier_broadcast_bytes"),
+                                  m.Get("kv_writes"),
+                                  m.Get("kv_write_bytes"),
+                                  m.Get("kv_hot_machine_read_bytes"),
+                                  m.Get("kv_hot_machine_write_bytes"),
+                                  m.Get("rounds")}),
+            (std::vector<int64_t>{371388, 23962148, 23962148, 34304, 4096,
+                                  327040, 6272568, 85332, 3}));
+  EXPECT_DOUBLE_EQ(cluster.SimSeconds(), 0.175808441);
+}
+
 TEST(AmpcPageRankTest, HandlesDanglingVertices) {
   graph::EdgeList list;
   list.num_nodes = 5;
