@@ -71,7 +71,6 @@ void GridCell::ApplyTo(sim::ClusterConfig& config) const {
   config.query_cache.enabled = cache;
   config.multithreading = multithreading;
   config.pipeline_depth = depth;
-  config.auto_tune.enabled = auto_tune;
 }
 
 std::vector<GridCell> ConfigGrid(const GridAxes& axes) {
@@ -82,45 +81,39 @@ std::vector<GridCell> ConfigGrid(const GridAxes& axes) {
         for (const bool cache : axes.cache) {
           for (const bool multithreading : axes.multithreading) {
             for (const int depth : axes.depth) {
-              for (const bool auto_tune : axes.auto_tune) {
-                GridCell cell;
-                cell.placement = placement;
-                cell.frontier = frontier;
-                cell.batch = batch;
-                cell.cache = cache;
-                cell.multithreading = multithreading;
-                cell.depth = depth;
-                cell.auto_tune = auto_tune;
-                std::vector<std::string> parts;
-                if (axes.placement.size() > 1) {
-                  parts.push_back(kv::PlacementPolicyName(placement));
-                }
-                if (axes.frontier.size() > 1) {
-                  parts.push_back(FrontierModeName(frontier));
-                }
-                if (axes.batch.size() > 1) {
-                  parts.push_back(batch ? "batch" : "nobatch");
-                }
-                if (axes.cache.size() > 1) {
-                  parts.push_back(cache ? "cache" : "nocache");
-                }
-                if (axes.multithreading.size() > 1) {
-                  parts.push_back(multithreading ? "mt" : "nomt");
-                }
-                if (axes.depth.size() > 1) {
-                  parts.push_back("depth" + std::to_string(depth));
-                }
-                if (axes.auto_tune.size() > 1) {
-                  parts.push_back(auto_tune ? "auto" : "manual");
-                }
-                std::string label;
-                for (const std::string& part : parts) {
-                  if (!label.empty()) label += "+";
-                  label += part;
-                }
-                cell.label = label.empty() ? "default" : label;
-                cells.push_back(std::move(cell));
+              GridCell cell;
+              cell.placement = placement;
+              cell.frontier = frontier;
+              cell.batch = batch;
+              cell.cache = cache;
+              cell.multithreading = multithreading;
+              cell.depth = depth;
+              std::vector<std::string> parts;
+              if (axes.placement.size() > 1) {
+                parts.push_back(kv::PlacementPolicyName(placement));
               }
+              if (axes.frontier.size() > 1) {
+                parts.push_back(FrontierModeName(frontier));
+              }
+              if (axes.batch.size() > 1) {
+                parts.push_back(batch ? "batch" : "nobatch");
+              }
+              if (axes.cache.size() > 1) {
+                parts.push_back(cache ? "cache" : "nocache");
+              }
+              if (axes.multithreading.size() > 1) {
+                parts.push_back(multithreading ? "mt" : "nomt");
+              }
+              if (axes.depth.size() > 1) {
+                parts.push_back("depth" + std::to_string(depth));
+              }
+              std::string label;
+              for (const std::string& part : parts) {
+                if (!label.empty()) label += "+";
+                label += part;
+              }
+              cell.label = label.empty() ? "default" : label;
+              cells.push_back(std::move(cell));
             }
           }
         }
@@ -150,8 +143,10 @@ void PrintHeader(const std::string& title,
   std::printf("\n");
 }
 
+// Each cell fills 16 columns; a cell of 16 or more characters is
+// followed by one space instead, so it never runs into the next one.
 void PrintRow(const std::vector<std::string>& cells) {
-  for (const std::string& c : cells) std::printf("%-16s", c.c_str());
+  for (const std::string& c : cells) std::printf("%-15s ", c.c_str());
   std::printf("\n");
 }
 

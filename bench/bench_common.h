@@ -43,12 +43,10 @@ std::vector<Dataset> LoadDatasets(int max_datasets = 5);
 sim::ClusterConfig BenchConfig(int64_t num_arcs);
 
 /// The optimization-grid axes a bench sweeps. Every axis defaults to a
-/// singleton (the standard benchmark value), so a bench declares only
-/// the axes it varies and ConfigGrid enumerates the cross product —
-/// the per-variant config-flipping previously repeated across
-/// micro_lookup/micro_cache/micro_pipeline/fig4, declared once. New
-/// axes (e.g. the tuner) are added here and every grid bench can sweep
-/// them without new plumbing.
+/// singleton holding the ClusterConfig default, so a bench declares
+/// only the axes it varies and ConfigGrid enumerates the cross product
+/// — the per-variant config-flipping of micro_lookup, micro_cache,
+/// micro_pipeline and fig4, declared once.
 struct GridAxes {
   std::vector<kv::PlacementPolicy> placement = {kv::PlacementPolicy::kHash};
   std::vector<FrontierMode> frontier = {FrontierMode::kSparse};
@@ -56,7 +54,6 @@ struct GridAxes {
   std::vector<bool> cache = {true};
   std::vector<bool> multithreading = {true};
   std::vector<int> depth = {4};
-  std::vector<bool> auto_tune = {false};
 };
 
 /// One cell of the cross product: the knob values plus a label naming
@@ -68,7 +65,6 @@ struct GridCell {
   bool cache = true;
   bool multithreading = true;
   int depth = 4;
-  bool auto_tune = false;
   std::string label;
 
   /// Writes the cell's knobs into `config` (only the grid axes; the
@@ -79,7 +75,7 @@ struct GridCell {
 
 /// Enumerates the cross product of `axes`, outermost axis first in the
 /// declaration order of GridAxes (placement, frontier, batch, cache,
-/// multithreading, depth, auto_tune); each axis iterates in the order
+/// multithreading, depth); each axis iterates in the order
 /// its values were given. Cell labels name only the varying axes.
 std::vector<GridCell> ConfigGrid(const GridAxes& axes);
 

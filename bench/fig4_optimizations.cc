@@ -1,28 +1,26 @@
 // fig4_optimizations — the Figure 4 optimization grid on all six
-// adaptive cores, with an auto-tuned column.
+// adaptive cores.
 //
 // The paper's Figure 4 ablates caching and multithreading on four
-// algorithms; PRs 2–7 grew the optimization surface to five axes
-// (batching, caching, multithreading, pipeline depth, placement policy,
-// plus the frontier engine's push/pull mode), and this bench sweeps the
-// full grid on every adaptive core: mis, msf, kcore, pagerank,
-// connectivity, and 1-vs-2-cycle, each on a workload shaped to its
-// access pattern. Alongside the hand-picked grid runs one *auto-tuned*
-// job per core — ClusterConfig::auto_tune.enabled, everything else the
-// stock BenchConfig — whose probe rounds are charged through the same
-// simulated clock as the work they do.
+// algorithms; this library's optimization surface has grown to five
+// axes (batching, caching, multithreading, pipeline depth, placement
+// policy, plus the frontier engine's push/pull mode), and this bench
+// sweeps the full grid on every adaptive core: mis, msf, kcore,
+// pagerank, connectivity, and 1-vs-2-cycle, each on a workload shaped
+// to its access pattern.
 //
 // The run FAILS (exit 1) if, on any core:
-//   * the auto-tuned job is not within kAutoTolerance (5%) of the best
-//     hand-picked cell's simulated time, probe overhead included — the
-//     AutoTuner's acceptance bar (ROADMAP item 5); or
-//   * any cell (or the auto-tuned job) returns outputs that are not
-//     bit-identical to the first cell's — every axis, the tuner
-//     included, must stay strictly a cost decision.
+//   * the default cell — the grid cell whose knobs equal the stock
+//     BenchConfig's (batch, hash, sparse, cache, mt, depth 4), i.e. the
+//     configuration a job runs when no knob is set — is not within
+//     kDefaultTolerance (5%) of the best cell's simulated time; or
+//   * any cell returns outputs that are not bit-identical to the first
+//     cell's — every axis must stay strictly a cost decision.
+// The default cell is read from the grid itself, so the gate costs no
+// extra run.
 //
 // Writes BENCH_fig4.json: the per-core grid (simulated seconds and KV
-// read bytes per cell, read via Metrics::DeltaSince), the best cell,
-// and the auto-tuned column with its probe-round bill.
+// read bytes per cell), the best cell, and the default cell.
 //
 //   AMPC_BENCH_SCALE   scales every workload (default 1.0)
 #include <algorithm>
@@ -50,7 +48,7 @@ using ampc::bench::GridAxes;
 using ampc::bench::GridCell;
 
 constexpr uint64_t kSeed = 42;
-constexpr double kAutoTolerance = 1.05;
+constexpr double kDefaultTolerance = 1.05;
 
 // One core's workload and output serialization. The runner executes the
 // algorithm on the given cluster and returns its output as bytes — the
@@ -83,28 +81,27 @@ struct RunOutcome {
   double sim_sec = 0;
   int64_t kv_read_bytes = 0;
   std::vector<uint8_t> output;
-  int64_t probe_rounds = 0;
-  double probe_sim_sec = 0;
-  std::string tuner_summary;
 };
 
 RunOutcome RunOnce(const CoreSpec& core, const ampc::sim::ClusterConfig& config) {
   ampc::sim::Cluster cluster(config);
-  // Per-variant telemetry via the snapshot/delta API (the cluster is
-  // fresh, but the delta form is what phase-scoped readers use).
-  const ampc::MetricsSnapshot before = cluster.metrics().Snapshot();
   RunOutcome outcome;
   outcome.output = core.run(cluster);
-  const ampc::MetricsSnapshot delta = cluster.metrics().DeltaSince(before);
   outcome.sim_sec = cluster.SimSeconds();
-  const auto it = delta.counters.find("kv_read_bytes");
-  outcome.kv_read_bytes = it == delta.counters.end() ? 0 : it->second;
-  if (cluster.auto_tuner() != nullptr) {
-    outcome.probe_rounds = cluster.metrics().Get("autotune_probe_rounds");
-    outcome.probe_sim_sec = cluster.metrics().GetTime("sim:autotune_probe");
-    outcome.tuner_summary = cluster.auto_tuner()->DecisionSummary();
-  }
+  outcome.kv_read_bytes = cluster.metrics().Get("kv_read_bytes");
   return outcome;
+}
+
+// Whether `cell` sets every grid knob to its value in `stock`: the
+// configuration a job runs when no knob is set.
+bool IsDefaultCell(const GridCell& cell,
+                   const ampc::sim::ClusterConfig& stock) {
+  return cell.placement == stock.placement_policy &&
+         cell.frontier == stock.frontier.mode &&
+         cell.batch == stock.batch_lookups &&
+         cell.cache == stock.query_cache.enabled &&
+         cell.multithreading == stock.multithreading &&
+         cell.depth == stock.pipeline_depth;
 }
 
 // The pruned hand-picked grid: with batching off, depth/placement/
@@ -209,9 +206,8 @@ int main() {
     std::string best_label;
     double best_sim = 0;
     double worst_sim = 0;
-    double auto_sim = 0;
-    int64_t auto_probe_rounds = 0;
-    double auto_probe_sim = 0;
+    std::string default_label;
+    double default_sim = 0;
   };
   std::vector<CoreReport> reports;
 
@@ -220,8 +216,9 @@ int main() {
     report.name = core.name;
     std::vector<uint8_t> reference_output;
     bool have_reference = false;
+    const sim::ClusterConfig stock = BenchConfig(core.num_arcs);
     for (const GridCell& cell : CoreGrid(core.frontier_core)) {
-      sim::ClusterConfig config = BenchConfig(core.num_arcs);
+      sim::ClusterConfig config = stock;
       cell.ApplyTo(config);
       const RunOutcome outcome = RunOnce(core, config);
       if (!have_reference) {
@@ -243,58 +240,44 @@ int main() {
         }
         report.worst_sim = std::max(report.worst_sim, outcome.sim_sec);
       }
+      if (IsDefaultCell(cell, stock)) {
+        report.default_label = cell.label;
+        report.default_sim = outcome.sim_sec;
+      }
       report.grid.push_back(
           CellResult{cell.label, outcome.sim_sec, outcome.kv_read_bytes});
     }
-
-    // The auto-tuned column: stock config + the tuner; probe rounds are
-    // real rounds on the same simulated clock.
-    sim::ClusterConfig auto_config = BenchConfig(core.num_arcs);
-    auto_config.auto_tune.enabled = true;
-    const RunOutcome auto_outcome = RunOnce(core, auto_config);
-    if (auto_outcome.output != reference_output) {
-      std::fprintf(stderr,
-                   "FATAL: %s auto-tuned run changed the output — tuning "
-                   "must be strictly a cost decision\n",
-                   core.name);
+    if (report.default_label.empty()) {
+      std::fprintf(stderr, "FATAL: %s grid has no default cell\n", core.name);
       return 1;
     }
-    report.auto_sim = auto_outcome.sim_sec;
-    report.auto_probe_rounds = auto_outcome.probe_rounds;
-    report.auto_probe_sim = auto_outcome.probe_sim_sec;
     reports.push_back(std::move(report));
-
-    std::printf("[%s] tuner decisions:\n%s\n", core.name,
-                auto_outcome.tuner_summary.c_str());
   }
 
-  PrintHeader(
-      "Figure 4: optimization grid + auto-tuned column (simulated seconds)",
-      {"core", "best cell", "best", "worst", "auto", "auto/best",
-       "probe rounds"});
+  PrintHeader("Figure 4: optimization grid (simulated seconds)",
+              {"core", "best cell", "best", "worst", "default",
+               "default/best"});
   bool failed = false;
   for (const CoreReport& report : reports) {
-    const double ratio = report.auto_sim / report.best_sim;
     PrintRow({report.name, report.best_label, FmtDouble(report.best_sim, 4),
-              FmtDouble(report.worst_sim, 4), FmtDouble(report.auto_sim, 4),
-              FmtDouble(ratio, 4), FmtInt(report.auto_probe_rounds)});
-    if (report.auto_sim > kAutoTolerance * report.best_sim) {
+              FmtDouble(report.worst_sim, 4), FmtDouble(report.default_sim, 4),
+              FmtDouble(report.default_sim / report.best_sim, 4)});
+    if (report.default_sim > kDefaultTolerance * report.best_sim) {
       std::fprintf(stderr,
-                   "FATAL: %s auto-tuned run %.4fs exceeds %.0f%% of the "
-                   "best hand-picked cell '%s' (%.4fs), probe overhead "
-                   "included\n",
-                   report.name.c_str(), report.auto_sim,
-                   (kAutoTolerance - 1.0) * 100.0, report.best_label.c_str(),
-                   report.best_sim);
+                   "FATAL: %s default cell '%s' %.4fs exceeds %.0f%% of the "
+                   "best cell '%s' (%.4fs)\n",
+                   report.name.c_str(), report.default_label.c_str(),
+                   report.default_sim, (kDefaultTolerance - 1.0) * 100.0,
+                   report.best_label.c_str(), report.best_sim);
       failed = true;
     }
   }
   PrintPaperNote(
       "Figure 4 ablates caching and multithreading; the grown grid adds "
       "batching, pipeline depth, placement, and frontier mode. The "
-      "auto-tuned column lands within a few percent of the best "
-      "hand-picked cell on every core without a human sweeping the grid "
-      "(ROADMAP item 5), with probe rounds charged on the same clock.");
+      "default cell (batch, hash, sparse, cache, mt, depth 4), which a "
+      "job runs when no knob is set, lands within 5% of the best cell on "
+      "every core.");
   if (failed) return 1;
 
   FILE* out = std::fopen("BENCH_fig4.json", "w");
@@ -305,23 +288,21 @@ int main() {
   std::fprintf(out,
                "{\n"
                "  \"bench\": \"fig4_optimizations\",\n"
-               "  \"auto_tolerance\": %.2f,\n"
+               "  \"default_tolerance\": %.2f,\n"
                "  \"cores\": [\n",
-               kAutoTolerance);
+               kDefaultTolerance);
   for (size_t c = 0; c < reports.size(); ++c) {
     const CoreReport& report = reports[c];
     std::fprintf(out,
                  "    {\"core\": \"%s\", \"best_label\": \"%s\", "
                  "\"best_sim_sec\": %.9f, \"worst_sim_sec\": %.9f, "
-                 "\"auto_sim_sec\": %.9f, \"auto_over_best\": %.4f, "
-                 "\"auto_probe_rounds\": %lld, "
-                 "\"auto_probe_sim_sec\": %.9f,\n"
+                 "\"default_label\": \"%s\", \"default_sim_sec\": %.9f, "
+                 "\"default_over_best\": %.4f,\n"
                  "     \"grid\": [\n",
                  report.name.c_str(), report.best_label.c_str(),
-                 report.best_sim, report.worst_sim, report.auto_sim,
-                 report.auto_sim / report.best_sim,
-                 static_cast<long long>(report.auto_probe_rounds),
-                 report.auto_probe_sim);
+                 report.best_sim, report.worst_sim,
+                 report.default_label.c_str(), report.default_sim,
+                 report.default_sim / report.best_sim);
     for (size_t i = 0; i < report.grid.size(); ++i) {
       const CellResult& cell = report.grid[i];
       std::fprintf(out,

@@ -7,20 +7,6 @@
 
 namespace ampc {
 
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
-  MetricsSnapshot out;
-  for (const auto& [name, value] : counters) {
-    auto it = earlier.counters.find(name);
-    out.counters[name] = value - (it == earlier.counters.end() ? 0 : it->second);
-  }
-  for (const auto& [name, value] : timers_sec) {
-    auto it = earlier.timers_sec.find(name);
-    out.timers_sec[name] =
-        value - (it == earlier.timers_sec.end() ? 0.0 : it->second);
-  }
-  return out;
-}
-
 std::string MetricsSnapshot::ToString() const {
   std::ostringstream os;
   for (const auto& [name, value] : counters) {
@@ -89,10 +75,6 @@ MetricsSnapshot Metrics::Snapshot() const {
         static_cast<double>(cell->nanos.load(std::memory_order_relaxed)) * 1e-9;
   }
   return snap;
-}
-
-MetricsSnapshot Metrics::DeltaSince(const MetricsSnapshot& earlier) const {
-  return Snapshot().Delta(earlier);
 }
 
 void Metrics::Reset() {

@@ -16,12 +16,11 @@
 
 namespace ampc {
 
-/// Snapshot of all counters at a point in time; subtractable for deltas.
+/// Snapshot of all counters at a point in time.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, double> timers_sec;
 
-  MetricsSnapshot Delta(const MetricsSnapshot& earlier) const;
   std::string ToString() const;
 };
 
@@ -49,8 +48,6 @@ struct MetricsSnapshot {
 ///                         fully cache-served window sends none)
 ///   "kv_peak_inflight_keys"  watermark: most keys any worker held in
 ///                         flight at once (pipelining memory cost)
-///   "autotune_probe_rounds"  query-bearing rounds run under the
-///                         AutoTuner's A/B probe schedule
 ///   "machines_lost"       injected machine failures absorbed so far
 ///   "domains_lost"        correlated domain (rack) failures absorbed —
 ///                         each counts once however many machines it
@@ -79,8 +76,7 @@ struct MetricsSnapshot {
 ///                         aggregate exchanges (the pull-side analogue
 ///                         of per-lookup read bytes)
 /// Timers: "sim:<phase>" and "wall:<phase>" (simulated and host seconds
-/// of each phase's rounds), "sim_total" and "wall_total" (their sums),
-/// "sim:autotune_probe" (simulated seconds of the tuner's probe rounds).
+/// of each phase's rounds), "sim_total" and "wall_total" (their sums).
 /// Fault-model timers: "sim:recovery" (total recovery time charged),
 /// "recovery_replay_seconds" (its replay component, excluding replica
 /// streams and checkpoint restores), "sim:checkpoint" (checkpoint
@@ -110,13 +106,6 @@ class Metrics {
 
   /// Atomically reads every counter and timer.
   MetricsSnapshot Snapshot() const;
-
-  /// The change since `earlier` (a snapshot taken from this registry):
-  /// Snapshot().Delta(earlier) as one call. The first-class way to read
-  /// per-phase telemetry — the AutoTuner's round signals and the
-  /// benches' per-variant deltas both consume this instead of diffing
-  /// raw counters by hand.
-  MetricsSnapshot DeltaSince(const MetricsSnapshot& earlier) const;
 
   /// Zeroes all counters and timers.
   void Reset();

@@ -51,91 +51,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   for (int s = 0; s < config_.num_machines; ++s) {
     replicas_.push_back(placement.ReplicasOfShard(s).machines);
   }
-  if (config_.auto_tune.enabled) {
-    TunedKnobs base;
-    base.placement_policy = config_.placement_policy;
-    base.pipeline_depth = config_.pipeline_depth;
-    base.max_batch_keys = config_.max_batch_keys;
-    base.query_cache_capacity = config_.query_cache.capacity;
-    base.frontier_mode = config_.frontier.mode;
-    tuner_ = std::make_unique<AutoTuner>(config_.auto_tune, base,
-                                         config_.query_cache.enabled);
-  }
-}
-
-Cluster::TuneScope Cluster::AutoTuneBeginRound() {
-  TuneScope scope;
-  if (tuner_ == nullptr) return scope;
-  // Idempotent between probe steps; cheap when nothing changed.
-  ApplyTunedKnobs(tuner_->KnobsForNextRound());
-  scope.before = metrics_.Snapshot();
-  scope.active = true;
-  return scope;
-}
-
-void Cluster::AutoTuneEndRound(const TuneScope& scope, int64_t key_space,
-                               int64_t items) {
-  if (!scope.active) return;
-  const MetricsSnapshot delta = metrics_.DeltaSince(scope.before);
-  const auto counter = [&delta](const char* name) -> int64_t {
-    const auto it = delta.counters.find(name);
-    return it == delta.counters.end() ? 0 : it->second;
-  };
-  const auto timer = [&delta](const char* name) -> double {
-    const auto it = delta.timers_sec.find(name);
-    return it == delta.timers_sec.end() ? 0.0 : it->second;
-  };
-  RoundSignals signals;
-  signals.key_space = key_space;
-  signals.items = items;
-  signals.kv_queries = counter("kv_reads");
-  signals.kv_lookup_trips = counter("kv_lookup_trips");
-  signals.kv_batches = counter("kv_batches");
-  signals.cache_hits = counter("cache_hits");
-  signals.cache_misses = counter("cache_misses");
-  // A watermark, not a delta (SettleMapPhase tops it up).
-  signals.peak_inflight_keys = metrics_.Get("kv_peak_inflight_keys");
-  signals.kv_read_bytes = counter("kv_read_bytes");
-  signals.hot_machine_read_bytes = counter("kv_hot_machine_read_bytes");
-  // The data-dependent component the knobs actually move: the round's
-  // sim time minus any recovery/checkpoint charges that settled inside
-  // it and minus the fixed spawn constant.
-  const double round_sim =
-      timer("sim_total") - timer("sim:recovery") - timer("sim:checkpoint");
-  signals.data_sim_seconds =
-      std::max(0.0, round_sim - config_.round_spawn_sec);
-  // The honestly charged probe bill: every query-bearing round spent
-  // under the A/B schedule, in rounds and in simulated seconds.
-  if (tuner_->probing() && signals.kv_queries > 0 &&
-      signals.data_sim_seconds > 0) {
-    metrics_.Add("autotune_probe_rounds", 1);
-    metrics_.AddTime("sim:autotune_probe", round_sim);
-  }
-  tuner_->ObserveRound(signals);
-}
-
-void Cluster::ApplyTunedKnobs(const TunedKnobs& knobs) {
-  if (knobs.placement_policy != config_.placement_policy) {
-    // Swapping placement retires the old policy (stores minted under it
-    // keep serving; MachineContext::CheckStoreMatchesCluster accepts
-    // any retired placement) and drops the shard-map LRU so the next
-    // MakeStore builds under the new assignment. Runs strictly between
-    // rounds — no worker is in flight — but the LRU lock is held
-    // anyway to pair with ShardMapFor's const-path locking.
-    std::lock_guard<std::mutex> lock(shard_map_mu_);
-    if (std::find(retired_policies_.begin(), retired_policies_.end(),
-                  config_.placement_policy) == retired_policies_.end()) {
-      retired_policies_.push_back(config_.placement_policy);
-    }
-    shard_maps_.clear();
-    shard_map_recency_.clear();
-    config_.placement_policy = knobs.placement_policy;
-  }
-  config_.pipeline_depth = knobs.pipeline_depth;
-  config_.max_batch_keys = knobs.max_batch_keys;
-  config_.query_cache.capacity = knobs.query_cache_capacity;
-  // Never changes after the rule layer; kept in lockstep for coherence.
-  config_.frontier.mode = knobs.frontier_mode;
 }
 
 void Cluster::RecordRound(const std::string& phase, double sim,
@@ -729,9 +644,6 @@ void Cluster::RunMapPhaseImpl(
     const std::function<void(std::span<const int64_t>, MachineContext&)>&
         slice_fn,
     bool pull) {
-  // Before anything reads the placement: the tuner may hot-swap knobs
-  // (including placement_policy) for the coming round.
-  const TuneScope tune_scope = AutoTuneBeginRound();
   WallTimer timer;
   const int num_machines = config_.num_machines;
   // The work list: all of [0, key_space), or the caller's explicit
@@ -865,7 +777,6 @@ void Cluster::RunMapPhaseImpl(
     latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
   }
   SettleMapPhase(phase, tallies, timer.Seconds(), key_space, pull);
-  AutoTuneEndRound(tune_scope, key_space, n);
 }
 
 }  // namespace ampc::sim

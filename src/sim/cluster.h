@@ -90,7 +90,6 @@
 #include "kv/placement.h"
 #include "kv/query_cache.h"
 #include "kv/sharded_store.h"
-#include "sim/autotuner.h"
 #include "sim/faults.h"
 
 namespace ampc::sim {
@@ -118,20 +117,15 @@ struct ClusterConfig {
   /// (counted via cache_hits; no round trip, no owner bytes) and
   /// duplicate keys within one batch are fetched once. Algorithms park
   /// derived per-key facts in MakeMachineCaches() instances under the
-  /// same budget. Every entry is valid only under the epoch
-  /// MachineContext::CacheEpoch returns, so a write phase or a kill of
-  /// the machine invalidates it. Disabling it reverts to the uncached
-  /// client without changing any returned value — the caching axis of
-  /// the Figure-4 ablation grid.
+  /// same budget (Cluster::kQueryCacheCapacity). Every entry is valid
+  /// only under the epoch MachineContext::CacheEpoch returns, so a
+  /// write phase or a kill of the machine invalidates it. Disabling it
+  /// reverts to the uncached client without changing any returned
+  /// value — the caching axis of the Figure-4 ablation grid.
   struct QueryCacheConfig {
     /// false disables caching entirely — the uncached historical
     /// client, bit-identical outputs, cost-only difference.
     bool enabled = true;
-    /// Cached entries per machine (per store, and per derived-fact
-    /// cache set minted by MakeMachineCaches), evicted least recently
-    /// used first. Cost-only: capacity never changes returned values,
-    /// just the hit rate.
-    int64_t capacity = 1 << 16;
   };
   QueryCacheConfig query_cache;
   /// Batches DHT reads issued through MachineContext::LookupMany into one
@@ -292,16 +286,6 @@ struct ClusterConfig {
     double beta = FrontierPolicy::kDefaultBeta;
   };
   FrontierConfig frontier;
-  /// The telemetry-driven AutoTuner (sim/autotuner.h): probe-then-commit
-  /// auto-configuration of placement_policy, pipeline_depth,
-  /// max_batch_keys, query_cache.capacity, and frontier.mode. Off by
-  /// default — the historical cost model is reproduced byte-identically
-  /// and no tuner is constructed. When enabled, the tuner's rule layer
-  /// may rewrite the knobs above at construction (frontier kSparse ->
-  /// kHybrid) and its probe layer hot-swaps them between rounds; every
-  /// knob it moves is a value-neutral ablation toggle, so outputs never
-  /// change — only the simulated cost.
-  AutoTuneConfig auto_tune;
   /// Seed from which all algorithmic randomness is derived. Outputs are
   /// a pure function of (input, seed, config): rerunning any seed
   /// reproduces its outputs bit-identically on any machine.
@@ -359,8 +343,7 @@ class Cluster {
   /// (DrainMachine); from then on work items and server-side charges of
   /// a migrated shard follow its new host while the base-shard-indexed
   /// slot tables of every live store keep serving unchanged. Mutated
-  /// only between rounds (same discipline as the tuner's retired
-  /// placements), read concurrently by workers.
+  /// only between rounds, read concurrently by workers.
   int HostOf(int shard) const { return shard_hosts_[shard]; }
 
   /// The machine that owns key/item `key` in a key space of `capacity`
@@ -370,6 +353,12 @@ class Cluster {
   int MachineOf(uint64_t key, int64_t capacity) const {
     return HostOf(PlacementFor(capacity).ShardOf(key));
   }
+
+  /// Entries each machine's query cache holds (per store, and per
+  /// derived-fact cache set minted by MakeMachineCaches), evicted least
+  /// recently used first. Cost-only: it moves the hit rate, never a
+  /// returned value.
+  static constexpr int64_t kQueryCacheCapacity = 1 << 16;
 
   /// Creates a DHT store for keys [0, capacity) sharded across this
   /// cluster's machines (shard s = machine s). The key assignment is a
@@ -382,14 +371,14 @@ class Cluster {
   kv::ShardedStore<V> MakeStore(int64_t capacity) const {
     kv::ShardedStore<V> store(ShardMapFor(capacity));
     if (config_.query_cache.enabled) {
-      store.EnableQueryCache(config_.query_cache.capacity);
+      store.EnableQueryCache(kQueryCacheCapacity);
     }
     return store;
   }
 
   /// Per-machine bounded caches for *derived* per-key facts (mis's
-  /// three-valued vertex states, matching's status words), sized by the
-  /// query_cache config. Disabled config => every ForMachine() is
+  /// three-valued vertex states, matching's status words), sized by
+  /// kQueryCacheCapacity. Disabled config => every ForMachine() is
   /// nullptr and algorithms fall back to uncached resolution. Callers
   /// stamp entries with MachineContext::CacheEpoch of the store the
   /// facts derive from, so they die with a write to it and with a kill
@@ -401,8 +390,7 @@ class Cluster {
   template <typename V>
   kv::MachineCaches<V> MakeMachineCaches() const {
     if (!config_.query_cache.enabled) return {};
-    return kv::MachineCaches<V>(config_.num_machines,
-                                config_.query_cache.capacity);
+    return kv::MachineCaches<V>(config_.num_machines, kQueryCacheCapacity);
   }
 
   /// Per-machine byte attribution for sharded-shuffle accounting:
@@ -648,29 +636,6 @@ class Cluster {
     return replicas_[shard].size() > 1 ? HostOf(replicas_[shard][1]) : -1;
   }
 
-  /// The AutoTuner driving this cluster's knobs, or nullptr when
-  /// config.auto_tune.enabled is false. Read-only: the cluster owns the
-  /// observe/apply cycle.
-  const AutoTuner* auto_tuner() const { return tuner_.get(); }
-
-  /// Whether `placement` is a placement this cluster could have handed a
-  /// MakeStore(capacity) store: the *current* one, or one minted under a
-  /// policy the tuner has since retired. Stores outlive tuner hot-swaps
-  /// (algorithms hold them across rounds), so the consistency check in
-  /// MachineContext accepts both — the store keeps serving under the
-  /// placement it was built with, and cost charging follows the store's
-  /// own ShardOf, so the model stays coherent either way.
-  bool AcceptsStorePlacement(const kv::Placement& placement,
-                             int64_t capacity) const {
-    if (placement == PlacementFor(capacity)) return true;
-    for (const kv::PlacementPolicy retired : retired_policies_) {
-      kv::Placement p = PlacementFor(capacity);
-      p.policy = retired;
-      if (placement == p) return true;
-    }
-    return false;
-  }
-
  private:
   friend class MachineContext;
 
@@ -837,28 +802,10 @@ class Cluster {
   // round). 1.0 for KV-free rounds — spawn/compute rounds replay whole.
   double ReplaySliceShare(size_t round, int machine) const;
 
-  // The per-round tuner handshake. BeginRound applies the knobs the
-  // tuner wants the coming round to run under and snapshots the
-  // metrics; EndRound feeds the round's telemetry delta back. Both are
-  // no-ops (active == false) without a tuner, keeping the historical
-  // path free of even a snapshot.
-  struct TuneScope {
-    MetricsSnapshot before;
-    bool active = false;
-  };
-  TuneScope AutoTuneBeginRound();
-  void AutoTuneEndRound(const TuneScope& scope, int64_t key_space,
-                        int64_t items);
-  // Copies `knobs` into config_ between rounds. A placement change
-  // retires the old policy and clears the shard-map LRU so the next
-  // MakeStore mints under the new assignment; the other knobs are read
-  // live by MachineContext and take effect immediately.
-  void ApplyTunedKnobs(const TunedKnobs& knobs);
-
   // The cached key assignment for stores of `capacity` (see MakeStore).
   std::shared_ptr<const kv::ShardMap> ShardMapFor(int64_t capacity) const;
 
-  ClusterConfig config_;
+  const ClusterConfig config_;
   Metrics metrics_;
   std::unique_ptr<ThreadPool> pool_;
   // Every charged round, in order (RecordRound/ExtendLastRound).
@@ -883,8 +830,7 @@ class Cluster {
   // replicas_[s]: the machines holding base shard s, primary first
   // (the placement's replica set; just {s} at replication 1).
   // Replica sets are pure functions of (seed, machines, replication,
-  // domain width) — none of which the tuner ever moves — so the table
-  // is built once and fixed for the cluster's lifetime.
+  // domain width), so the table is built once with the cluster.
   std::vector<std::vector<int>> replicas_;
   StragglerModel straggler_;
   // Per-machine KV bytes captured by the last checkpoint and the
@@ -905,14 +851,6 @@ class Cluster {
   mutable std::unordered_map<int64_t, std::shared_ptr<const kv::ShardMap>>
       shard_maps_;
   mutable std::vector<int64_t> shard_map_recency_;  // back = most recent
-  // The probe-then-commit tuner (null unless config.auto_tune.enabled)
-  // and the placement policies it has moved away from. Stores minted
-  // before a swap keep serving under the old policy
-  // (AcceptsStorePlacement). Grown only between rounds
-  // (ApplyTunedKnobs), read concurrently by workers — safe because no
-  // round is in flight while it grows.
-  std::unique_ptr<AutoTuner> tuner_;
-  std::vector<kv::PlacementPolicy> retired_policies_;
 };
 
 /// Per-(machine, worker) handle passed to map-phase functions. KV lookups
@@ -1228,10 +1166,7 @@ class MachineContext {
   void CheckStoreMatchesCluster(const kv::ShardedStore<V>& store) const {
     AMPC_CHECK_EQ(store.num_shards(), cluster_->config().num_machines)
         << "store sharding disagrees with the cluster (use MakeStore)";
-    // Current placement, or one the tuner retired mid-run (stores
-    // outlive hot-swaps; see Cluster::AcceptsStorePlacement).
-    AMPC_CHECK(cluster_->AcceptsStorePlacement(store.placement(),
-                                               store.capacity()))
+    AMPC_CHECK(store.placement() == cluster_->PlacementFor(store.capacity()))
         << "store placement disagrees with the cluster (use MakeStore)";
   }
 
@@ -1462,7 +1397,6 @@ void Cluster::RunKvWritePhase(const std::string& phase,
                               Producer producer) {
   AMPC_CHECK_EQ(store.num_shards(), config_.num_machines)
       << "store must be sharded per machine (create it with MakeStore)";
-  const TuneScope tune_scope = AutoTuneBeginRound();
   WallTimer timer;
   // Stores are write-once but may take several write phases (one per key
   // range), so charge the per-shard *delta* of this phase.
@@ -1487,7 +1421,6 @@ void Cluster::RunKvWritePhase(const std::string& phase,
     writes[m] = store.ShardSize(m) - writes_before[m];
   }
   SettleKvWritePhase(phase, writes, bytes, wall);
-  AutoTuneEndRound(tune_scope, /*key_space=*/n, /*items=*/n);
 }
 
 }  // namespace ampc::sim

@@ -200,6 +200,30 @@ TEST(ClusterTest, MakeStoreShardingMatchesMachineOf) {
   }
 }
 
+// A read through MachineContext checks that the store was minted by a
+// cluster of the same sharding and placement: a foreign store's ShardOf
+// would route the read's charges to the wrong machines.
+TEST(ClusterDeathTest, LookupRejectsAStoreFromAnotherCluster) {
+  // The lookups run on pool threads; re-executing the binary for each
+  // death test keeps the child process from forking with live threads.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto read_store_minted_by = [](const ClusterConfig& minter) {
+    Cluster source(minter);
+    kv::ShardedStore<int64_t> store = source.MakeStore<int64_t>(100);
+    source.RunKvWritePhase("w", store, 100, [](int64_t k) { return k; });
+    Cluster cluster(TestConfig());
+    cluster.RunMapPhase("r", 100, [&](int64_t item, MachineContext& ctx) {
+      ctx.Lookup(store, static_cast<uint64_t>(item));
+    });
+  };
+  ClusterConfig range = TestConfig();
+  range.placement_policy = kv::PlacementPolicy::kRange;
+  EXPECT_DEATH(read_store_minted_by(range), "store placement disagrees");
+  ClusterConfig wider = TestConfig();
+  wider.num_machines = 8;
+  EXPECT_DEATH(read_store_minted_by(wider), "store sharding disagrees");
+}
+
 TEST(ClusterTest, WritePhaseChargesOwningShards) {
   // 1,000 keys fit in one chunk, which runs inline. 100,000 records of
   // varying wire size run as concurrent chunks, each of which publishes

@@ -39,17 +39,6 @@ TEST(MetricsTest, SnapshotCapturesEverything) {
   EXPECT_NEAR(snap.timers_sec.at("t"), 0.5, 1e-9);
 }
 
-TEST(MetricsTest, DeltaSubtracts) {
-  Metrics m;
-  m.Add("x", 10);
-  MetricsSnapshot before = m.Snapshot();
-  m.Add("x", 5);
-  m.AddTime("t", 1.0);
-  MetricsSnapshot delta = m.Snapshot().Delta(before);
-  EXPECT_EQ(delta.counters.at("x"), 5);
-  EXPECT_NEAR(delta.timers_sec.at("t"), 1.0, 1e-9);
-}
-
 TEST(MetricsTest, ResetZeroes) {
   Metrics m;
   m.Add("x", 10);

@@ -2,9 +2,9 @@
 // a pure function of the input and seed — bit-identical across
 // num_machines (1, 3, 8), thread counts, lookup batching mode (LookupMany
 // vs scalar round-trip charging), query-result caching on/off, adaptive
-// sub-batch bounds, pipeline depth (lockstep vs bounded-depth in-flight
-// windows), and the AutoTuner on/off — while the *cost model* is free to differ
-// (that is the point of per-machine accounting).
+// sub-batch bounds and pipeline depth (lockstep vs bounded-depth
+// in-flight windows) — while the *cost model* is free to differ (that is
+// the point of per-machine accounting).
 // A separate test pins outputs across placement policies.
 #include <gtest/gtest.h>
 
@@ -30,7 +30,6 @@ struct ClusterShape {
   bool query_cache = true;
   int64_t max_batch_keys = 4096;  // the ClusterConfig default
   int pipeline_depth = 4;         // the ClusterConfig default
-  bool auto_tune = false;
 };
 
 // Machine/thread grid crossed with the lookup-pipeline toggles: batching
@@ -66,13 +65,8 @@ const ClusterShape kShapes[] = {
     // lockstep x forced windows, and a deep pipeline over tiny windows
     {8, 4, true, true, /*max_batch_keys=*/16, /*pipeline_depth=*/1},
     {3, 2, true, true, /*max_batch_keys=*/16, /*pipeline_depth=*/8},
-    // AutoTuner on: probe rounds run candidate configs and the commit
-    // hot-swaps knobs (including placement) mid-job — outputs still
-    // must not move.
-    {3, 2, true, true, 4096, 4, /*auto_tune=*/true},
-    {8, 4, true, true, 4096, 4, /*auto_tune=*/true},
-    {8, 4, true, false, /*max_batch_keys=*/16, /*pipeline_depth=*/1,
-     /*auto_tune=*/true},
+    // cache off x forced windows x lockstep at 8 machines
+    {8, 4, true, false, /*max_batch_keys=*/16, /*pipeline_depth=*/1},
 };
 
 sim::Cluster MakeCluster(const ClusterShape& shape) {
@@ -83,7 +77,6 @@ sim::Cluster MakeCluster(const ClusterShape& shape) {
   config.query_cache.enabled = shape.query_cache;
   config.max_batch_keys = shape.max_batch_keys;
   config.pipeline_depth = shape.pipeline_depth;
-  config.auto_tune.enabled = shape.auto_tune;
   return sim::Cluster(config);
 }
 

@@ -71,8 +71,6 @@ struct Args {
   std::string frontier_mode = "sparse";
   double frontier_alpha = FrontierPolicy::kDefaultAlpha;
   double frontier_beta = FrontierPolicy::kDefaultBeta;
-  // AutoTuner (sim::ClusterConfig::auto_tune).
-  bool auto_tune = false;
 };
 
 void PrintUsage() {
@@ -135,13 +133,6 @@ void PrintUsage() {
       "                          exceed total_edges/A  (default 15)\n"
       "  --frontier-beta B       hybrid: back to sparse when frontier\n"
       "                          shrinks below nodes/B (default 18)\n"
-      "\n"
-      "auto-tuning (outputs stay bit-identical; only cost changes):\n"
-      "  --auto-tune             probe-then-commit AutoTuner: the first\n"
-      "                          query-bearing rounds probe placement,\n"
-      "                          frontier mode, pipeline depth, batch\n"
-      "                          bound, and cache capacity, then commit;\n"
-      "                          prints the decision trace\n"
       "\n"
       "Instead of an algorithm, `ampc_cli --lint-config [flags]` dumps\n"
       "the effective ClusterConfig: every knob with its value and its\n"
@@ -211,8 +202,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->frontier_alpha = std::atof(next());
     } else if (flag == "--frontier-beta") {
       args->frontier_beta = std::atof(next());
-    } else if (flag == "--auto-tune") {
-      args->auto_tune = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
@@ -323,12 +312,6 @@ void PrintMetrics(sim::Cluster& cluster) {
     std::printf("lookup trips:    %lld\n",
                 static_cast<long long>(m.Get("kv_lookup_trips")));
   }
-  if (cluster.auto_tuner() != nullptr) {
-    std::printf("auto-tune:       %lld probe rounds (%.3fs charged)\n",
-                static_cast<long long>(m.Get("autotune_probe_rounds")),
-                m.GetTime("sim:autotune_probe"));
-    std::printf("%s\n", cluster.auto_tuner()->DecisionSummary().c_str());
-  }
   std::printf("simulated time:  %.3fs\n", cluster.SimSeconds());
   std::printf("wall time:       %.3fs\n", cluster.WallSeconds());
 }
@@ -360,7 +343,6 @@ bool BuildClusterConfig(const Args& args, sim::ClusterConfig* config) {
   }
   config->frontier.alpha = args.frontier_alpha;
   config->frontier.beta = args.frontier_beta;
-  config->auto_tune.enabled = args.auto_tune;
   return true;
 }
 
@@ -393,8 +375,6 @@ int DumpLintConfig(const Args& args) {
       "false = sequential workers, bit-identical outputs");
   row("query_cache.enabled", boolean(c.query_cache.enabled),
       "false = uncached historical client, cost-only");
-  row("query_cache.capacity", integer(c.query_cache.capacity),
-      "cost-only: hit rate, never values");
   row("batch_lookups", boolean(c.batch_lookups),
       "false = scalar trip charging, bit-identical outputs");
   row("max_batch_keys", integer(c.max_batch_keys),
@@ -438,8 +418,6 @@ int DumpLintConfig(const Args& args) {
       "inert unless hybrid; cost-only there");
   row("frontier.beta", num(c.frontier.beta),
       "inert unless hybrid; cost-only there");
-  row("auto_tune", boolean(c.auto_tune.enabled),
-      "false constructs no tuner, byte-identical cost model");
   row("seed", integer(int64_t(c.seed)),
       "outputs a pure function of (input, seed, config)");
   row("in_memory_threshold_arcs", integer(c.in_memory_threshold_arcs),
