@@ -5,7 +5,10 @@
 // lasts as long as its hottest machine. This bench measures
 //
 //   1. concurrent Put throughput into kv::ShardedStore across thread
-//      counts (all writers racing across all shards),
+//      counts (each writer owns one contiguous key range, and every
+//      range spreads over all shards). Lone Puts do not scale with
+//      writers: each bumps its shard's shared record and byte counters
+//      and the store-wide version, which PutRange bumps once per batch,
 //   2. shard balance of the placement hash (max/mean bytes per shard),
 //   3. skew sensitivity of the cluster cost model: simulated write and
 //      lookup round times for a uniform workload vs a 90/10-style skewed
@@ -40,7 +43,10 @@ using ampc::kv::ShardedStore;
 constexpr int kMachines = 8;
 constexpr uint64_t kSeed = 42;
 
-// Concurrent strided Put of n int64 records with `threads` writers.
+// Concurrent Put of n int64 records with `threads` writers, writer t
+// over keys [n*t/threads, n*(t+1)/threads). A shard's local slots follow
+// key order, so contiguous ranges keep neighbouring slots, which share
+// cache lines, with one writer.
 double TimePuts(int64_t n, int threads) {
   ShardedStore<int64_t> store(n, kMachines, kSeed);
   WallTimer timer;
@@ -48,7 +54,8 @@ double TimePuts(int64_t n, int threads) {
   writers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
     writers.emplace_back([&store, t, n, threads] {
-      for (int64_t k = t; k < n; k += threads) store.Put(k, k);
+      const int64_t lo = n * t / threads, hi = n * (t + 1) / threads;
+      for (int64_t k = lo; k < hi; ++k) store.Put(k, k);
     });
   }
   for (auto& t : writers) t.join();

@@ -8,7 +8,18 @@
 // that client-side cache as a first-class citizen:
 //
 //   * Bounded: `capacity` entries in one LRU, so a machine's cache
-//     footprint is a config knob rather than an O(n) side array.
+//     footprint is a constant (sim::Cluster::kQueryCacheCapacity) rather
+//     than an O(n) side array.
+//   * Flat: the entries live in one array (key, epoch, value and 32-bit
+//     recency links), found through an open-addressed index of 8-byte
+//     (hash bits, slot) positions (linear probing, backward-shift
+//     delete, at most half full). No entry is allocated on its own.
+//     Both arrays grow lazily, by doubling, as the cache fills — the
+//     entry array never past `capacity` — and a dropped stale entry's
+//     slot is reused by the next insert. So a cache that is never
+//     written allocates nothing (kcore mints a fresh store, and so
+//     fresh caches, every round), and a cache frees two blocks when it
+//     goes, not one heap node per entry.
 //   * Versioned: every entry is stamped with the epoch observed when it
 //     was inserted, and Get() treats any entry from another epoch as
 //     absent (and drops it). Callers in the simulator stamp entries with
@@ -38,16 +49,17 @@
 // cases.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace ampc::kv {
 
@@ -58,6 +70,7 @@ class QueryCache {
  public:
   explicit QueryCache(int64_t capacity) : capacity_(capacity) {
     AMPC_CHECK_GE(capacity, 1);
+    AMPC_CHECK_LT(capacity, int64_t{kNil});  // slots are 32-bit
   }
 
   QueryCache(const QueryCache&) = delete;
@@ -68,26 +81,27 @@ class QueryCache {
   /// (epochs only move forward, so it can never become valid again).
   std::optional<V> Get(uint64_t key, uint64_t epoch) {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;
-    if (it->second->epoch != epoch) {
-      lru_.erase(it->second);
-      index_.erase(it);
+    const size_t pos = FindLocked(key);
+    if (pos == kAbsent) return std::nullopt;
+    const uint32_t slot = index_[pos].slot;
+    if (entries_[slot].epoch != epoch) {
+      DropLocked(pos);
       return std::nullopt;
     }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return lru_.front().value;
+    TouchLocked(slot);
+    return entries_[slot].value;
   }
 
   /// Inserts (or refreshes) `key` -> `value` at `epoch`, evicting the
   /// least recently used entry when full.
   void Put(uint64_t key, uint64_t epoch, V value) {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->epoch = epoch;
-      it->second->value = std::move(value);
-      lru_.splice(lru_.begin(), lru_, it->second);
+    const size_t pos = FindLocked(key);
+    if (pos != kAbsent) {
+      const uint32_t slot = index_[pos].slot;
+      entries_[slot].epoch = epoch;
+      entries_[slot].value = std::move(value);
+      TouchLocked(slot);
       return;
     }
     InsertLocked(key, epoch, std::move(value));
@@ -101,15 +115,15 @@ class QueryCache {
   template <typename Fn>
   void Update(uint64_t key, uint64_t epoch, Fn&& fn) {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it != index_.end() && it->second->epoch == epoch) {
-      it->second->value = fn(std::optional<V>(it->second->value));
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    if (it != index_.end()) {  // stale: replace wholesale
-      lru_.erase(it->second);
-      index_.erase(it);
+    const size_t pos = FindLocked(key);
+    if (pos != kAbsent) {
+      const uint32_t slot = index_[pos].slot;
+      if (entries_[slot].epoch == epoch) {
+        entries_[slot].value = fn(std::optional<V>(entries_[slot].value));
+        TouchLocked(slot);
+        return;
+      }
+      DropLocked(pos);  // stale: replace wholesale
     }
     InsertLocked(key, epoch, fn(std::nullopt));
   }
@@ -117,7 +131,7 @@ class QueryCache {
   /// Entries currently held, stale ones included.
   int64_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(index_.size());
+    return size_;
   }
 
   int64_t capacity() const { return capacity_; }
@@ -129,26 +143,146 @@ class QueryCache {
   }
 
  private:
+  static constexpr uint32_t kNil = ~uint32_t{0};
+  static constexpr size_t kAbsent = ~size_t{0};
+
   struct Entry {
     uint64_t key;
     uint64_t epoch;
+    uint32_t prev;  // more recently used neighbour; kNil at head_
+    uint32_t next;  // less recently used neighbour, or the next free slot
     V value;
   };
+  // One open-addressed index position: an entries_ slot and the low 32
+  // bits of its key's hash, which give the home position and screen
+  // out other keys without touching entries_.
+  struct Bucket {
+    uint32_t hash;
+    uint32_t slot;  // kNil = empty
+  };
 
-  void InsertLocked(uint64_t key, uint64_t epoch, V value) {
-    lru_.push_front(Entry{key, epoch, std::move(value)});
-    index_.emplace(key, lru_.begin());
-    if (static_cast<int64_t>(index_.size()) > capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-      ++evictions_;
+  static uint32_t HashOf(uint64_t key) {
+    return static_cast<uint32_t>(Mix64(key));
+  }
+
+  // index_ position holding `key`, or kAbsent.
+  size_t FindLocked(uint64_t key) const {
+    if (index_.empty()) return kAbsent;
+    const uint32_t hash = HashOf(key);
+    const size_t mask = index_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Bucket b = index_[i];
+      if (b.slot == kNil) return kAbsent;
+      if (b.hash == hash && entries_[b.slot].key == key) return i;
     }
+  }
+
+  // Empties index position `pos` by backward shift: each later key of
+  // the probe run moves into the hole unless its home lies after the
+  // hole, so every key stays reachable from its home with no tombstone.
+  void EraseIndexLocked(size_t pos) {
+    const size_t mask = index_.size() - 1;
+    size_t hole = pos;
+    for (size_t i = (pos + 1) & mask; index_[i].slot != kNil;
+         i = (i + 1) & mask) {
+      if (((i - index_[i].hash) & mask) >= ((i - hole) & mask)) {
+        index_[hole] = index_[i];
+        hole = i;
+      }
+    }
+    index_[hole].slot = kNil;
+  }
+
+  void PlaceIndexLocked(uint32_t hash, uint32_t slot) {
+    const size_t mask = index_.size() - 1;
+    size_t i = hash & mask;
+    while (index_[i].slot != kNil) i = (i + 1) & mask;
+    index_[i] = Bucket{hash, slot};
+  }
+
+  // Keeps the index at most half full; it doubles from 16 positions as
+  // the cache fills, so a cache that never inserts holds no index.
+  void ReserveIndexLocked() {
+    if (2 * static_cast<size_t>(size_ + 1) <= index_.size()) return;
+    std::vector<Bucket> old = std::move(index_);
+    index_.assign(std::max<size_t>(16, 2 * old.size()), Bucket{0, kNil});
+    for (const Bucket& b : old) {
+      if (b.slot != kNil) PlaceIndexLocked(b.hash, b.slot);
+    }
+  }
+
+  void UnlinkLocked(uint32_t slot) {
+    const Entry& e = entries_[slot];
+    (e.prev == kNil ? head_ : entries_[e.prev].next) = e.next;
+    (e.next == kNil ? tail_ : entries_[e.next].prev) = e.prev;
+  }
+
+  void PushFrontLocked(uint32_t slot) {
+    entries_[slot].prev = kNil;
+    entries_[slot].next = head_;
+    (head_ == kNil ? tail_ : entries_[head_].prev) = slot;
+    head_ = slot;
+  }
+
+  void TouchLocked(uint32_t slot) {
+    if (slot == head_) return;
+    UnlinkLocked(slot);
+    PushFrontLocked(slot);
+  }
+
+  // Drops the (stale) entry at index position `pos`; its slot goes on
+  // the free list for the next insert.
+  void DropLocked(size_t pos) {
+    const uint32_t slot = index_[pos].slot;
+    EraseIndexLocked(pos);
+    UnlinkLocked(slot);
+    entries_[slot].next = free_;
+    free_ = slot;
+    --size_;
+  }
+
+  // Inserts an absent key at the most recently used end. A full cache
+  // evicts its least recently used entry first and reuses that slot;
+  // otherwise a dropped slot is reused, and only then does the entry
+  // array grow (geometrically, never past capacity_).
+  void InsertLocked(uint64_t key, uint64_t epoch, V value) {
+    uint32_t slot;
+    if (size_ == capacity_) {
+      slot = tail_;
+      EraseIndexLocked(FindLocked(entries_[slot].key));
+      UnlinkLocked(slot);
+      --size_;
+      ++evictions_;
+    } else if (free_ != kNil) {
+      slot = free_;
+      free_ = entries_[slot].next;
+    } else {
+      slot = static_cast<uint32_t>(entries_.size());
+      if (entries_.size() == entries_.capacity()) {
+        entries_.reserve(std::min<size_t>(
+            std::max<size_t>(8, 2 * entries_.size()), capacity_));
+      }
+    }
+    Entry entry{key, epoch, kNil, kNil, std::move(value)};
+    if (slot == entries_.size()) {
+      entries_.push_back(std::move(entry));
+    } else {
+      entries_[slot] = std::move(entry);
+    }
+    PushFrontLocked(slot);
+    ReserveIndexLocked();
+    PlaceIndexLocked(HashOf(key), slot);
+    ++size_;
   }
 
   const int64_t capacity_;
   mutable std::mutex mu_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index_;
+  std::vector<Entry> entries_;  // size_ live entries + the free slots
+  std::vector<Bucket> index_;   // power-of-two size, or empty
+  uint32_t head_ = kNil;        // most recently used
+  uint32_t tail_ = kNil;        // least recently used: evicted first
+  uint32_t free_ = kNil;        // free-slot chain through Entry::next
+  int64_t size_ = 0;
   int64_t evictions_ = 0;
 };
 

@@ -4,13 +4,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <list>
 #include <memory>
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/timer.h"
 #include "kv/byte_size.h"
 #include "kv/network_model.h"
@@ -466,6 +469,130 @@ TEST(QueryCacheTest, ConcurrentMixedOpsStayConsistent) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_LE(cache.size(), cache.capacity());
+}
+
+// The list + map LRU that QueryCache's flat table replaced, kept as the
+// reference it must match op for op: same value returned, same entry
+// dropped or evicted.
+template <typename V>
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(int64_t capacity) : capacity_(capacity) {}
+
+  std::optional<V> Get(uint64_t key, uint64_t epoch) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    if (it->second->epoch != epoch) {
+      lru_.erase(it->second);
+      index_.erase(it);
+      return std::nullopt;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return lru_.front().value;
+  }
+
+  void Put(uint64_t key, uint64_t epoch, V value) {
+    const auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->epoch = epoch;
+      it->second->value = value;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    Insert(key, epoch, value);
+  }
+
+  template <typename Fn>
+  void Update(uint64_t key, uint64_t epoch, Fn&& fn) {
+    const auto it = index_.find(key);
+    if (it != index_.end() && it->second->epoch == epoch) {
+      it->second->value = fn(std::optional<V>(it->second->value));
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (it != index_.end()) {
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+    Insert(key, epoch, fn(std::nullopt));
+  }
+
+  int64_t size() const { return static_cast<int64_t>(index_.size()); }
+  int64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    uint64_t key;
+    uint64_t epoch;
+    V value;
+  };
+
+  void Insert(uint64_t key, uint64_t epoch, V value) {
+    lru_.push_front(Entry{key, epoch, value});
+    index_.emplace(key, lru_.begin());
+    if (static_cast<int64_t>(index_.size()) > capacity_) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evictions_;
+    }
+  }
+
+  const int64_t capacity_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index_;
+  int64_t evictions_ = 0;
+};
+
+// Drives QueryCache and the reference with one seeded stream of Get, Put
+// and Update over key spaces from half to five times the capacity. The
+// epoch moves forward now and then, and some probes carry the previous
+// epoch, so stale entries are dropped, refreshed and replaced. After
+// every op the value returned (or seen by Update), size() and
+// evictions() must agree.
+TEST(QueryCacheTest, MatchesReferenceLru) {
+  for (const int64_t capacity : {1, 2, 3, 4, 7, 16, 64, 300}) {
+    for (const double spread : {0.5, 1.0, 2.0, 5.0}) {
+      const uint64_t keys = std::max<uint64_t>(
+          1, static_cast<uint64_t>(spread * static_cast<double>(capacity)));
+      QueryCache<int64_t> cache(capacity);
+      ReferenceLru<int64_t> ref(capacity);
+      Rng rng(static_cast<uint64_t>(capacity) * 1000 + keys);
+      uint64_t epoch = 1;
+      for (int op = 0; op < 50000; ++op) {
+        const auto where = [&] {
+          return ::testing::Message()
+                 << "capacity " << capacity << " keys " << keys << " op " << op;
+        };
+        if (rng.NextBelow(50) == 0) ++epoch;
+        const uint64_t e = rng.NextBelow(8) == 0 ? epoch - 1 : epoch;
+        const uint64_t key = rng.NextBelow(keys);
+        const int64_t value = static_cast<int64_t>(rng.NextBelow(1000));
+        switch (rng.NextBelow(3)) {
+          case 0:
+            ASSERT_EQ(cache.Get(key, e), ref.Get(key, e)) << where();
+            break;
+          case 1:
+            cache.Put(key, e, value);
+            ref.Put(key, e, value);
+            break;
+          default: {
+            std::optional<int64_t> seen, ref_seen;
+            cache.Update(key, e, [&](std::optional<int64_t> cur) {
+              seen = cur;
+              return cur.value_or(value) + 1;
+            });
+            ref.Update(key, e, [&](std::optional<int64_t> cur) {
+              ref_seen = cur;
+              return cur.value_or(value) + 1;
+            });
+            ASSERT_EQ(seen, ref_seen) << where();
+          }
+        }
+        ASSERT_EQ(cache.size(), ref.size()) << where();
+        ASSERT_EQ(cache.evictions(), ref.evictions()) << where();
+      }
+    }
+  }
 }
 
 TEST(QueryCacheTest, MachineCachesDisabledReturnsNull) {

@@ -148,6 +148,45 @@ TEST(AmpcMatchingTest, DeterministicAcrossClusterShapes) {
             AmpcMatching(c2, g, options).partner);
 }
 
+// Pins the cached charges of AmpcMatching on a hub-heavy web R-MAT. On
+// one machine its 2^17 vertices overflow the query cache
+// (sim::Cluster::kQueryCacheCapacity), so the derived and read-through
+// caches must evict; four machines split the reads. The values were
+// recorded with the list + map LRU: how a cache stores its entries may
+// change; which probes hit and what is evicted, and so every charge,
+// may not.
+TEST(AmpcMatchingTest, ChargedCostsMatchParent) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  const Graph g = graph::BuildGraph(graph::GenerateRmat(17, 600000, 5, web));
+  MatchingOptions options;
+  options.seed = 42;
+  std::vector<graph::NodeId> partner;
+  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips.
+  const auto run = [&](int machines, double* sim_seconds) {
+    sim::ClusterConfig config;
+    config.num_machines = machines;
+    config.threads_per_machine = 4;
+    sim::Cluster cluster(config);
+    const MatchingResult r = AmpcMatching(cluster, g, options);
+    if (partner.empty()) partner = r.partner;
+    EXPECT_EQ(r.partner, partner);
+    *sim_seconds = cluster.SimSeconds();
+    const Metrics& m = cluster.metrics();
+    return std::vector<int64_t>{m.Get("cache_hits"), m.Get("cache_misses"),
+                                m.Get("kv_reads"), m.Get("kv_read_bytes"),
+                                m.Get("kv_lookup_trips")};
+  };
+  double sim_seconds = 0;
+  EXPECT_EQ(run(1, &sim_seconds),
+            (std::vector<int64_t>{152618, 29319, 29319, 4057392, 29319}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 0.500666289);
+  EXPECT_EQ(run(4, &sim_seconds),
+            (std::vector<int64_t>{250780, 90396, 90396, 15145096, 90396}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 0.249494139);
+}
+
 class SampledMatchingTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SampledMatchingTest, SampledVariantEqualsGreedyToo) {

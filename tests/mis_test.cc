@@ -130,6 +130,41 @@ TEST(AmpcMisTest, DeterministicAcrossClusterShapes) {
   EXPECT_EQ(AmpcMis(c1, g, 21).in_mis, AmpcMis(c2, g, 21).in_mis);
 }
 
+// Pins the cached charges of AmpcMis on a hub-heavy web R-MAT. On one
+// machine its 2^17 vertices overflow the query cache
+// (sim::Cluster::kQueryCacheCapacity), so the derived and read-through
+// caches must evict; four machines split the reads. The values were
+// recorded with the list + map LRU: how a cache stores its entries may
+// change; which probes hit and what is evicted, and so every charge,
+// may not.
+TEST(AmpcMisTest, ChargedCostsMatchParent) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  const Graph g = graph::BuildGraph(graph::GenerateRmat(17, 600000, 5, web));
+  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips.
+  const auto run = [&](int machines, double* sim_seconds) {
+    sim::ClusterConfig config;
+    config.num_machines = machines;
+    config.threads_per_machine = 4;
+    sim::Cluster cluster(config);
+    EXPECT_TRUE(
+        seq::IsMaximalIndependentSet(g, AmpcMis(cluster, g, 42).in_mis));
+    *sim_seconds = cluster.SimSeconds();
+    const Metrics& m = cluster.metrics();
+    return std::vector<int64_t>{m.Get("cache_hits"), m.Get("cache_misses"),
+                                m.Get("kv_reads"), m.Get("kv_read_bytes"),
+                                m.Get("kv_lookup_trips")};
+  };
+  double sim_seconds = 0;
+  EXPECT_EQ(run(1, &sim_seconds),
+            (std::vector<int64_t>{115589, 52815, 33361, 1376168, 45}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 0.377044969);
+  EXPECT_EQ(run(4, &sim_seconds),
+            (std::vector<int64_t>{127584, 109003, 61177, 3973612, 1002}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 0.207471350);
+}
+
 TEST(AmpcMisTest, DeepRankChainDoesNotOverflowStack) {
   // A long path is the worst case for the recursion depth; the iterative
   // implementation must handle it at any seed.
