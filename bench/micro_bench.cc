@@ -1,9 +1,9 @@
 // ampc-lint: allow(bench-gate): google-benchmark harness, not a gated
 // invariant bench; the CI gates live in the self-contained micro_* mains.
 // google-benchmark microbenchmarks for the substrate hot paths: hashing,
-// KV store operations, RMQ construction/query, CSR construction, and the
-// sequential finishers. These are the per-operation costs the simulated
-// cost model abstracts over.
+// KV store operations, RMQ construction/query, R-MAT generation, CSR
+// construction, and the sequential finishers. These are the per-operation
+// costs the simulated cost model abstracts over.
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
@@ -101,6 +101,32 @@ void BM_BuildGraphCsr(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * list.edges.size());
 }
 BENCHMARK(BM_BuildGraphCsr)->Arg(100'000);
+
+void BM_BuildWeightedGraphCsr(benchmark::State& state) {
+  graph::EdgeList raw = graph::GenerateRmat(14, state.range(0), 3);
+  graph::WeightedEdgeList list =
+      graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw));
+  for (auto _ : state) {
+    graph::WeightedGraph g = graph::BuildWeightedGraph(list);
+    benchmark::DoNotOptimize(g.num_arcs());
+  }
+  state.SetItemsProcessed(state.iterations() * list.edges.size());
+}
+BENCHMARK(BM_BuildWeightedGraphCsr)->Arg(100'000);
+
+// bench/e2e's web shape at 2^16 nodes.
+void BM_GenerateRmat(benchmark::State& state) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  for (auto _ : state) {
+    graph::EdgeList list = graph::GenerateRmat(16, state.range(0), 3, web);
+    benchmark::DoNotOptimize(list.edges.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GenerateRmat)->Arg(500'000);
 
 void BM_KruskalFinisher(benchmark::State& state) {
   graph::EdgeList raw = graph::GenerateRmat(13, state.range(0), 5);

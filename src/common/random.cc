@@ -1,11 +1,6 @@
 #include "common/random.h"
 
 namespace ampc {
-namespace {
-
-inline uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 Rng::Rng(uint64_t seed) {
   // Seed the four lanes via SplitMix64, per the xoshiro authors' guidance.
@@ -14,35 +9,6 @@ Rng::Rng(uint64_t seed) {
     lane = Mix64(x);
     x += 0x9e3779b97f4a7c15ULL;
   }
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = RotL(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBelow(uint64_t bound) {
-  if (bound == 0) return 0;
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t t = -bound % bound;
-    while (l < t) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 }  // namespace ampc

@@ -6,6 +6,7 @@
 // (b) results are reproducible across runs and thread schedules.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -51,7 +52,18 @@ class Rng {
 
   explicit Rng(uint64_t seed);
 
-  uint64_t Next();
+  // Inline: generators draw tens of millions of values per graph.
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   uint64_t operator()() { return Next(); }
 
   static constexpr uint64_t min() { return 0; }
@@ -59,8 +71,23 @@ class Rng {
     return std::numeric_limits<uint64_t>::max();
   }
 
-  /// Uniform in [0, bound) without modulo bias (Lemire reduction).
-  uint64_t NextBelow(uint64_t bound);
+  /// Uniform in [0, bound) without modulo bias (Lemire's nearly-divisionless
+  /// reduction).
+  uint64_t NextBelow(uint64_t bound) {
+    if (bound == 0) return 0;
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t t = -bound % bound;
+      while (l < t) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform double in [0, 1).
   double NextDouble() { return ToUnitDouble(Next()); }

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace ampc::graph {
 
@@ -28,48 +29,54 @@ EdgeList GenerateRmat(int log2_nodes, int64_t num_edges, uint64_t seed,
   AMPC_CHECK_GE(log2_nodes, 1);
   AMPC_CHECK_LE(log2_nodes, 31);
   const int64_t n = int64_t{1} << log2_nodes;
-  Rng rng(seed);
   EdgeList list;
   list.num_nodes = n;
-  list.edges.reserve(num_edges);
+  list.edges.resize(num_edges);
 
-  const double ab = options.a + options.b;
+  // Edge i takes draws [i * log2_nodes, (i + 1) * log2_nodes) of one
+  // xoshiro stream. A serial pass steps the stream to the first draw of
+  // every chunk of kRmatChunkEdges edges; the chunks then fill
+  // concurrently, so the edge list is the serial one on any pool.
+  constexpr int64_t kRmatChunkEdges = int64_t{1} << 15;
+  const int64_t num_chunks =
+      (num_edges + kRmatChunkEdges - 1) / kRmatChunkEdges;
+  std::vector<Rng> chunk_rng;
+  chunk_rng.reserve(num_chunks);
+  Rng rng(seed);
+  for (int64_t c = 0; c < num_chunks; ++c) {
+    chunk_rng.push_back(rng);
+    if (c + 1 == num_chunks) break;
+    for (int64_t d = 0; d < kRmatChunkEdges * log2_nodes; ++d) rng.Next();
+  }
+
+  const double a = options.a;
+  const double ab = a + options.b;
   const double abc = ab + options.c;
-  for (int64_t i = 0; i < num_edges; ++i) {
-    uint64_t u = 0, v = 0;
-    for (int bit = 0; bit < log2_nodes; ++bit) {
-      const double r = rng.NextDouble();
-      u <<= 1;
-      v <<= 1;
-      if (r < options.a) {
-        // top-left quadrant: no bits set
-      } else if (r < ab) {
-        v |= 1;
-      } else if (r < abc) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
+  // Multiply-by-odd plus offset modulo 2^k is a bijection on the id space,
+  // so scrambling permutes ids without extra memory; odd = 1 and add = 0
+  // leave them as drawn.
+  const uint64_t mask = static_cast<uint64_t>(n - 1);
+  const uint64_t odd =
+      options.scramble_ids ? (Hash64(1, seed) | 1) & mask : 1;
+  const uint64_t add = options.scramble_ids ? Hash64(2, seed) & mask : 0;
+  ParallelFor(ThreadPool::Global(), 0, num_chunks, 1, [&](int64_t c) {
+    Rng draws = chunk_rng[c];
+    const int64_t end = std::min(num_edges, (c + 1) * kRmatChunkEdges);
+    for (int64_t i = c * kRmatChunkEdges; i < end; ++i) {
+      uint64_t u = 0, v = 0;
+      for (int bit = 0; bit < log2_nodes; ++bit) {
+        // The first of r < a, r < a + b and r < a + b + c that holds picks
+        // the bits (u, v) = (0, 0), (0, 1) or (1, 0), and none picks
+        // (1, 1); the same three comparisons, without a branch.
+        const double r = draws.NextDouble();
+        const uint64_t lt_a = r < a, lt_ab = r < ab, lt_abc = r < abc;
+        u = (u << 1) | ((lt_a | lt_ab) ^ 1);
+        v = (v << 1) | ((lt_a ^ 1) & (lt_ab | (lt_abc ^ 1)));
       }
+      list.edges[i] = Edge{static_cast<NodeId>((u * odd + add) & mask),
+                           static_cast<NodeId>((v * odd + add) & mask)};
     }
-    list.edges.push_back(
-        Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
-  }
-
-  if (options.scramble_ids) {
-    // Multiply-by-odd plus offset modulo 2^k is a bijection on the id
-    // space, so this permutes ids without extra memory.
-    const uint64_t mask = static_cast<uint64_t>(n - 1);
-    const uint64_t odd = (Hash64(1, seed) | 1) & mask;
-    const uint64_t add = Hash64(2, seed) & mask;
-    auto scramble = [&](NodeId x) {
-      return static_cast<NodeId>((x * odd + add) & mask);
-    };
-    for (Edge& e : list.edges) {
-      e.u = scramble(e.u);
-      e.v = scramble(e.v);
-    }
-  }
+  });
   return list;
 }
 

@@ -33,7 +33,9 @@ struct RmatOptions {
 
 /// R-MAT graph over 2^log2_nodes vertices with num_edges samples. With the
 /// default parameters this yields the heavy-tailed degree distributions
-/// typical of social/web graphs.
+/// typical of social/web graphs. Fills chunks of edges concurrently on
+/// ThreadPool::Global(); the edge list is one seeded stream's, the same on
+/// any pool.
 EdgeList GenerateRmat(int log2_nodes, int64_t num_edges, uint64_t seed,
                       const RmatOptions& options = {});
 

@@ -145,13 +145,19 @@ class WeightedGraph {
 
 /// Builds a symmetric CSR graph from an undirected edge list. Both arcs of
 /// every edge are materialized; adjacencies are sorted by neighbor id.
+///
+/// Both builders bucket the arcs by source id with a counting scatter and
+/// then order each bucket's rows on their own, all on ThreadPool::Global()
+/// (so neither may run inside one of that pool's tasks). No sort spans the
+/// whole edge list, and the result depends on the input alone, never on
+/// the pool's size or schedule.
 Graph BuildGraph(const EdgeList& list, const BuildOptions& options = {});
 
 /// Weighted variant; arcs carry (weight, edge id) of the defining edge.
-/// Each adjacency is sorted by (weight, edge id) ascending, the layout the
-/// AMPC MSF stores in the KV store (paper §5.5: "sorts the edges incident
-/// to each vertex by their weights"); with dedup, a neighbor keeps only
-/// its lightest parallel arc.
+/// Each adjacency is sorted by (weight, edge id, neighbor) ascending, the
+/// layout the AMPC MSF stores in the KV store (paper §5.5: "sorts the edges
+/// incident to each vertex by their weights"); with dedup, a neighbor keeps
+/// only its lightest parallel arc by (weight, edge id).
 WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
                                  const BuildOptions& options = {});
 
