@@ -2,11 +2,13 @@
 // invariant bench; the CI gates live in the self-contained micro_* mains.
 // google-benchmark microbenchmarks for the substrate hot paths: hashing,
 // KV store operations, RMQ construction/query, R-MAT generation, CSR
-// construction, and the sequential finishers. These are the per-operation
-// costs the simulated cost model abstracts over.
+// construction, the sequential finishers, and the host pool's and phase
+// runner's dispatch cost. These are the per-operation costs the simulated
+// cost model abstracts over.
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/kcore.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -16,6 +18,7 @@
 #include "seq/kcore.h"
 #include "seq/msf.h"
 #include "seq/pagerank.h"
+#include "sim/cluster.h"
 #include "sim/faults.h"
 #include "trees/rmq.h"
 
@@ -213,6 +216,45 @@ void BM_PreemptionModel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreemptionModel)->Arg(100);
+
+// The host pool's dispatch cost per call: a loop of 16 chunks of about
+// 1 us each (range(0) hash steps), too short for the work to hide how
+// long helpers take to join.
+void BM_ParallelForShortLoop(benchmark::State& state) {
+  ThreadPool& pool = ThreadPool::Global();
+  const int64_t steps = state.range(0);
+  std::vector<uint64_t> out(16);
+  for (auto _ : state) {
+    ParallelFor(pool, 0, 16, 1, [&](int64_t c) {
+      uint64_t h = static_cast<uint64_t>(c);
+      for (int64_t i = 0; i < steps; ++i) h = Mix64(h);
+      out[c] = h;
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_ParallelForShortLoop)->Arg(400)->UseRealTime();
+
+// The phase runner's fixed cost: an 8-machine batch map phase over
+// range(0) items whose slices do nothing, so the time is bucketing,
+// dispatch and the settle.
+void BM_RunMapPhaseNoop(benchmark::State& state) {
+  sim::ClusterConfig config;
+  config.num_machines = 8;
+  sim::Cluster cluster(config);
+  const int64_t n = state.range(0);
+  for (auto _ : state) {
+    cluster.RunBatchMapPhase(
+        "Noop", n,
+        [](std::span<const int64_t> items, sim::MachineContext&) {
+          benchmark::DoNotOptimize(items.data());
+        });
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_RunMapPhaseNoop)->Arg(1 << 17)->UseRealTime();
 
 }  // namespace
 

@@ -69,15 +69,19 @@ RootsetMisResult MpcRootsetMis(sim::Cluster& cluster, const Graph& g,
                         });
 
     // (2)+(3) Mark minima and their neighborhoods for removal — the join
-    // is the phase's first shuffle.
+    // is the phase's first shuffle. Two minima in different chunks can
+    // share a neighbor, so every mark is an atomic store.
     WallTimer mark_timer;
     std::vector<uint8_t> remove(n, 0);
+    const auto mark = [&remove](int64_t v) {
+      std::atomic_ref<uint8_t>(remove[v]).store(1, std::memory_order_relaxed);
+    };
     ParallelForChunked(cluster.pool(), 0, n, 2048,
                        [&](int64_t lo, int64_t hi) {
                          for (int64_t v = lo; v < hi; ++v) {
                            if (!minima[v]) continue;
-                           remove[v] = 1;
-                           for (NodeId u : r.adj[v]) remove[u] = 1;
+                           mark(v);
+                           for (NodeId u : r.adj[v]) mark(u);
                          }
                        });
     cluster.AccountShuffle("MarkNodesToRemove", r.GraphBytes() + n,

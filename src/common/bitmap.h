@@ -22,7 +22,7 @@ namespace ampc {
 /// setters (relaxed atomic fetch-or). Readers racing setters see each
 /// bit either set or not yet set — fine for frontier construction,
 /// where every Set happens-before the round that consumes the bitmap
-/// (the map-phase latch is the barrier).
+/// (the map phase's ThreadPool::RunTasks join is the barrier).
 class AtomicBitmap {
  public:
   AtomicBitmap() = default;

@@ -29,13 +29,7 @@ int64_t DefaultChunksForPool(const ThreadPool& pool) {
 void ParallelForEachChunk(ThreadPool& pool,
                           const std::vector<IndexChunk>& chunks,
                           const std::function<void(int64_t)>& fn) {
-  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
-  if (num_chunks == 0) return;
-  if (num_chunks == 1) {
-    fn(0);
-    return;
-  }
-  ParallelFor(pool, 0, num_chunks, 1, fn);
+  pool.RunTasks(static_cast<int64_t>(chunks.size()), fn);
 }
 
 }  // namespace ampc

@@ -1,10 +1,40 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 
 namespace ampc {
+
+// One RunTasks call, shared by its caller and its helpers. A helper that
+// is dequeued after the last index was claimed still reads `next`, so the
+// call's state lives in a shared_ptr rather than in the caller's frame;
+// `task`, which does live there, is read only after claiming an index
+// below n, and the caller returns only once every such index is done.
+struct ThreadPool::Call {
+  // Claims and runs indices until none is left. A task that throws ends
+  // the program, on the caller as on a worker.
+  void Drain() noexcept {
+    int64_t ran = 0;
+    for (int64_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      (*task)(i);
+      ++ran;
+    }
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lock(mu);
+    done += ran;
+    if (done == n) done_cv.notify_all();
+  }
+
+  const int64_t n;
+  const std::function<void(int64_t)>* const task;
+  std::atomic<int64_t> next{0};  // the lowest unclaimed index
+  std::mutex mu;
+  std::condition_variable done_cv;
+  int64_t done = 0;  // indices finished; guarded by mu
+};
 
 ThreadPool::ThreadPool(int num_threads) {
   AMPC_CHECK_GE(num_threads, 1);
@@ -23,39 +53,35 @@ ThreadPool::~ThreadPool() {
   for (auto& t : workers_) t.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    AMPC_CHECK(!shutdown_);
-    queue_.push(std::move(task));
-    ++outstanding_;
+void ThreadPool::RunTasks(int64_t n,
+                          const std::function<void(int64_t)>& task) {
+  if (n <= 0) return;
+  const auto call = std::make_shared<Call>(n, &task);
+  const int helpers =
+      static_cast<int>(std::min<int64_t>(num_threads(), n - 1));
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.insert(queue_.end(), helpers, call);
+    }
+    for (int h = 0; h < helpers; ++h) work_cv_.notify_one();
   }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
+  call->Drain();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->done_cv.wait(lock, [&call] { return call->done == call->n; });
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<Call> call;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (shutdown_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop();
+      if (queue_.empty()) return;  // shut down, nothing left to help with
+      call = std::move(queue_.front());
+      queue_.pop_front();
     }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
-    }
+    call->Drain();
   }
 }
 
@@ -77,25 +103,10 @@ void ParallelForChunked(ThreadPool& pool, int64_t begin, int64_t end,
     fn(begin, end);
     return;
   }
-  // Per-call completion latch so that concurrent ParallelFor calls sharing
-  // one pool do not wait on each other's tasks.
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    int64_t remaining;
-  };
-  Latch latch;
-  latch.remaining = (n + chunk - 1) / chunk;
-  for (int64_t lo = begin; lo < end; lo += chunk) {
-    const int64_t hi = std::min(end, lo + chunk);
-    pool.Schedule([&fn, &latch, lo, hi] {
-      fn(lo, hi);
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(latch.mu);
-  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
+  pool.RunTasks((n + chunk - 1) / chunk, [&](int64_t c) {
+    const int64_t lo = begin + c * chunk;
+    fn(lo, std::min(end, lo + chunk));
+  });
 }
 
 void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end, int64_t grain,

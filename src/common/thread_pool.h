@@ -5,16 +5,17 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace ampc {
 
-/// Fixed-size worker pool. Tasks are arbitrary std::function<void()>;
-/// Wait() blocks until every scheduled task has finished.
+/// Fixed-size worker pool whose one entry point, RunTasks, shares a
+/// call's tasks between the calling thread and the workers.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (>= 1).
@@ -24,11 +25,13 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution.
-  void Schedule(std::function<void()> task);
-
-  /// Blocks until all scheduled tasks have completed.
-  void Wait();
+  /// Runs task(i) for every i in [0, n) and returns once all of them
+  /// have finished. The calling thread and up to min(num_threads, n - 1)
+  /// workers claim indices from the call's own counter, so the caller
+  /// never only waits, and a call made from inside a task (a nested
+  /// ParallelFor) or while every worker is busy still completes. A task
+  /// must not throw. No-op for n <= 0.
+  void RunTasks(int64_t n, const std::function<void(int64_t)>& task);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
@@ -36,21 +39,21 @@ class ThreadPool {
   static ThreadPool& Global();
 
  private:
+  struct Call;
+
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::queue<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  int64_t outstanding_ = 0;  // queued + running tasks
+  // One entry per helper a RunTasks call asked for.
+  std::deque<std::shared_ptr<Call>> queue_;
   bool shutdown_ = false;
+  std::vector<std::thread> workers_;
 };
 
 /// Runs fn(i) for i in [begin, end) on `pool`, splitting the range into
 /// chunks of at least `grain` indices. Blocks until complete. Safe to call
-/// with begin >= end (no-op). Must not be called from inside a pool task
-/// of the same pool (it would deadlock on Wait).
+/// with begin >= end (no-op), and from inside a task of the same pool.
 void ParallelFor(ThreadPool& pool, int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t)>& fn);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 
@@ -18,10 +19,10 @@ namespace {
 
 using graph::NodeId;
 
-using AdjStore = kv::ShardedStore<std::vector<NodeId>>;
+using AdjStore = kv::ShardedStore<std::span<const NodeId>>;
 using ValueStore = kv::ShardedStore<int32_t>;
 
-/// One worker slice of an h-index round: the manual ticket pipeline
+/// One worker slice of a push h-index round: the manual ticket pipeline
 /// over per-vertex neighbor windows. Each vertex's h-index
 /// recomputation is one adaptive step needing every neighbor's
 /// published value. The reads are independent across the worker's
@@ -32,10 +33,8 @@ using ValueStore = kv::ShardedStore<int32_t>;
 /// overlap. High-degree neighbors are shared by many vertices of a
 /// machine, so their published values are served from the query cache
 /// after the first fetch each round (the fresh per-round store resets
-/// the cache). In a pull round the same windows resolve as local sweeps
-/// against the round's exchange; the slice opens no adaptive step, so
-/// the whole round is one exchange step per worker. `on_result(item,
-/// h)` receives each settled vertex's new h-index.
+/// the cache). `on_result(item, h)` receives each settled vertex's new
+/// h-index.
 template <typename OnResult>
 void HIndexSlice(std::span<const int64_t> items, sim::MachineContext& ctx,
                  const AdjStore& adjacency, const ValueStore& values,
@@ -67,7 +66,7 @@ void HIndexSlice(std::span<const int64_t> items, sim::MachineContext& ctx,
   std::vector<uint64_t> keys;
   for (const int64_t item : items) {
     const NodeId v = static_cast<NodeId>(item);
-    const std::vector<NodeId>* adj = ctx.LookupLocal(adjacency, v);
+    const std::span<const NodeId>* adj = ctx.LookupLocal(adjacency, v);
     const size_t degree = adj->size();
     const size_t window = max_keys > 0 ? static_cast<size_t>(max_keys)
                                        : std::max<size_t>(1, degree);
@@ -87,14 +86,71 @@ void HIndexSlice(std::span<const int64_t> items, sim::MachineContext& ctx,
   while (!inflight.empty()) settle_oldest();
 }
 
+/// One worker slice of an h-index round run as a pull round. Its reads
+/// resolve at once as local sweeps against the round's exchange, which
+/// charges each distinct key once per worker per step whatever window
+/// carries it, and the slice opens no adaptive step, so the whole round
+/// is one exchange step per worker. So the slice packs the neighbor
+/// lists of consecutive vertices into shared windows of up to
+/// max_batch_keys keys (<= 0: one window), one ticket each, and settles
+/// each vertex's h-index from its span of the values read.
+template <typename OnResult>
+void PackedHIndexSlice(std::span<const int64_t> items,
+                       sim::MachineContext& ctx, const AdjStore& adjacency,
+                       const ValueStore& values, OnResult&& on_result) {
+  const int64_t max_keys = ctx.max_batch_keys();
+  const size_t window = max_keys > 0 ? static_cast<size_t>(max_keys)
+                                     : std::numeric_limits<size_t>::max();
+  std::vector<uint64_t> keys;  // the open window
+  // Values read for the vertices of `listed`, in order, then those read
+  // so far for the vertex whose list the open window split.
+  std::vector<int32_t> read;
+  // (item, degree) of each vertex whose whole list is read or in the
+  // open window, and not yet settled.
+  std::vector<std::pair<int64_t, size_t>> listed;
+  const auto flush = [&] {
+    kv::LookupTicket<int32_t> ticket =
+        ctx.LookupManyAsync(values, std::span<const uint64_t>(keys));
+    const kv::LookupBatchResult<int32_t> batch = ctx.Await(ticket);
+    for (const int32_t* value : batch.values) {
+      read.push_back(value == nullptr ? 0 : *value);
+    }
+    keys.clear();
+    size_t begin = 0;
+    for (const auto& [item, degree] : listed) {
+      on_result(item,
+                HIndex(std::span<const int32_t>(read).subspan(begin, degree)));
+      begin += degree;
+    }
+    listed.clear();
+    read.erase(read.begin(), read.begin() + begin);
+  };
+  for (const int64_t item : items) {
+    const std::span<const NodeId> adj =
+        *ctx.LookupLocal(adjacency, static_cast<NodeId>(item));
+    size_t begin = 0;
+    do {
+      const size_t take = std::min(adj.size() - begin, window - keys.size());
+      keys.insert(keys.end(), adj.begin() + begin,
+                  adj.begin() + (begin + take));
+      begin += take;
+      if (begin == adj.size()) listed.emplace_back(item, adj.size());
+      if (keys.size() == window) flush();
+    } while (begin < adj.size());
+  }
+  if (!listed.empty()) flush();
+}
+
 }  // namespace
 
-int32_t HIndex(std::vector<int32_t>& values) {
+int32_t HIndex(std::span<const int32_t> values) {
   // h is the largest value with |{x : x >= h}| >= h, and h <= d =
   // |values|. So histogram the values clamped to [0, d] and scan down
-  // from d, counting the values that reach each level.
+  // from d, counting the values that reach each level. An h-index round
+  // calls this once per vertex, so each thread keeps one histogram.
   const int32_t d = static_cast<int32_t>(values.size());
-  std::vector<int32_t> at_level(static_cast<size_t>(d) + 1, 0);
+  thread_local std::vector<int32_t> at_level;
+  at_level.assign(static_cast<size_t>(d) + 1, 0);
   for (const int32_t x : values) ++at_level[std::clamp(x, 0, d)];
   int32_t reaching = 0;
   for (int32_t h = d; h > 0; --h) {
@@ -109,14 +165,15 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
   const int64_t n = g.num_nodes();
 
   // Stage the adjacency once: one shuffle plus one cheap KV-write round.
+  // A record is a view of the vertex's CSR row, which outlives the job,
+  // and is charged the bytes of the packed list it stands for.
   WallTimer timer;
   int64_t adjacency_bytes = 0;
   for (NodeId v = 0; v < n; ++v) adjacency_bytes += g.AdjacencyBytes(v);
   cluster.AccountShuffle("WriteGraph", adjacency_bytes, timer.Seconds());
-  AdjStore adjacency = cluster.MakeStore<std::vector<NodeId>>(n);
+  AdjStore adjacency = cluster.MakeStore<std::span<const NodeId>>(n);
   cluster.RunKvWritePhase("KV-Write", adjacency, n, [&](int64_t v) {
-    const auto span = g.neighbors(static_cast<NodeId>(v));
-    return std::vector<NodeId>(span.begin(), span.end());
+    return g.neighbors(static_cast<NodeId>(v));
   });
 
   KCoreResult result;
@@ -169,16 +226,20 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
         changed.Set(item);
       }
     };
-    const auto slice = [&](std::span<const int64_t> items,
-                           sim::MachineContext& ctx) {
-      HIndexSlice(items, ctx, adjacency, values, on_result);
-    };
     if (policy.UseDense(static_cast<int64_t>(active.size()),
                         frontier_edges)) {
-      cluster.RunPullPhase("HIndex", n, active, slice);
+      cluster.RunPullPhase(
+          "HIndex", n, active,
+          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
+            PackedHIndexSlice(items, ctx, adjacency, values, on_result);
+          });
     } else {
       cluster.NoteSparseFrontierRound();
-      cluster.RunBatchMapPhase("HIndex", n, active, slice);
+      cluster.RunBatchMapPhase(
+          "HIndex", n, active,
+          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
+            HIndexSlice(items, ctx, adjacency, values, on_result);
+          });
     }
     for (const int64_t v : active) {
       if (changed.Test(v)) result.coreness[v] = next[v];

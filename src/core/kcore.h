@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -45,6 +46,6 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
 
 /// Computes the h-index of `values`: the largest h with at least h
 /// entries >= h. Exposed for tests and the MPC baseline.
-int32_t HIndex(std::vector<int32_t>& values);
+int32_t HIndex(std::span<const int32_t> values);
 
 }  // namespace ampc::core

@@ -3,7 +3,9 @@
 // these sizes, so they model wire size, not C++ object overheads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,13 @@ int64_t KvByteSize(const T&) {
 /// record framing and is charged as one word).
 template <typename T>
 int64_t KvByteSize(const std::vector<T>& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  return static_cast<int64_t>(sizeof(int64_t) + v.size() * sizeof(T));
+}
+
+/// A view of packed elements ships exactly what a vector of them does.
+template <typename T, std::size_t Extent>
+int64_t KvByteSize(const std::span<T, Extent>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   return static_cast<int64_t>(sizeof(int64_t) + v.size() * sizeof(T));
 }

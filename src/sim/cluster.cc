@@ -740,42 +740,27 @@ void Cluster::RunMapPhaseImpl(
       task_begin.push_back(s);
     }
   }
-  const size_t num_tasks = task_begin.size();
+  const int64_t num_tasks = static_cast<int64_t>(task_begin.size());
   task_begin.push_back(slices.size());
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  Latch latch;
-  latch.remaining = num_tasks;
   // One tally per slice, written once, when the slice's context hands
   // over its private tally.
   std::vector<WorkerTally> tallies(slices.size());
-  for (size_t t = 0; t < num_tasks; ++t) {
-    pool_->Schedule([&, t] {
-      for (size_t s = task_begin[t]; s < task_begin[t + 1]; ++s) {
-        const WorkerSlice& slice = slices[s];
-        {
-          // Scoped so the context's destructor — which settles any
-          // deferred pipeline trips and hands over the tally — runs
-          // before the latch releases the settle.
-          MachineContext ctx(this, &tallies[s], slice.machine,
-                             /*pull_round=*/pull);
-          slice_fn(std::span<const int64_t>(buckets.data() + slice.lo,
-                                            slice.hi - slice.lo),
-                   ctx);
-        }
-        tallies[s].client.items = slice.hi - slice.lo;
+  pool_->RunTasks(num_tasks, [&](int64_t t) {
+    for (size_t s = task_begin[t]; s < task_begin[t + 1]; ++s) {
+      const WorkerSlice& slice = slices[s];
+      {
+        // Scoped so the context's destructor — which settles any
+        // deferred pipeline trips and hands over the tally — runs
+        // before the task counts as finished.
+        MachineContext ctx(this, &tallies[s], slice.machine,
+                           /*pull_round=*/pull);
+        slice_fn(std::span<const int64_t>(buckets.data() + slice.lo,
+                                          slice.hi - slice.lo),
+                 ctx);
       }
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(latch.mu);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  }
+      tallies[s].client.items = slice.hi - slice.lo;
+    }
+  });
   SettleMapPhase(phase, tallies, timer.Seconds(), key_space, pull);
 }
 

@@ -150,6 +150,19 @@ TEST(RootsetMisTest, InMemoryOnlyPathWorks) {
   EXPECT_EQ(r.in_mis, seq::GreedyMis(g, ranks));
 }
 
+// 16,384 vertices, so the mark step's 2,048-vertex loop splits into
+// chunks on several pool threads, and two minima in different chunks can
+// mark a shared neighbor at once; the sweep's 512 vertices run that loop
+// inline. ThreadSanitizer runs this test.
+TEST(RootsetMisTest, MarksFromConcurrentChunks) {
+  const Graph g = graph::BuildGraph(graph::GenerateRmat(14, 100000, 3));
+  sim::Cluster cluster(SmallConfig());
+  const RootsetMisResult r = MpcRootsetMis(cluster, g, 3);
+  EXPECT_GE(r.phases, 1);
+  EXPECT_EQ(r.in_mis,
+            seq::GreedyMis(g, core::AllVertexRanks(g.num_nodes(), 3)));
+}
+
 TEST(BaselinesTest, ChargedCostsMatchParent) {
   // Pins the charged costs, not only the outputs: any cluster numbering
   // gives the same MSF, but later phases color and hook by those ids.

@@ -169,12 +169,16 @@ TEST(AmpcKCoreTest, ChargedCostsMatchParent) {
       graph::BuildGraph(graph::GenerateErdosRenyi(4096, 32768, 11));
   // kv_reads, kv_read_bytes, frontier_exchange_bytes,
   // frontier_broadcast_bytes, kv_writes, kv_write_bytes,
-  // kv_hot_machine_read_bytes, kv_hot_machine_write_bytes, rounds.
-  const auto run = [&](FrontierMode mode, double* sim_seconds) {
+  // kv_hot_machine_read_bytes, kv_hot_machine_write_bytes, rounds, and
+  // the push client's kv_lookup_trips, kv_batches, kv_peak_inflight_keys,
+  // cache_hits and cache_misses. The query cache is on in every leg.
+  const auto run = [&](FrontierMode mode, int64_t max_batch_keys,
+                       double* sim_seconds) {
     sim::ClusterConfig config;
     config.num_machines = 4;
     config.threads_per_machine = 4;
     config.frontier.mode = mode;
+    config.max_batch_keys = max_batch_keys;
     sim::Cluster cluster(config);
     EXPECT_EQ(core::AmpcKCore(cluster, g).coreness,
               seq::CoreDecomposition(g));
@@ -189,16 +193,36 @@ TEST(AmpcKCoreTest, ChargedCostsMatchParent) {
         m.Get("kv_write_bytes"),
         m.Get("kv_hot_machine_read_bytes"),
         m.Get("kv_hot_machine_write_bytes"),
-        m.Get("rounds")};
+        m.Get("rounds"),
+        m.Get("kv_lookup_trips"),
+        m.Get("kv_batches"),
+        m.Get("kv_peak_inflight_keys"),
+        m.Get("cache_hits"),
+        m.Get("cache_misses")};
   };
   double sim_seconds = 0;
-  EXPECT_EQ(run(FrontierMode::kHybrid, &sim_seconds),
+  EXPECT_EQ(run(FrontierMode::kHybrid, 4096, &sim_seconds),
             (std::vector<int64_t>{509910, 3922092, 3909324, 4096, 45056,
-                                  818560, 1022460, 212652, 22}));
+                                  818560, 1022460, 212652, 22, 80, 71, 77,
+                                  69, 1064}));
   EXPECT_DOUBLE_EQ(sim_seconds, 1.12249426);
-  EXPECT_EQ(run(FrontierMode::kDense, &sim_seconds),
+  EXPECT_EQ(run(FrontierMode::kDense, 4096, &sim_seconds),
             (std::vector<int64_t>{509910, 3922092, 3922092, 5120, 45056,
-                                  818560, 1022460, 212652, 22}));
+                                  818560, 1022460, 212652, 22, 0, 0, 0, 0,
+                                  0}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 1.122499603);
+  // Every round pushed through the cached, pipelined lookup client.
+  EXPECT_EQ(run(FrontierMode::kSparse, 4096, &sim_seconds),
+            (std::vector<int64_t>{509910, 1551960, 0, 0, 45056, 818560,
+                                  402084, 212652, 22, 15753, 25045, 90,
+                                  380580, 129330}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 1.124374968);
+  // Three-key windows: a pull round's packed windows split most vertex
+  // lists, and the charges must not move.
+  EXPECT_EQ(run(FrontierMode::kDense, 3, &sim_seconds),
+            (std::vector<int64_t>{509910, 3922092, 3922092, 5120, 45056,
+                                  818560, 1022460, 212652, 22, 0, 0, 0, 0,
+                                  0}));
   EXPECT_DOUBLE_EQ(sim_seconds, 1.122499603);
 }
 

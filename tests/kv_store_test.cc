@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -28,6 +29,7 @@ TEST(ByteSizeTest, ScalarsAndVectors) {
   EXPECT_EQ(KvByteSize(double{1.0}), 8);
   std::vector<uint32_t> v = {1, 2, 3};
   EXPECT_EQ(KvByteSize(v), 8 + 12);  // length word + payload
+  EXPECT_EQ(KvByteSize(std::span<const uint32_t>(v)), KvByteSize(v));
   std::pair<uint64_t, uint32_t> p{1, 2};
   EXPECT_EQ(KvByteSize(p), 12);
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace ampc {
@@ -12,25 +14,97 @@ namespace {
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
+  pool.RunTasks(100, [&count](int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitWithNoTasksReturns) {
+TEST(ThreadPoolTest, NoTasksReturns) {
   ThreadPool pool(2);
-  pool.Wait();  // must not hang
-  SUCCEED();
+  std::atomic<int> count{0};
+  pool.RunTasks(0, [&count](int64_t) { count.fetch_add(1); });
+  pool.RunTasks(-3, [&count](int64_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 0);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) pool.Schedule([&count] { ++count; });
-  pool.Wait();
+  pool.RunTasks(10, [&count](int64_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(RunTasksTest, EachIndexRunsExactlyOnce) {
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{2},
+                            int64_t{threads}, int64_t{1000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.RunTasks(n, [&hits](int64_t i) { hits[i].fetch_add(1); });
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "threads " << threads << ", n " << n << ", index " << i;
+      }
+    }
+  }
+}
+
+TEST(RunTasksTest, ConcurrentCallersEachGetTheirOwnTasks) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  std::vector<std::atomic<int64_t>> sums(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &sums, c] {
+      for (int rep = 0; rep < 20; ++rep) {
+        pool.RunTasks(500, [&sums, c](int64_t i) { sums[c].fetch_add(i); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(sums[c].load(), 20 * (499 * 500 / 2)) << "caller " << c;
+  }
+}
+
+TEST(RunTasksTest, NestedParallelForCompletes) {
+  ThreadPool pool(2);
+  std::atomic<int64_t> total{0};
+  pool.RunTasks(8, [&](int64_t) {
+    ParallelFor(pool, 0, 1000, 1, [&](int64_t i) { total.fetch_add(i); });
+  });
+  EXPECT_EQ(total.load(), 8 * (999 * 1000 / 2));
+}
+
+// A call made while every worker is busy runs all its tasks on the
+// caller. Its helpers reach the workers only after it has returned and
+// its task is gone, and must then leave without running anything.
+TEST(RunTasksTest, RunsOnCallerWhileWorkersAreBlocked) {
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  // kThreads + 1 tasks: every worker and the blocking thread hold one.
+  std::thread blocker([&] {
+    pool.RunTasks(kThreads + 1, [&](int64_t) {
+      entered.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (entered.load() < kThreads + 1) std::this_thread::yield();
+
+  std::vector<std::thread::id> ran_on(100);
+  pool.RunTasks(100, [&ran_on](int64_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  const std::thread::id self = std::this_thread::get_id();
+  EXPECT_EQ(std::count(ran_on.begin(), ran_on.end(), self), 100);
+
+  release.store(true);
+  blocker.join();
+  // The pool still works once the late helpers have come and gone.
+  std::atomic<int> count{0};
+  pool.RunTasks(64, [&count](int64_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ParallelForTest, CoversExactRange) {
