@@ -20,16 +20,4 @@ std::vector<IndexChunk> SplitIndexChunks(int64_t begin, int64_t end,
   return chunks;
 }
 
-int64_t DefaultChunksForPool(const ThreadPool& pool) {
-  // 4x the thread count: enough slack that an unlucky chunk does not
-  // serialize the tail, cheap enough that chunk dispatch is noise.
-  return 4 * static_cast<int64_t>(pool.num_threads());
-}
-
-void ParallelForEachChunk(ThreadPool& pool,
-                          const std::vector<IndexChunk>& chunks,
-                          const std::function<void(int64_t)>& fn) {
-  pool.RunTasks(static_cast<int64_t>(chunks.size()), fn);
-}
-
 }  // namespace ampc

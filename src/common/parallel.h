@@ -38,16 +38,6 @@ struct IndexChunk {
 std::vector<IndexChunk> SplitIndexChunks(int64_t begin, int64_t end,
                                          int64_t grain, int64_t max_chunks);
 
-/// Chunk count used by the primitives below for a pool: enough chunks to
-/// load-balance, few enough to keep per-chunk overhead negligible.
-int64_t DefaultChunksForPool(const ThreadPool& pool);
-
-/// Runs fn(c) for every chunk index c in [0, chunks.size()) on the pool.
-/// Blocks until complete.
-void ParallelForEachChunk(ThreadPool& pool,
-                          const std::vector<IndexChunk>& chunks,
-                          const std::function<void(int64_t)>& fn);
-
 /// Builds {gen(0), gen(1), ..., gen(n-1)} in parallel. T must be default
 /// constructible; gen must be safe to call concurrently for distinct i.
 template <typename T, typename Gen>
@@ -76,7 +66,7 @@ T ParallelReduce(ThreadPool& pool, int64_t begin, int64_t end, T identity,
     return acc;
   }
   std::vector<T> partial(chunks.size(), identity);
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     T acc = identity;
     for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
       acc = reduce(std::move(acc), map(i));
@@ -180,7 +170,7 @@ void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
   const std::vector<IndexChunk> chunks = SplitIndexChunks(
       0, n, parallel_internal::kSortCutoff / 4, DefaultChunksForPool(pool));
   const int64_t num_chunks = static_cast<int64_t>(chunks.size());
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     std::stable_sort(items.begin() + chunks[c].begin,
                      items.begin() + chunks[c].end, cmp);
   });
@@ -215,7 +205,7 @@ void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
   // scatter below.
   std::vector<std::vector<int64_t>> run_end(
       num_chunks, std::vector<int64_t>(num_buckets, 0));
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     const auto chunk_begin = items.begin() + chunks[c].begin;
     const auto chunk_end = items.begin() + chunks[c].end;
     for (int64_t b = 0; b + 1 < num_buckets; ++b) {
@@ -245,12 +235,8 @@ void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
   // (this fixes the order of equal elements deterministically), recording
   // the surviving (non-empty) run boundaries as global offsets.
   std::vector<T> scratch(n);
-  std::vector<IndexChunk> buckets(num_buckets);
-  for (int64_t b = 0; b < num_buckets; ++b) {
-    buckets[b] = {bucket_begin[b], bucket_begin[b + 1]};
-  }
   std::vector<std::vector<int64_t>> bounds(num_buckets);
-  ParallelForEachChunk(pool, buckets, [&](int64_t b) {
+  pool.RunTasks(num_buckets, [&](int64_t b) {
     int64_t out = bucket_begin[b];
     std::vector<int64_t>& bd = bounds[b];
     bd.reserve(num_chunks + 1);

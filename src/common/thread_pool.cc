@@ -91,13 +91,17 @@ ThreadPool& ThreadPool::Global() {
   return *pool;
 }
 
+int64_t DefaultChunksForPool(const ThreadPool& pool) {
+  return 4 * static_cast<int64_t>(pool.num_threads());
+}
+
 void ParallelForChunked(ThreadPool& pool, int64_t begin, int64_t end,
                         int64_t grain,
                         const std::function<void(int64_t, int64_t)>& fn) {
   if (begin >= end) return;
   grain = std::max<int64_t>(1, grain);
   const int64_t n = end - begin;
-  const int64_t max_chunks = 4 * pool.num_threads();
+  const int64_t max_chunks = DefaultChunksForPool(pool);
   const int64_t chunk = std::max(grain, (n + max_chunks - 1) / max_chunks);
   if (n <= chunk) {
     fn(begin, end);

@@ -35,7 +35,9 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// A process-wide pool sized to the hardware concurrency.
+  /// The process's one pool, sized to the hardware concurrency. Graph
+  /// set-up and every sim::Cluster not handed another pool run on it,
+  /// so a process starts its host threads once, not once per job.
   static ThreadPool& Global();
 
  private:
@@ -50,6 +52,11 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// How many chunks a parallel loop over `pool` splits its range into:
+/// 4 per thread, enough slack that an unlucky chunk does not serialize
+/// the tail, few enough that chunk dispatch is noise.
+int64_t DefaultChunksForPool(const ThreadPool& pool);
 
 /// Runs fn(i) for i in [begin, end) on `pool`, splitting the range into
 /// chunks of at least `grain` indices. Blocks until complete. Safe to call

@@ -251,7 +251,7 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
     const std::vector<IndexChunk> chunks = SplitIndexChunks(
         0, n, 2048, DefaultChunksForPool(cluster.pool()));
     std::vector<std::vector<int64_t>> discovered(chunks.size());
-    ParallelForEachChunk(cluster.pool(), chunks, [&](int64_t c) {
+    cluster.pool().RunTasks(std::ssize(chunks), [&](int64_t c) {
       for (int64_t u = chunks[c].begin; u < chunks[c].end; ++u) {
         for (const NodeId neighbor : g.neighbors(static_cast<NodeId>(u))) {
           if (changed.Test(neighbor)) {

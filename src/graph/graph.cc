@@ -76,7 +76,7 @@ BucketedRows<Slot> SortRows(int64_t n, const std::vector<E>& edges,
   const std::vector<IndexChunk> chunks =
       SplitIndexChunks(0, m, kEdgeChunkGrain, DefaultChunksForPool(pool));
   std::vector<uint64_t> cursor(chunks.size() * num_buckets, 0);
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     uint64_t* count = &cursor[c * num_buckets];
     for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
       const E& e = edges[i];
@@ -106,7 +106,7 @@ BucketedRows<Slot> SortRows(int64_t n, const std::vector<E>& edges,
     Slot slot;
   };
   auto arcs = std::make_unique_for_overwrite<Arc[]>(total);
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     uint64_t* next = &cursor[c * num_buckets];
     for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
       const E& e = edges[i];

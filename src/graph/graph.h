@@ -148,9 +148,9 @@ class WeightedGraph {
 ///
 /// Both builders bucket the arcs by source id with a counting scatter and
 /// then order each bucket's rows on their own, all on ThreadPool::Global()
-/// (so neither may run inside one of that pool's tasks). No sort spans the
-/// whole edge list, and the result depends on the input alone, never on
-/// the pool's size or schedule.
+/// (also from inside one of its tasks: RunTasks calls nest). No sort spans
+/// the whole edge list, and the result depends on the input alone, never
+/// on the pool's size or schedule.
 Graph BuildGraph(const EdgeList& list, const BuildOptions& options = {});
 
 /// Weighted variant; arcs carry (weight, edge id) of the defining edge.

@@ -68,7 +68,7 @@ PCollection<Out> ParDoEngine(ThreadPool& pool, const PCollection<In>& input,
       SplitIndexChunks(0, static_cast<int64_t>(input.size()), 1024,
                        DefaultChunksForPool(pool));
   std::vector<std::vector<Out>> slots(chunks.size());
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     std::vector<Out>& local = slots[c];
     auto emit = [&local](Out value) { local.push_back(std::move(value)); };
     for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
@@ -178,7 +178,7 @@ PCollection<KV<K, std::vector<V>>> GroupByKeyEngine(
       SplitIndexChunks(0, n, 4096, DefaultChunksForPool(pool));
   const int64_t num_chunks = static_cast<int64_t>(chunks.size());
   std::vector<std::vector<KV<K, V>>> parts(num_chunks * num_shards);
-  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     std::vector<KV<K, V>>* chunk_parts = &parts[c * num_shards];
     // Count first so each part is allocated exactly once; the shard hash
     // is cheap relative to the reallocation churn it avoids.

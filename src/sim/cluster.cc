@@ -1,14 +1,14 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 
 namespace ampc::sim {
 
-Cluster::Cluster(ClusterConfig config) : config_(config) {
+Cluster::Cluster(ClusterConfig config, ThreadPool& pool)
+    : config_(config), pool_(pool) {
   AMPC_CHECK_GE(config_.num_machines, 1);
   AMPC_CHECK_GE(config_.threads_per_machine, 1);
   AMPC_CHECK_GE(config_.pipeline_depth, 1);
@@ -20,13 +20,6 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   AMPC_CHECK_GE(config_.faults.warning_lead_sec, 0.0);
   AMPC_CHECK_GE(config_.faults.slow_machine_rate, 0.0);
   AMPC_CHECK_LE(config_.faults.slow_machine_rate, 1.0);
-  const int logical_threads =
-      config_.num_machines *
-      (config_.multithreading ? config_.threads_per_machine : 1);
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  pool_ = std::make_unique<ThreadPool>(
-      std::max(1, std::min(logical_threads, hw)));
   machine_kv_write_bytes_.assign(config_.num_machines, 0);
   checkpointed_bytes_.assign(config_.num_machines, 0);
   shard_hosts_.resize(config_.num_machines);
@@ -672,7 +665,7 @@ void Cluster::RunMapPhaseImpl(
   std::vector<int64_t> cursor(static_cast<size_t>(num_chunks) * num_machines,
                               0);
   const auto for_each_chunk_item = [&](auto&& visit) {
-    ParallelFor(*pool_, 0, num_chunks, 1, [&](int64_t c) {
+    ParallelFor(pool_, 0, num_chunks, 1, [&](int64_t c) {
       int64_t* local = cursor.data() + c * num_machines;
       const int64_t hi = std::min(n, (c + 1) * kScatterChunk);
       for (int64_t i = c * kScatterChunk; i < hi; ++i) {
@@ -745,7 +738,7 @@ void Cluster::RunMapPhaseImpl(
   // One tally per slice, written once, when the slice's context hands
   // over its private tally.
   std::vector<WorkerTally> tallies(slices.size());
-  pool_->RunTasks(num_tasks, [&](int64_t t) {
+  pool_.RunTasks(num_tasks, [&](int64_t t) {
     for (size_t s = task_begin[t]; s < task_begin[t + 1]; ++s) {
       const WorkerSlice& slice = slices[s];
       {

@@ -47,7 +47,9 @@
 //
 // The multithreading toggle (overlapping trips across a machine's worker
 // threads) completes the Figure-4 ablation grid. None of the toggles
-// ever changes a returned value — only the cost model.
+// ever changes a returned value — only the cost model. multithreading
+// is cost-only: the settles read it, and the host runs a job the same
+// way either way, on the Cluster's pool (ThreadPool::Global() default).
 //
 // Pull is a mode of the same client, not a second API. Inside a pull
 // round (Cluster::RunPullPhase, the frontier engine's dense mode) the
@@ -108,6 +110,10 @@ struct ClusterConfig {
   /// simulated overlap changes.
   int threads_per_machine = 8;
   /// Disables the multithreading optimization when false (Figure 4).
+  /// Cost-only: a machine's trips are charged serialized instead of
+  /// overlapped across its threads_per_machine workers. The host still
+  /// runs the same worker slices on the same pool, so outputs and
+  /// counters are unchanged; only sim: seconds move.
   bool multithreading = true;
   /// Per-machine query-result caching (the Section 5.3 caching
   /// optimization, the largest single Figure-4 win). When enabled,
@@ -315,11 +321,15 @@ struct RoundFootprint {
 /// A simulated AMPC cluster: phase executor + metric accountant.
 class Cluster {
  public:
-  explicit Cluster(ClusterConfig config);
+  /// Runs the job's host work on `pool`, which the cluster borrows and
+  /// must outlive it. Every output and every charge is the same on a
+  /// pool of any size; tests pass pools of chosen sizes to check that.
+  explicit Cluster(ClusterConfig config,
+                   ThreadPool& pool = ThreadPool::Global());
 
   const ClusterConfig& config() const { return config_; }
   Metrics& metrics() { return metrics_; }
-  ThreadPool& pool() { return *pool_; }
+  ThreadPool& pool() { return pool_; }
 
   /// The cluster's placement for a key space of `capacity` keys: the
   /// single key -> machine assignment shared by MakeStore's records and
@@ -406,7 +416,7 @@ class Cluster {
                                              BytesFn&& bytes_of) {
     std::vector<std::atomic<int64_t>> totals(config_.num_machines);
     for (auto& t : totals) t.store(0, std::memory_order_relaxed);
-    ParallelForChunked(*pool_, 0, items, 4096, [&](int64_t lo, int64_t hi) {
+    ParallelForChunked(pool_, 0, items, 4096, [&](int64_t lo, int64_t hi) {
       std::vector<int64_t> local(config_.num_machines, 0);
       for (int64_t i = lo; i < hi; ++i) local[machine_of(i)] += bytes_of(i);
       for (int m = 0; m < config_.num_machines; ++m) {
@@ -807,7 +817,7 @@ class Cluster {
 
   const ClusterConfig config_;
   Metrics metrics_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool& pool_;
   // Every charged round, in order (RecordRound/ExtendLastRound).
   std::vector<RoundFootprint> rounds_;
   std::vector<int64_t> machine_kv_write_bytes_;
@@ -1407,7 +1417,7 @@ void Cluster::RunKvWritePhase(const std::string& phase,
   }
   // One batch per chunk: the chunk's records are published, then counted
   // once per shard (kv::ShardedStore::PutRange).
-  ParallelForChunked(*pool_, 0, n, 1024, [&](int64_t lo, int64_t hi) {
+  ParallelForChunked(pool_, 0, n, 1024, [&](int64_t lo, int64_t hi) {
     store.PutRange(static_cast<uint64_t>(lo), static_cast<uint64_t>(hi),
                    [&](uint64_t key) {
                      return producer(static_cast<int64_t>(key));

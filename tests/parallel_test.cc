@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -214,16 +213,6 @@ TEST(ParallelSortTest, SplitPointMergeHandlesTiesAcrossSegments) {
   ThreadPool pool(8);
   ParallelSort(pool, constant, by_key);
   EXPECT_EQ(constant, constant_want);
-}
-
-TEST(ParallelForEachChunkTest, VisitsEveryChunkOnce) {
-  ThreadPool pool(4);
-  const auto chunks = SplitIndexChunks(0, 100000, 64, 32);
-  std::vector<std::atomic<int>> visits(chunks.size());
-  for (auto& v : visits) v.store(0);
-  ParallelForEachChunk(pool, chunks,
-                       [&](int64_t c) { visits[c].fetch_add(1); });
-  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 }  // namespace

@@ -372,7 +372,7 @@ int DumpLintConfig(const Args& args) {
   row("threads_per_machine", integer(c.threads_per_machine),
       "scale knob: outputs bit-identical across values");
   row("multithreading", boolean(c.multithreading),
-      "false = sequential workers, bit-identical outputs");
+      "false = trips charged unoverlapped, cost-only");
   row("query_cache.enabled", boolean(c.query_cache.enabled),
       "false = uncached historical client, cost-only");
   row("batch_lookups", boolean(c.batch_lookups),
