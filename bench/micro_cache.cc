@@ -5,7 +5,7 @@
 // adaptive query processes keep revisiting hot structure, and a
 // per-machine query cache answers those revisits locally instead of
 // paying the DHT round trip. This bench drives the simulator's cache
-// stage (kv::QueryCache behind MachineContext::Lookup/LookupMany,
+// stage (kv::QueryCache behind MachineContext::Lookup/LookupManyAsync,
 // ClusterConfig::query_cache) over the canonical cache-friendly
 // workload — pointer jumping up a binary tree whose chains all converge
 // on one root — and reports hit rates plus the simulated-time and

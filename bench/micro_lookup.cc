@@ -3,7 +3,7 @@
 //
 // The paper's DHT hides its ~2.5us round trip by batching and pipelining
 // adaptive queries (Section 5.3). This bench drives the simulator's
-// batched read path (MachineContext::LookupMany through
+// batched read path (DriveLookupPipelined through
 // RunBatchMapPhase) over the canonical latency-bound workload — pointer
 // jumping along long parent chains — and compares the simulated phase
 // time against the same workload charged scalar (one round trip per
@@ -44,7 +44,7 @@ struct RunResult {
 // Pointer jumping over parent chains of kChainLength hops: every item
 // chases its chain to the root. Latency-bound: records are 4 bytes, the
 // chains are long, and with batching every adaptive step ships as one
-// LookupMany per worker.
+// batched step of DriveLookupPipelined per worker.
 RunResult RunPointerJump(int64_t n, const ampc::bench::GridCell& cell) {
   ampc::sim::ClusterConfig config;
   config.num_machines = kMachines;
@@ -148,8 +148,8 @@ int main() {
   }
   ampc::bench::PrintPaperNote(
       "batching amortizes the DHT round trip across every chain a worker "
-      "advances (Section 5.3); one LookupMany per adaptive step pays one "
-      "latency per destination machine instead of one per key");
+      "advances (Section 5.3); one batched lookup per adaptive step pays "
+      "one latency per destination machine instead of one per key");
 
   const PolicyRow& hash_row = rows[0];
   if (hash_row.batched.sim_sec >= hash_row.scalar.sim_sec) {

@@ -6,7 +6,10 @@
 // scan) against the sharded engine in mpc/dataflow.h and the ParallelSort
 // primitive across thread counts, prints a table, and writes the
 // measurements to BENCH_shuffle.json (overwritten per run; CI uploads it
-// as an artifact so shuffle throughput is tracked across PRs).
+// as an artifact so shuffle throughput is tracked across PRs). Before
+// timing each thread count it checks what it times: the engine's groups
+// (keys and value order) and ParallelSort's output must equal the
+// serial references, or the bench exits 1.
 //
 //   AMPC_BENCH_SCALE     scales the record count (default 1.0 => 1M)
 //   AMPC_SHUFFLE_REPS    repetitions per timing, best-of (default 3)
@@ -37,13 +40,8 @@ using ampc::mpc::PCollection;
 using Record = KV<uint64_t, uint64_t>;
 using Groups = PCollection<KV<uint64_t, std::vector<uint64_t>>>;
 
-// The seed repository's shuffle: one std::sort plus a serial scan. Kept
-// verbatim as the baseline the sharded engine is measured against.
-Groups SerialGroupByKey(PCollection<Record> records) {
-  std::sort(records.begin(), records.end(),
-            [](const Record& a, const Record& b) {
-              return a.first < b.first;
-            });
+// Groups records already sorted by key: one serial scan.
+Groups GroupSorted(const PCollection<Record>& records) {
   Groups out;
   for (size_t i = 0; i < records.size();) {
     size_t j = i;
@@ -56,6 +54,16 @@ Groups SerialGroupByKey(PCollection<Record> records) {
     i = j;
   }
   return out;
+}
+
+// The seed repository's shuffle: one std::sort plus a serial scan. Kept
+// as the baseline the sharded engine is measured against.
+Groups SerialGroupByKey(PCollection<Record> records) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) {
+              return a.first < b.first;
+            });
+  return GroupSorted(records);
 }
 
 }  // namespace
@@ -94,7 +102,12 @@ int main() {
     return timer.Seconds();
   });
 
-  const Groups reference = SerialGroupByKey(records);
+  // References for the checks. A record's value is its input index, so
+  // std::sort over whole records keeps each key's values in input
+  // order, the order GroupByKeyEngine promises.
+  PCollection<Record> sorted = records;
+  std::sort(sorted.begin(), sorted.end());
+  const Groups reference = GroupSorted(sorted);
 
   std::vector<int> thread_counts = {1, 2, 4, 8};
   if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
@@ -111,17 +124,26 @@ int main() {
   std::vector<Row> rows;
   for (int threads : thread_counts) {
     ThreadPool pool(threads);
+    if (GroupByKeyEngine(pool, records) != reference) {
+      std::fprintf(stderr,
+                   "FATAL: %d-thread GroupByKeyEngine differs from the "
+                   "serial groups\n",
+                   threads);
+      return 1;
+    }
+    PCollection<Record> parallel_sorted = records;
+    ampc::ParallelSort(pool, parallel_sorted);
+    if (parallel_sorted != sorted) {
+      std::fprintf(stderr,
+                   "FATAL: %d-thread ParallelSort differs from std::sort\n",
+                   threads);
+      return 1;
+    }
     const double group_sec = ampc::bench::BestOf(reps, [&] {
       auto copy = records;
       WallTimer timer;
       Groups groups = GroupByKeyEngine(pool, std::move(copy));
-      const double sec = timer.Seconds();
-      if (groups.size() != reference.size()) {
-        std::fprintf(stderr, "FATAL: parallel group count %zu != %zu\n",
-                     groups.size(), reference.size());
-        std::abort();
-      }
-      return sec;
+      return timer.Seconds();
     });
     const double sort_sec = ampc::bench::BestOf(reps, [&] {
       auto copy = records;

@@ -1,5 +1,5 @@
 // Reusable parallel primitives over ThreadPool: ParallelTabulate,
-// ParallelReduce and ParallelSort (a deterministic sample sort).
+// ParallelReduce and ParallelSort (a deterministic merge sort).
 //
 // The paper's practical claim is that shuffle cost dominates MPC graph
 // algorithms (Section 5.7, Table 3), so the simulated runtime's shuffle
@@ -147,17 +147,16 @@ void PlanMerge(const std::vector<T>& src, int64_t lo, int64_t mid,
 
 }  // namespace parallel_internal
 
-/// Sorts `items` under `cmp` using a stable, deterministic sample sort:
+/// Sorts `items` under `cmp` with a stable, deterministic merge sort:
 ///   1. split into chunks and stable-sort each chunk on the pool;
-///   2. pick bucket splitters from a regular sample of the sorted chunks;
-///   3. locate each chunk's bucket boundaries by binary search (chunks
-///      are sorted, so every bucket is one contiguous run per chunk);
-///   4. scatter runs to their bucket's output region and merge the runs
-///      of each bucket in parallel.
-/// Chunks are gathered in index order and every merge is stable, so the
-/// result equals std::stable_sort's: equal elements keep input order, and
-/// the output is a pure function of the input — identical across runs
-/// and thread counts. Falls back to std::stable_sort for small inputs or
+///   2. merge adjacent sorted runs pass by pass, alternating between
+///      `items` and one scratch buffer (std::merge segments can't
+///      overlap in place); each pass is planned as split-point segments
+///      (PlanMerge) that the whole pool works through together.
+/// Runs stay in index order and every merge is stable, so the result
+/// equals std::stable_sort's: equal elements keep input order, and the
+/// output is a pure function of the input — identical across runs and
+/// thread counts. Falls back to std::stable_sort for small inputs or
 /// single-thread pools.
 template <typename T, typename Cmp = std::less<T>>
 void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
@@ -169,125 +168,29 @@ void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
 
   const std::vector<IndexChunk> chunks = SplitIndexChunks(
       0, n, parallel_internal::kSortCutoff / 4, DefaultChunksForPool(pool));
-  const int64_t num_chunks = static_cast<int64_t>(chunks.size());
   pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
     std::stable_sort(items.begin() + chunks[c].begin,
                      items.begin() + chunks[c].end, cmp);
   });
 
-  // A regular sample (every chunk contributes `kOversample` evenly spaced
-  // elements) is already sorted within each chunk; merging via sort is
-  // cheap because the sample is tiny. Sampling works on indices so heavy
-  // elements (e.g. groups holding large value vectors) are never copied.
-  constexpr int64_t kOversample = 8;
-  const int64_t num_buckets = num_chunks;
-  std::vector<int64_t> sample;
-  sample.reserve(num_chunks * kOversample);
-  for (const IndexChunk& chunk : chunks) {
-    for (int64_t s = 0; s < kOversample; ++s) {
-      const int64_t offset = chunk.size() * (2 * s + 1) / (2 * kOversample);
-      sample.push_back(chunk.begin + offset);
-    }
-  }
-  std::sort(sample.begin(), sample.end(), [&](int64_t a, int64_t b) {
-    return cmp(items[a], items[b]);
-  });
-  std::vector<int64_t> splitters;  // indices into `items`
-  splitters.reserve(num_buckets - 1);
-  for (int64_t b = 1; b < num_buckets; ++b) {
-    splitters.push_back(
-        sample[b * static_cast<int64_t>(sample.size()) / num_buckets]);
-  }
-
-  // run_end[c][b]: end offset (within chunk c) of the run bound for
-  // bucket b. Runs are contiguous because each chunk is sorted. Splitter
-  // indices stay valid here: items is not mutated again until the
-  // scatter below.
-  std::vector<std::vector<int64_t>> run_end(
-      num_chunks, std::vector<int64_t>(num_buckets, 0));
-  pool.RunTasks(std::ssize(chunks), [&](int64_t c) {
-    const auto chunk_begin = items.begin() + chunks[c].begin;
-    const auto chunk_end = items.begin() + chunks[c].end;
-    for (int64_t b = 0; b + 1 < num_buckets; ++b) {
-      run_end[c][b] =
-          std::lower_bound(chunk_begin, chunk_end, splitters[b],
-                           [&](const T& element, int64_t splitter) {
-                             return cmp(element, items[splitter]);
-                           }) -
-          chunk_begin;
-    }
-    run_end[c][num_buckets - 1] = chunks[c].size();
-  });
-
-  // Bucket output regions: bucket b holds run b of every chunk, chunks in
-  // index order (this fixes the order of equal elements deterministically).
-  std::vector<int64_t> bucket_begin(num_buckets + 1, 0);
-  for (int64_t b = 0; b < num_buckets; ++b) {
-    int64_t size = 0;
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      const int64_t lo = b == 0 ? 0 : run_end[c][b - 1];
-      size += run_end[c][b] - lo;
-    }
-    bucket_begin[b + 1] = bucket_begin[b] + size;
-  }
-
-  // Scatter runs to their bucket's output region, chunks in index order
-  // (this fixes the order of equal elements deterministically), recording
-  // the surviving (non-empty) run boundaries as global offsets.
+  // bounds[i] .. bounds[i + 1] is run i; runs are in index order.
+  std::vector<int64_t> bounds = {0};
+  for (const IndexChunk& chunk : chunks) bounds.push_back(chunk.end);
   std::vector<T> scratch(n);
-  std::vector<std::vector<int64_t>> bounds(num_buckets);
-  pool.RunTasks(num_buckets, [&](int64_t b) {
-    int64_t out = bucket_begin[b];
-    std::vector<int64_t>& bd = bounds[b];
-    bd.reserve(num_chunks + 1);
-    bd.push_back(out);
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      const int64_t lo = chunks[c].begin + (b == 0 ? 0 : run_end[c][b - 1]);
-      const int64_t hi = chunks[c].begin + run_end[c][b];
-      std::move(items.begin() + lo, items.begin() + hi, scratch.begin() + out);
-      out += hi - lo;
-      if (out != bd.back()) bd.push_back(out);
-    }
-  });
-
-  // Split-point parallel bucket merge. Each pass pairs up adjacent runs
-  // of every bucket and plans each pair as independent ~kMergeGrain
-  // segments, which the whole pool chews through together — a bucket
-  // with one giant run pair no longer serializes on a single core.
-  // Passes ping-pong between two full-size buffers (std::merge segments
-  // can't overlap in place), copying leftover runs so every pass's
-  // output buffer holds the complete range.
-  std::vector<T> aux(n);
-  std::vector<T>* src = &scratch;
-  std::vector<T>* dst = &aux;
-  auto has_unmerged_runs = [&bounds] {
-    for (const std::vector<int64_t>& bd : bounds) {
-      if (bd.size() > 2) return true;
-    }
-    return false;
-  };
-  while (has_unmerged_runs()) {
+  std::vector<T>* src = &items;
+  std::vector<T>* dst = &scratch;
+  while (bounds.size() > 2) {
     std::vector<parallel_internal::MergeSegment> segments;
-    for (int64_t b = 0; b < num_buckets; ++b) {
-      std::vector<int64_t>& bd = bounds[b];
-      std::vector<int64_t> next;
-      next.reserve(bd.size() / 2 + 2);
-      next.push_back(bd[0]);
-      size_t i = 0;
-      for (; i + 2 < bd.size(); i += 2) {
-        parallel_internal::PlanMerge(*src, bd[i], bd[i + 1], bd[i + 2], cmp,
-                                     segments);
-        next.push_back(bd[i + 2]);
-      }
-      if (i + 1 < bd.size()) {
-        // Leftover run without a partner: plan it as a merge with an
-        // empty right side, i.e. a parallel copy into the output buffer.
-        parallel_internal::PlanMerge(*src, bd[i], bd[i + 1], bd[i + 1], cmp,
-                                     segments);
-        next.push_back(bd[i + 1]);
-      }
-      bd = std::move(next);
+    std::vector<int64_t> next = {0};
+    for (size_t i = 0; i + 1 < bounds.size(); i += 2) {
+      // A last run without a partner merges with an empty run, i.e. is
+      // copied, so every pass's output buffer holds the whole range.
+      const int64_t hi = bounds[std::min(i + 2, bounds.size() - 1)];
+      parallel_internal::PlanMerge(*src, bounds[i], bounds[i + 1], hi, cmp,
+                                   segments);
+      next.push_back(hi);
     }
+    bounds = std::move(next);
     ParallelFor(pool, 0, static_cast<int64_t>(segments.size()), 1,
                 [&](int64_t s) {
                   const parallel_internal::MergeSegment& seg = segments[s];
@@ -299,7 +202,7 @@ void ParallelSort(ThreadPool& pool, std::vector<T>& items, Cmp cmp = Cmp()) {
                 });
     std::swap(src, dst);
   }
-  items = std::move(*src);
+  if (src != &items) items.swap(scratch);
 }
 
 }  // namespace ampc

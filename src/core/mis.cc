@@ -30,7 +30,7 @@ enum MisState : uint8_t { kUnknown = 0, kInMis = 1, kNotInMis = 2 };
 // needs a remote adjacency (`pending` set — exactly where the scalar
 // client issued its synchronous Lookup) or finishes (`done` set), and
 // each adaptive step fetches every active resolution's pending adjacency
-// with one LookupMany batch.
+// in one batched step of sim::DriveLookupPipelined.
 struct MisResolveState {
   struct Frame {
     NodeId v;

@@ -69,10 +69,10 @@ struct AdjCursorGreater {
 // `origin` in the permutation. The search runs until it either needs a
 // remote adjacency (`pending` set) or terminates (`done` set), so a
 // worker can run many searches in lockstep and fetch every pending
-// adjacency of an adaptive step with one LookupMany batch. The heap
-// lazily merges the visited vertices' adjacencies: it holds at most one
-// cursor per visited vertex, keyed by the cursor's head arc, so a hub's
-// record is read only as far as the search needs it, never copied.
+// adjacency of an adaptive step in one DriveLookupPipelined step. The
+// heap lazily merges the visited vertices' adjacencies: it holds at most
+// one cursor per visited vertex, keyed by the cursor's head arc, so a
+// hub's record is read only as far as the search needs it, never copied.
 struct PrimSearchState {
   int64_t item = 0;
   NodeId origin = kInvalidNode;

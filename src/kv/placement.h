@@ -21,8 +21,7 @@
 //     *follower* machines (distinct from the primary), so a machine
 //     lost to preemption can be rebuilt by streaming its shard from a
 //     surviving follower instead of replaying the job
-//     (sim::ClusterConfig::faults). FailoverTarget picks the follower a
-//     dead machine's shard re-routes to.
+//     (sim::ClusterConfig::faults).
 //
 // Both kv::ShardedStore and sim::Cluster::MachineOf place through the
 // same Placement, so the machine running work item v is still the
@@ -88,18 +87,6 @@ struct ReplicaSet {
 
   int primary() const { return machines.empty() ? 0 : machines[0]; }
   int replication() const { return static_cast<int>(machines.size()); }
-
-  /// The surviving machine a dead primary's shard re-routes to — the
-  /// first follower not in `dead` (dead[m] != 0 means machine m is
-  /// currently down) — or -1 when every copy is lost and the shard must
-  /// be restored from a checkpoint or recomputed.
-  int FailoverTarget(const std::vector<uint8_t>& dead) const {
-    for (size_t i = 1; i < machines.size(); ++i) {
-      const int m = machines[i];
-      if (static_cast<size_t>(m) >= dead.size() || !dead[m]) return m;
-    }
-    return -1;
-  }
 
   /// Whether the copies cover as many distinct fault domains as they
   /// possibly can — min(copies, number of domains) — so no single rack
@@ -247,11 +234,6 @@ struct Placement {
       }
     }
     return set;
-  }
-
-  /// ReplicasOfShard for the shard owning `key`.
-  ReplicaSet ReplicasOf(uint64_t key) const {
-    return ReplicasOfShard(ShardOf(key));
   }
 
   friend bool operator==(const Placement& a, const Placement& b) {

@@ -39,7 +39,7 @@
 //     rule must still be race-free.
 //
 // Two uses share this type, each as a MachineCaches set (one cache per
-// machine). MachineContext::Lookup/LookupMany consult a store's
+// machine). MachineContext::Lookup/LookupManyAsync consult a store's
 // read-through QueryCache<const V*> instances (attached by
 // sim::Cluster::MakeStore); hits are served locally with no trip and no
 // owner bytes. Algorithms additionally park *derived* per-key facts —

@@ -113,7 +113,6 @@ class ShardedStore {
 
   int64_t capacity() const { return map_->placement.capacity; }
   int num_shards() const { return map_->placement.num_shards; }
-  uint64_t seed() const { return map_->placement.seed; }
   const Placement& placement() const { return map_->placement; }
 
   /// The shard (= logical machine) owning `key`: the key map's column
@@ -222,15 +221,6 @@ class ShardedStore {
   /// Wire bytes held by shard `s`.
   int64_t ShardBytes(int s) const { return shards_[s]->total_bytes(); }
 
-  /// Fraction of shard `s`'s slots that hold a record (0 for an empty
-  /// key-space slice).
-  double ShardOccupancy(int s) const {
-    const int64_t cap = shards_[s]->capacity();
-    if (cap == 0) return 0.0;
-    return static_cast<double>(shards_[s]->size()) /
-           static_cast<double>(cap);
-  }
-
   /// Snapshot of every shard's wire bytes, indexed by shard id.
   std::vector<int64_t> ShardBytesSnapshot() const {
     std::vector<int64_t> bytes(num_shards());
@@ -246,11 +236,6 @@ class ShardedStore {
   /// Effective copies per record (Placement::EffectiveReplication).
   int replication() const {
     return map_->placement.EffectiveReplication();
-  }
-
-  /// The machines holding copies of `key`'s shard (primary first).
-  ReplicaSet ReplicasOf(uint64_t key) const {
-    return map_->placement.ReplicasOf(key);
   }
 
   /// The machines holding copies of shard `s` (primary first) — the

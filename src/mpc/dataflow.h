@@ -238,13 +238,4 @@ PCollection<KV<K, std::vector<V>>> GroupByKey(
   return out;
 }
 
-/// Keys of a KV collection.
-template <typename K, typename V>
-PCollection<K> Keys(const PCollection<KV<K, V>>& records) {
-  PCollection<K> out;
-  out.reserve(records.size());
-  for (const auto& [k, v] : records) out.push_back(k);
-  return out;
-}
-
 }  // namespace ampc::mpc

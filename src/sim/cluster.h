@@ -28,8 +28,8 @@
 //   1. query cache   — each machine's bounded kv::QueryCache answers
 //                      repeated keys locally (no trip, no owner bytes);
 //                      ClusterConfig::query_cache.
-//   2. batch coalesce — LookupMany groups one adaptive step's misses by
-//                      owning machine; duplicate keys in a batch are
+//   2. batch coalesce — a sub-batch (LookupManyAsync) groups its misses
+//                      by owning machine; duplicate keys in a batch are
 //                      fetched once; ClusterConfig::batch_lookups.
 //   3. pipeline      — a worker keeps up to
 //                      ClusterConfig::pipeline_depth sub-batches in
@@ -53,9 +53,9 @@
 //
 // Pull is a mode of the same client, not a second API. Inside a pull
 // round (Cluster::RunPullPhase, the frontier engine's dense mode) the
-// batched entry points — LookupManyAsync, and so LookupMany and
-// DriveLookupPipelined — resolve keys as a local shard sweep against
-// the round's bitmap broadcast + aggregate exchange: bytes once per
+// batched entry points — LookupManyAsync, and so DriveLookupPipelined
+// — resolve keys as a local shard sweep against the round's bitmap
+// broadcast + aggregate exchange: bytes once per
 // distinct key per worker per pull step, and no trips, wire batches,
 // cache probes or in-flight keys.
 //
@@ -119,9 +119,9 @@ struct ClusterConfig {
   /// optimization, the largest single Figure-4 win). When enabled,
   /// every store minted by MakeStore carries one bounded read-through
   /// kv::QueryCache per machine, consulted by MachineContext::Lookup
-  /// and LookupMany before any trip is charged: hits are served locally
-  /// (counted via cache_hits; no round trip, no owner bytes) and
-  /// duplicate keys within one batch are fetched once. Algorithms park
+  /// and LookupManyAsync before any trip is charged: hits are served
+  /// locally (counted via cache_hits; no round trip, no owner bytes)
+  /// and duplicate keys within one batch are fetched once. Algorithms park
   /// derived per-key facts in MakeMachineCaches() instances under the
   /// same budget (Cluster::kQueryCacheCapacity). Every entry is valid
   /// only under the epoch MachineContext::CacheEpoch returns, so a
@@ -134,14 +134,14 @@ struct ClusterConfig {
     bool enabled = true;
   };
   QueryCacheConfig query_cache;
-  /// Batches DHT reads issued through MachineContext::LookupMany into one
-  /// round trip per destination machine (the batching/pipelining
+  /// Batches DHT reads issued through MachineContext::LookupManyAsync
+  /// into one round trip per destination machine (the batching/pipelining
   /// optimization of Section 5.3). When false every key in a batch is
   /// charged a full round trip — the unbatched scalar client, kept as an
   /// ablation toggle (outputs are identical either way; only the cost
   /// model differs).
   bool batch_lookups = true;
-  /// Adaptive sub-batching: the most keys one in-flight LookupMany
+  /// Adaptive sub-batching: the most keys one in-flight LookupManyAsync
   /// sub-batch may carry, and the frontier window DriveLookupPipelined
   /// gathers per adaptive step. Huge frontiers split into sub-batches
   /// of this size — each sub-batch still pays one trip per distinct
@@ -156,7 +156,7 @@ struct ClusterConfig {
   /// Section 5.3 client optimization, after caching and batching. A
   /// worker keeps up to this many sub-batches in flight at once
   /// (MachineContext::LookupManyAsync issues a ticket, Await settles
-  /// it; DriveLookupPipelined and LookupMany drive the pattern), and
+  /// it; DriveLookupPipelined drives the pattern), and
   /// the round-trip latencies of concurrently in-flight sub-batches
   /// overlap: per adaptive step (one fully drained pipeline), a
   /// destination machine contacted by w in-flight windows costs
@@ -475,9 +475,9 @@ class Cluster {
   /// items of a worker: `fn(items, ctx)` receives each worker's whole
   /// share at once (the concatenation over workers covers [0, n) exactly
   /// once, machine-partitioned like RunMapPhase), so an adaptive step
-  /// can gather every active item's key and issue one
-  /// MachineContext::LookupMany per step instead of one scalar Lookup
-  /// per item. Cost accounting is identical to RunMapPhase.
+  /// can gather every active item's key and issue one batched lookup
+  /// per step (DriveLookupPipelined) instead of one scalar Lookup per
+  /// item. Cost accounting is identical to RunMapPhase.
   void RunBatchMapPhase(
       const std::string& phase, int64_t n,
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
@@ -502,7 +502,7 @@ class Cluster {
   /// machine) and every machine resolves its share by sweeping its
   /// *local* shard against the exchanged records. `fn` receives worker
   /// slices exactly like RunBatchMapPhase and reads through the same
-  /// client (LookupManyAsync / LookupMany / DriveLookupPipelined); the
+  /// client (LookupManyAsync / DriveLookupPipelined); the
   /// round's contexts are in pull mode, so those reads charge bytes
   /// (client NIC receives, owning shard's NIC serves — one aggregate
   /// exchange) and *no* kv_lookup_trips. The settle charges each
@@ -656,7 +656,7 @@ class Cluster {
   struct PhaseCounters {
     int64_t kv_queries = 0;
     // Latency-bearing round trips. A scalar Lookup is one trip; a
-    // LookupMany is one trip per distinct destination machine (or one
+    // sub-batch is one trip per distinct destination machine (or one
     // per key when batch_lookups is off). This — not kv_queries — is
     // what the settle math multiplies by lookup latency.
     int64_t kv_lookup_trips = 0;
@@ -966,7 +966,7 @@ class MachineContext {
 
   /// Issues one pipelined sub-batch asynchronously: resolves `keys`
   /// (one window, at most max_batch_keys of them — DriveLookupPipelined
-  /// and LookupMany enforce the bound) through the cache and batch
+  /// enforces the bound) through the cache and batch
   /// coalescing stages immediately, but leaves the sub-batch's
   /// round-trip latency *in flight* until Await settles the returned
   /// ticket. All sub-batches issued between two full drains of the
@@ -1092,54 +1092,6 @@ class MachineContext {
     return std::move(ticket.result);
   }
 
-  /// Batched lookup: resolves every key of one adaptive step together
-  /// through the four-stage pipeline — query cache, batch coalescing,
-  /// pipelining, per-destination trips. Cache hits (including duplicate
-  /// keys within the batch, which are fetched once and hit thereafter)
-  /// are served locally: no trip, no wire bytes on either side. The
-  /// misses of each sub-batch (at most max_batch_keys keys; see
-  /// adaptive sub-batching) are grouped by owning machine and pay one
-  /// round trip per distinct destination — not one per key — while
-  /// bytes stay charged per machine exactly as scalar Lookup charges
-  /// them (client NIC receives, owning shard's NIC serves, no thread
-  /// overlap of either). Up to pipeline_depth sub-batches are kept in
-  /// flight (LookupManyAsync tickets), so with depth > 1 a destination
-  /// contacted by w windows of the call costs ceil(w / depth)
-  /// serialized trips; depth = 1 reproduces lockstep charging
-  /// bit-identically. With config.batch_lookups == false every missed
-  /// key is charged a full trip, modeling the unbatched client (caching
-  /// still applies, so the Figure-4 axes stay independent); returned
-  /// values are identical under every toggle combination, and in pull
-  /// rounds (where the windows resolve as local sweeps; see
-  /// LookupManyAsync). values[i] answers keys[i] (nullptr = absent).
-  template <typename V>
-  kv::LookupBatchResult<V> LookupMany(const kv::ShardedStore<V>& store,
-                                      std::span<const uint64_t> keys) {
-    kv::LookupBatchResult<V> result;
-    if (keys.empty()) return result;
-    result.values.reserve(keys.size());
-    const int64_t max_keys = cluster_->config().max_batch_keys;
-    const size_t window =
-        max_keys > 0 ? static_cast<size_t>(max_keys) : keys.size();
-    const size_t depth = static_cast<size_t>(pipeline_depth());
-    std::deque<kv::LookupTicket<V>> inflight;
-    const auto settle_oldest = [&] {
-      kv::LookupBatchResult<V> part = Await(inflight.front());
-      inflight.pop_front();
-      result.values.insert(result.values.end(), part.values.begin(),
-                           part.values.end());
-      result.bytes += part.bytes;
-      result.destinations += part.destinations;
-    };
-    for (size_t begin = 0; begin < keys.size(); begin += window) {
-      if (inflight.size() == depth) settle_oldest();
-      const size_t count = std::min(window, keys.size() - begin);
-      inflight.push_back(LookupManyAsync(store, keys.subspan(begin, count)));
-    }
-    while (!inflight.empty()) settle_oldest();
-    return result;
-  }
-
   /// Marks the start of an adaptive step (DriveLookupPipelined calls it
   /// once per step). In a pull round it opens the next pull step — one
   /// broadcast of the frontier bitmap to every machine: it bumps this
@@ -1163,10 +1115,10 @@ class MachineContext {
     return store.Lookup(key);
   }
 
-  /// Cache accounting. The read-through paths (Lookup/LookupMany) count
-  /// their own hits and misses; algorithms caching *derived* facts in
-  /// MakeMachineCaches() instances count theirs through these, so every
-  /// cache probe at every layer flows into the same two metrics
+  /// Cache accounting. The read-through paths (Lookup, LookupManyAsync)
+  /// count their own hits and misses; algorithms caching *derived* facts
+  /// in MakeMachineCaches() instances count theirs through these, so
+  /// every cache probe at every layer flows into the same two metrics
   /// (Section 5.3).
   void CountCacheHit() { ++tally_.client.cache_hits; }
   void CountCacheMiss() { ++tally_.client.cache_misses; }

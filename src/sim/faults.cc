@@ -186,10 +186,6 @@ PreemptionTrialStats SimulatePreemptions(
   return SimulateWithLambda(round_seconds, lambda, discipline, trials, seed);
 }
 
-FaultInjector::FaultInjector(double rate_per_machine_sec, int machines,
-                             uint64_t seed)
-    : FaultInjector(Config{rate_per_machine_sec, machines, seed}) {}
-
 FaultInjector::FaultInjector(const Config& config) {
   AMPC_CHECK_GE(config.rate_per_machine_sec, 0.0);
   AMPC_CHECK_GE(config.domain_fault_rate_sec, 0.0);

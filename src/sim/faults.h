@@ -195,9 +195,6 @@ class FaultInjector {
   /// Disabled injector (rate 0): AdvanceTo never yields events.
   FaultInjector() = default;
 
-  /// Independent-kills-only injector, the historical shape.
-  FaultInjector(double rate_per_machine_sec, int machines, uint64_t seed);
-
   explicit FaultInjector(const Config& config);
 
   bool enabled() const {
@@ -205,12 +202,6 @@ class FaultInjector {
            (domain_rate_ > 0.0 && !domain_next_arrival_.empty());
   }
   double now() const { return now_; }
-
-  /// Fault domain of machine `m` under this injector's topology.
-  int DomainOf(int machine) const {
-    return machines_per_domain_ > 1 ? machine / machines_per_domain_
-                                    : machine;
-  }
 
   /// The events in (now(), t], sorted by time (warnings before kills at
   /// a tie, then domain, then machine id), advancing the clock to `t`.

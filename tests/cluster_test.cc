@@ -33,6 +33,44 @@ ClusterConfig TestConfig() {
   return config;
 }
 
+// Resolves `keys` (at most max_batch_keys of them) as one pipelined
+// sub-batch and settles it at once.
+template <typename V>
+kv::LookupBatchResult<V> LookupWindow(MachineContext& ctx,
+                                      const kv::ShardedStore<V>& store,
+                                      std::span<const uint64_t> keys) {
+  kv::LookupTicket<V> ticket = ctx.LookupManyAsync(store, keys);
+  return ctx.Await(ticket);
+}
+
+// Reads every key in one adaptive step of DriveLookupPipelined (one
+// state per key), so windows, depth and the drain are the production
+// driver's. values[i] answers keys[i].
+template <typename V>
+std::vector<const V*> DriveLookups(MachineContext& ctx,
+                                   const kv::ShardedStore<V>& store,
+                                   const std::vector<uint64_t>& keys) {
+  struct Read {
+    uint64_t key;
+    const V* value = nullptr;
+    bool done = false;
+  };
+  std::vector<Read> reads;
+  reads.reserve(keys.size());
+  for (const uint64_t key : keys) reads.push_back(Read{key});
+  DriveLookupPipelined(
+      ctx, store, reads, [](const Read& r) { return r.done; },
+      [](const Read& r) { return r.key; },
+      [](Read& r, const V* value) {
+        r.value = value;
+        r.done = true;
+      });
+  std::vector<const V*> values;
+  values.reserve(reads.size());
+  for (const Read& r : reads) values.push_back(r.value);
+  return values;
+}
+
 TEST(ClusterTest, MachineOfIsStableAndInRange) {
   Cluster cluster(TestConfig());
   for (uint64_t k = 0; k < 1000; ++k) {
@@ -412,10 +450,10 @@ TEST(ClusterTest, InMemoryFinishChargesGatherShuffle) {
   EXPECT_EQ(cluster.metrics().Get("shuffles"), 1);  // compute adds none
 }
 
-TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
+TEST(ClusterTest, BatchedLookupReturnsSameValuesAsScalarLookup) {
   ClusterConfig config = TestConfig();
-  // Uncached: the second LookupMany below re-fetches every key, so the
-  // two batches' byte/destination accounting must be identical.
+  // Uncached: the second batch below re-fetches every key, so the two
+  // batches' byte/destination accounting must be identical.
   config.query_cache.enabled = false;
   Cluster cluster(config);
   kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(200);
@@ -425,8 +463,8 @@ TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
       "r", 200, [&](std::span<const int64_t> items, MachineContext& ctx) {
         // A repeat of the same batch must answer identically.
         std::vector<uint64_t> keys(items.begin(), items.end());
-        const auto batch = ctx.LookupMany(store, keys);
-        const auto again = ctx.LookupMany(store, keys);
+        const auto batch = LookupWindow(ctx, store, keys);
+        const auto again = LookupWindow(ctx, store, keys);
         ASSERT_EQ(batch.values.size(), keys.size());
         ASSERT_EQ(again.values, batch.values);
         ASSERT_EQ(again.destinations, batch.destinations);
@@ -468,7 +506,7 @@ TEST(ClusterTest, BatchSettleMathChargesPerDestination) {
   std::vector<uint64_t> all_keys(n);
   for (int64_t k = 0; k < n; ++k) all_keys[k] = static_cast<uint64_t>(k);
   cluster.RunMapPhase("r", n, [&](int64_t, MachineContext& ctx) {
-    const auto batch = ctx.LookupMany(store, all_keys);
+    const auto batch = LookupWindow(ctx, store, all_keys);
     ASSERT_EQ(batch.destinations, 2);
   });
 
@@ -517,9 +555,8 @@ TEST(ClusterTest, BatchingStrictlyCheaperThanScalarCharging) {
           for (const int64_t item : items) {
             keys.push_back(static_cast<uint64_t>((item * 13) % 4000));
           }
-          const auto batch_result = ctx.LookupMany(store, keys);
           int64_t local = 0;
-          for (const int64_t* v : batch_result.values) local += *v;
+          for (const int64_t* v : DriveLookups(ctx, store, keys)) local += *v;
           sum.fetch_add(local);
         });
     return std::pair<double, int64_t>(cluster.metrics().GetTime("sim:r"),
@@ -662,7 +699,7 @@ TEST(ClusterTest, QueryCacheEpochInvalidationAfterWritePhase) {
 
 // Duplicate keys inside one batch are fetched once: the first occurrence
 // misses and is charged, the repeats hit the warming cache.
-TEST(ClusterTest, LookupManyCoalescesDuplicateKeysWithinBatch) {
+TEST(ClusterTest, BatchedLookupCoalescesDuplicateKeysWithinBatch) {
   ClusterConfig config;
   config.num_machines = 2;
   config.threads_per_machine = 1;
@@ -674,7 +711,7 @@ TEST(ClusterTest, LookupManyCoalescesDuplicateKeysWithinBatch) {
   const std::vector<uint64_t> keys = {5, 5, 5, 9};
   int expected_destinations = 1 + (store.ShardOf(5) != store.ShardOf(9));
   cluster.RunMapPhase("r", 1, [&](int64_t, MachineContext& ctx) {
-    const auto batch = ctx.LookupMany(store, keys);
+    const auto batch = LookupWindow(ctx, store, keys);
     ASSERT_EQ(batch.values.size(), keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
       ASSERT_NE(batch.values[i], nullptr);
@@ -706,7 +743,7 @@ TEST(ClusterTest, CachingSkipsTripsEvenWithBatchingOff) {
 
   const std::vector<uint64_t> keys = {5, 5, 9};
   cluster.RunMapPhase("r", 1, [&](int64_t, MachineContext& ctx) {
-    const auto batch = ctx.LookupMany(store, keys);
+    const auto batch = LookupWindow(ctx, store, keys);
     ASSERT_EQ(batch.values.size(), 3u);
   });
   EXPECT_EQ(cluster.metrics().Get("kv_lookup_trips"), 2);  // the misses
@@ -738,9 +775,8 @@ TEST(ClusterTest, SubBatchingSplitsTripAccounting) {
     for (int64_t k = 0; k < n; ++k) keys[k] = static_cast<uint64_t>(k);
     std::atomic<int64_t> sum{0};
     cluster.RunMapPhase("r", 1, [&](int64_t, MachineContext& ctx) {
-      const auto batch = ctx.LookupMany(store, keys);
       int64_t local = 0;
-      for (const int64_t* v : batch.values) local += *v;
+      for (const int64_t* v : DriveLookups(ctx, store, keys)) local += *v;
       sum.fetch_add(local);
     });
     return std::tuple<int64_t, int64_t, int64_t>(
@@ -763,7 +799,7 @@ TEST(ClusterTest, SubBatchingSplitsTripAccounting) {
 
 // The pipelined trip discount, pinned exactly: range placement over two
 // machines, 64 keys in windows of 8 — windows 0-3 wholly on machine 0,
-// 4-7 on machine 1. One LookupMany forms one overlap group of 8
+// 4-7 on machine 1. One adaptive step forms one overlap group of 8
 // windows, so each destination's 4 windows serialize into
 // ceil(4 / depth) trips. Values and batches are depth-invariant.
 TEST(ClusterTest, PipelinedSubBatchesOverlapTrips) {
@@ -783,9 +819,8 @@ TEST(ClusterTest, PipelinedSubBatchesOverlapTrips) {
     for (int64_t k = 0; k < n; ++k) keys[k] = static_cast<uint64_t>(k);
     std::atomic<int64_t> sum{0};
     cluster.RunMapPhase("r", 1, [&](int64_t, MachineContext& ctx) {
-      const auto batch = ctx.LookupMany(store, keys);
       int64_t local = 0;
-      for (const int64_t* v : batch.values) local += *v;
+      for (const int64_t* v : DriveLookups(ctx, store, keys)) local += *v;
       sum.fetch_add(local);
     });
     return std::tuple<int64_t, int64_t, int64_t>(
@@ -894,7 +929,7 @@ TEST(ClusterTest, PeakInflightKeysTracksDepthTimesWindow) {
     std::vector<uint64_t> keys(n);
     for (int64_t k = 0; k < n; ++k) keys[k] = static_cast<uint64_t>(k);
     cluster.RunMapPhase("r", 1, [&](int64_t, MachineContext& ctx) {
-      ctx.LookupMany(store, keys);
+      DriveLookups(ctx, store, keys);
     });
     return cluster.metrics().Get("kv_peak_inflight_keys");
   };
@@ -1429,8 +1464,8 @@ TEST(ClusterTest, HedgingRecoversStragglerTrips) {
 TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
   // One machine, one worker: the whole pull round is one worker slice
   // and one pull step. Its 3n reads cover n distinct keys, and each
-  // distinct record is exchanged exactly once, across both LookupMany
-  // calls and all of their windows. Keys past the written range are
+  // distinct record is exchanged exactly once, across all of the
+  // step's windows (one ticket each). Keys past the written range are
   // absent and cost their key bytes. The distinct keys are [0, n) at
   // stride 1, which packs 64 of them per word of the worker's dedup
   // bitmap, and at stride 67, which puts each in a word of its own.
@@ -1455,15 +1490,16 @@ TEST(ClusterTest, PullRoundChargesEachDistinctKeyOncePerStep) {
     for (int64_t k = 0; k < key_space; k += stride) {
       expected_bytes += k < written ? store.RecordBytes(k) : kv::kKeyBytes;
     }
-    const size_t half = keys.size() / 2;
+    const size_t window = static_cast<size_t>(config.max_batch_keys);
     int64_t wrong = 0;
     cluster.RunPullPhase(
         "pull", key_space, [&](std::span<const int64_t>, MachineContext& ctx) {
           const std::span<const uint64_t> all(keys);
-          for (const std::span<const uint64_t> part :
-               {all.first(half), all.subspan(half)}) {
+          for (size_t begin = 0; begin < all.size(); begin += window) {
+            const std::span<const uint64_t> part =
+                all.subspan(begin, std::min(window, all.size() - begin));
             const kv::LookupBatchResult<int64_t> batch =
-                ctx.LookupMany(store, part);
+                LookupWindow(ctx, store, part);
             for (size_t i = 0; i < part.size(); ++i) {
               const int64_t key = static_cast<int64_t>(part[i]);
               const int64_t* value = batch.values[i];

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 
@@ -65,9 +67,7 @@ TEST(DataflowTest, ShuffleBytesComputesWireSize) {
   EXPECT_EQ(ShuffleBytes(records), 2 * (8 + 4));
 }
 
-TEST(DataflowTest, KeysAndFlatten) {
-  PCollection<KV<int, int>> records = {{5, 0}, {6, 0}};
-  EXPECT_EQ((Keys(records)), (PCollection<int>{5, 6}));
+TEST(DataflowTest, FlattenConcatenatesInOrder) {
   PCollection<int> flat = Flatten<int>({{1, 2}, {3}, {}});
   EXPECT_EQ(flat, (PCollection<int>{1, 2, 3}));
 }
@@ -126,39 +126,54 @@ TEST(DataflowTest, ParDoOutputIsDeterministicAndInSerialOrder) {
 
 TEST(DataflowTest, GroupByKeyLargeInputMatchesSerialReference) {
   // Large enough to take the sharded parallel path (>= kShardCutoff).
+  // 50,000 keys make more group headers than ParallelSort's cutoff, so
+  // the final header sort runs its merge passes on vector-valued
+  // elements; a single key puts every record in one shard and one group.
   const int64_t n = 200000;
-  Rng rng(7);
-  PCollection<KV<uint32_t, uint32_t>> records(n);
-  for (int64_t i = 0; i < n; ++i) {
-    records[i] = {static_cast<uint32_t>(rng.NextBelow(5000)),
-                  static_cast<uint32_t>(i)};
-  }
-  // Serial reference: stable sort by key, then scan.
-  auto reference = records;
-  std::stable_sort(reference.begin(), reference.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  PCollection<KV<uint32_t, std::vector<uint32_t>>> want;
-  for (size_t i = 0; i < reference.size();) {
-    size_t j = i;
-    std::vector<uint32_t> values;
-    while (j < reference.size() &&
-           reference[j].first == reference[i].first) {
-      values.push_back(reference[j].second);
-      ++j;
+  const int hardware =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const uint64_t num_keys : {5000, 50000, 1}) {
+    Rng rng(7);
+    PCollection<KV<uint32_t, uint32_t>> records(n);
+    for (int64_t i = 0; i < n; ++i) {
+      records[i] = {static_cast<uint32_t>(rng.NextBelow(num_keys)),
+                    static_cast<uint32_t>(i)};
     }
-    want.emplace_back(reference[i].first, std::move(values));
-    i = j;
-  }
+    // Serial reference: stable sort by key, then scan.
+    auto reference = records;
+    std::stable_sort(reference.begin(), reference.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    PCollection<KV<uint32_t, std::vector<uint32_t>>> want;
+    for (size_t i = 0; i < reference.size();) {
+      size_t j = i;
+      std::vector<uint32_t> values;
+      while (j < reference.size() &&
+             reference[j].first == reference[i].first) {
+        values.push_back(reference[j].second);
+        ++j;
+      }
+      want.emplace_back(reference[i].first, std::move(values));
+      i = j;
+    }
 
-  sim::Cluster cluster = MakeCluster();
-  auto groups = GroupByKey(cluster, "big", std::move(records));
-  ASSERT_EQ(groups.size(), want.size());
-  EXPECT_EQ(groups, want);  // key-sorted, values in input order
-  EXPECT_EQ(cluster.metrics().Get("shuffles"), 1);
-  EXPECT_EQ(cluster.metrics().Get("rounds"), 1);
-  EXPECT_EQ(cluster.metrics().Get("shuffle_bytes"), n * (4 + 4));
+    for (const int threads : {1, 2, 3, hardware}) {
+      ThreadPool pool(threads);
+      sim::ClusterConfig config;
+      config.num_machines = 4;
+      sim::Cluster cluster(config, pool);
+      auto groups = GroupByKey(cluster, "big", records);
+      ASSERT_EQ(groups.size(), want.size())
+          << num_keys << " keys, " << threads << " threads";
+      // Key-sorted, values in input order.
+      EXPECT_EQ(groups, want) << num_keys << " keys, " << threads
+                              << " threads";
+      EXPECT_EQ(cluster.metrics().Get("shuffles"), 1);
+      EXPECT_EQ(cluster.metrics().Get("rounds"), 1);
+      EXPECT_EQ(cluster.metrics().Get("shuffle_bytes"), n * (4 + 4));
+    }
+  }
 }
 
 TEST(DataflowTest, GroupByKeyDeterministicAcrossThreadCounts) {

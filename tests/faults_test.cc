@@ -303,8 +303,8 @@ TEST(FaultsTest, HeterogeneousMonteCarloMatchesHomogeneousAtUniformRates) {
 // --- FaultInjector: the injected (as opposed to analytic) model -----
 
 TEST(FaultsTest, InjectorIsDeterministicInSeed) {
-  FaultInjector a(/*rate=*/0.5, /*machines=*/4, /*seed=*/11);
-  FaultInjector b(/*rate=*/0.5, /*machines=*/4, /*seed=*/11);
+  FaultInjector a({.rate_per_machine_sec = 0.5, .machines = 4, .seed = 11});
+  FaultInjector b({.rate_per_machine_sec = 0.5, .machines = 4, .seed = 11});
   const std::vector<FaultEvent> ka = a.AdvanceTo(20.0);
   const std::vector<FaultEvent> kb = b.AdvanceTo(20.0);
   ASSERT_EQ(ka.size(), kb.size());
@@ -314,7 +314,7 @@ TEST(FaultsTest, InjectorIsDeterministicInSeed) {
     EXPECT_EQ(ka[i].machine, kb[i].machine);
   }
   // A different seed yields a different schedule.
-  FaultInjector c(0.5, 4, /*seed=*/12);
+  FaultInjector c({.rate_per_machine_sec = 0.5, .machines = 4, .seed = 12});
   const std::vector<FaultEvent> kc = c.AdvanceTo(20.0);
   bool same = kc.size() == ka.size();
   for (size_t i = 0; same && i < ka.size(); ++i) {
@@ -327,9 +327,10 @@ TEST(FaultsTest, InjectorWindowingDoesNotChangeTheSchedule) {
   // Harvesting in many small windows is the same schedule as one big
   // window: arrivals are a property of the streams, not of when the
   // cluster looks.
-  FaultInjector whole(0.3, 3, 7);
+  FaultInjector whole({.rate_per_machine_sec = 0.3, .machines = 3, .seed = 7});
   const std::vector<FaultEvent> all = whole.AdvanceTo(30.0);
-  FaultInjector windowed(0.3, 3, 7);
+  FaultInjector windowed(
+      {.rate_per_machine_sec = 0.3, .machines = 3, .seed = 7});
   std::vector<FaultEvent> stitched;
   for (double t = 1.0; t <= 30.0; t += 1.0) {
     const std::vector<FaultEvent> window = windowed.AdvanceTo(t);
@@ -343,7 +344,8 @@ TEST(FaultsTest, InjectorWindowingDoesNotChangeTheSchedule) {
 }
 
 TEST(FaultsTest, InjectorEventsAreOrderedAndInWindow) {
-  FaultInjector injector(0.8, 5, 3);
+  FaultInjector injector(
+      {.rate_per_machine_sec = 0.8, .machines = 5, .seed = 3});
   double last = 0.0;
   for (const double t : {2.0, 5.0, 9.0}) {
     const double lo = injector.now();
@@ -360,7 +362,8 @@ TEST(FaultsTest, InjectorEventsAreOrderedAndInWindow) {
 }
 
 TEST(FaultsTest, InjectorSkipToYieldsNoEventsInSkippedInterval) {
-  FaultInjector injector(1.0, 4, 5);
+  FaultInjector injector(
+      {.rate_per_machine_sec = 1.0, .machines = 4, .seed = 5});
   injector.SkipTo(10.0);
   EXPECT_DOUBLE_EQ(injector.now(), 10.0);
   // Nothing can land inside a skipped interval; later windows still
@@ -374,7 +377,7 @@ TEST(FaultsTest, DisabledInjectorNeverFires) {
   FaultInjector off;
   EXPECT_FALSE(off.enabled());
   EXPECT_TRUE(off.AdvanceTo(1e9).empty());
-  FaultInjector zero(0.0, 8, 42);
+  FaultInjector zero({.rate_per_machine_sec = 0.0, .machines = 8, .seed = 42});
   EXPECT_FALSE(zero.enabled());
   EXPECT_TRUE(zero.AdvanceTo(1e9).empty());
 }

@@ -126,8 +126,8 @@ TEST(ParallelSortTest, SortedAndReverseSortedInputs) {
 
 TEST(ParallelSortTest, DuplicateHeavyInput) {
   ThreadPool pool(8);
-  // Only 10 distinct values over 300k elements: every chunk's runs are
-  // dominated by ties, stressing the splitter/merge path.
+  // Only 10 distinct values over 300k elements: every merge pass is
+  // dominated by ties, stressing the split points between segments.
   auto v = RandomVector(300000, /*seed=*/2, /*bound=*/10);
   auto want = v;
   std::sort(want.begin(), want.end());
@@ -182,7 +182,8 @@ TEST(ParallelSortTest, SplitPointMergeHandlesTiesAcrossSegments) {
   // Large enough that merged run pairs exceed the split-point merge
   // grain, so every pass is planned as multiple segments — with so few
   // distinct keys that ties straddle nearly every split point. Stability
-  // must survive the segmented merges.
+  // must survive the segmented merges. Three threads make 12 runs, so a
+  // pass leaves a run without a partner, copied in segments.
   const int64_t n = 1 << 20;
   Rng rng(9);
   std::vector<std::pair<uint32_t, uint32_t>> input(n);
@@ -196,7 +197,7 @@ TEST(ParallelSortTest, SplitPointMergeHandlesTiesAcrossSegments) {
   };
   auto want = input;
   std::stable_sort(want.begin(), want.end(), by_key);
-  for (int threads : {2, 8}) {
+  for (int threads : {2, 3, 8}) {
     ThreadPool pool(threads);
     auto v = input;
     ParallelSort(pool, v, by_key);

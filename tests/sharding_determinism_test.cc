@@ -1,6 +1,6 @@
 // Acceptance test for the sharded DHT: every core algorithm's output is
 // a pure function of the input and seed — bit-identical across
-// num_machines (1, 3, 8), thread counts, lookup batching mode (LookupMany
+// num_machines (1, 3, 8), thread counts, lookup batching mode (batched
 // vs scalar round-trip charging), query-result caching on/off, adaptive
 // sub-batch bounds and pipeline depth (lockstep vs bounded-depth
 // in-flight windows) — while the *cost model* is free to differ (that is
@@ -34,8 +34,8 @@ struct ClusterShape {
 
 // Machine/thread grid crossed with the lookup-pipeline toggles: batching
 // on/off x caching on/off x pipeline depth {1, 4}, plus a deliberately
-// tiny sub-batch bound that forces DriveLookupPipelined's frontier
-// windows and LookupMany's sub-batch splitting on every workload (and,
+// tiny sub-batch bound that splits DriveLookupPipelined's frontier
+// windows (and kcore's neighbor-list windows) on every workload (and,
 // at depth 4, several windows genuinely in flight per step).
 const ClusterShape kShapes[] = {
     // batch on, cache on (the optimized client; depth 4 = the default)

@@ -721,8 +721,9 @@ void RuleCoreStoreDirect(const SourceFile& f, const Context& ctx,
         kCoreStoreDirect, f.toks[i].line,
         "direct " + f.toks[i].text + "." + f.toks[i + 2].text +
             "() bypasses cost charging; route reads through "
-            "MachineContext::Lookup/LookupMany/LookupManyAsync and "
-            "writes through Cluster::RunKvWritePhase");
+            "MachineContext::Lookup/LookupManyAsync (or "
+            "sim::DriveLookupPipelined) and writes through "
+            "Cluster::RunKvWritePhase");
   }
 }
 

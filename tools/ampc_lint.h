@@ -40,8 +40,8 @@
 //                         (Lookup/Put/Contains/RecordBytes) directly
 //                         instead of going through the charged
 //                         MachineContext entrypoints (Lookup,
-//                         LookupMany, LookupManyAsync) or the Cluster
-//                         phase runners.
+//                         LookupManyAsync, and DriveLookupPipelined
+//                         over it) or the Cluster phase runners.
 //     core-make-store     constructing kv::Placement / ShardMap /
 //                         ShardedStore directly instead of minting
 //                         stores via Cluster::MakeStore, which is the
