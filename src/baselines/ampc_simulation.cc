@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -25,8 +26,7 @@ using StepBytes = std::vector<std::vector<int64_t>>;
 // one synchronized lookup round. Appends the record bytes of the fetch at
 // each sequential step index into `bytes_at_step`, charged to the machine
 // owning the fetched record's shard.
-bool QueryProcess(NodeId root,
-                  const std::vector<std::vector<NodeId>>& directed,
+bool QueryProcess(NodeId root, const core::RankedRows& directed,
                   const sim::Cluster& cluster, StepBytes& bytes_at_step,
                   int64_t* steps_out) {
   struct Frame {
@@ -51,7 +51,7 @@ bool QueryProcess(NodeId root,
       }
       ++f.idx;
     }
-    const std::vector<NodeId>& adj = directed[f.v];
+    const std::span<const NodeId> adj = directed.Row(f.v);
     if (f.idx >= adj.size()) {
       // All preceding neighbors are out: f.v joins the MIS.
       stack.pop_back();
@@ -66,9 +66,8 @@ bool QueryProcess(NodeId root,
           steps + 1,
           std::vector<int64_t>(cluster.config().num_machines, 0));
     }
-    bytes_at_step[steps][cluster.MachineOf(
-        u, static_cast<int64_t>(directed.size()))] +=
-        static_cast<int64_t>(sizeof(NodeId) * (1 + directed[u].size()));
+    bytes_at_step[steps][cluster.MachineOf(u, directed.num_rows())] +=
+        static_cast<int64_t>(sizeof(NodeId) * (1 + directed.Row(u).size()));
     ++steps;
     f.awaiting = true;
     stack.push_back(Frame{u});
@@ -84,30 +83,18 @@ SimulatedAmpcMisResult MpcSimulatedAmpcMis(sim::Cluster& cluster,
   const int64_t n = g.num_nodes();
 
   // DirectGraph shuffle, exactly as in the AMPC implementation (Fig. 1
-  // step 1): keep lower-rank neighbors, sorted ascending by rank. The
-  // per-vertex rows are independent, so both the build and the
-  // per-machine byte attribution run chunked on the pool (the old
-  // serial loop was an O(V + E) single-thread hot spot per run).
+  // step 1): keep lower-rank neighbors, sorted ascending by rank — the
+  // same staged rows AmpcMis writes to its store.
   WallTimer timer;
   const int num_machines = cluster.config().num_machines;
-  std::vector<std::vector<NodeId>> directed(n);
-  ParallelForChunked(cluster.pool(), 0, n, 512, [&](int64_t lo, int64_t hi) {
-    for (int64_t vi = lo; vi < hi; ++vi) {
-      const NodeId v = static_cast<NodeId>(vi);
-      for (const NodeId u : g.neighbors(v)) {
-        if (core::VertexBefore(u, v, seed)) directed[vi].push_back(u);
-      }
-      std::sort(directed[vi].begin(), directed[vi].end(),
-                [&](NodeId a, NodeId b) {
-                  return core::VertexBefore(a, b, seed);
-                });
-    }
-  });
+  const core::RankedRows directed =
+      core::PrecedingNeighborRows(cluster.pool(), g, seed);
   // Each directed adjacency record lands on its vertex's shard owner.
   const std::vector<int64_t> direct_bytes = cluster.AttributeShardedBytes(
       n, [&](int64_t v) { return cluster.MachineOf(v, n); },
       [&](int64_t v) {
-        return static_cast<int64_t>(sizeof(NodeId) * (1 + directed[v].size()));
+        return static_cast<int64_t>(sizeof(NodeId) *
+                                    (1 + directed.Row(v).size()));
       });
   cluster.AccountShardedShuffle("DirectGraph", direct_bytes, timer.Seconds());
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -149,7 +150,7 @@ EdgeStatus StatusFromCache(const VertexCache& cache, const EdgeOrder& order,
 // ascending rank by merging the two endpoints' rank-sorted adjacencies.
 // ---------------------------------------------------------------------------
 
-using AdjStore = kv::ShardedStore<std::vector<NodeId>>;
+using AdjStore = kv::ShardedStore<std::span<const NodeId>>;
 
 enum class EdgeResult { kIn, kOut, kTruncated };
 
@@ -171,7 +172,7 @@ class EdgeProcess {
 
   // Resolves edge (a, b). `adj_a` is the caller-held adjacency of a (the
   // vertex process owns it as local input); b's adjacency is fetched.
-  EdgeResult Resolve(NodeId a, NodeId b, const std::vector<NodeId>* adj_a,
+  EdgeResult Resolve(NodeId a, NodeId b, const std::span<const NodeId>* adj_a,
                      QueryBudget& budget) {
     stack_.clear();
     if (!Push(a, b, adj_a, nullptr, budget)) return EdgeResult::kTruncated;
@@ -231,7 +232,7 @@ class EdgeProcess {
       // Unknown: recurse into (w, x). w's adjacency is already held by f.
       f.awaiting = true;
       f.awaiting_side = static_cast<uint8_t>(side);
-      const std::vector<NodeId>* adj_w = side == 0 ? f.adj_a : f.adj_b;
+      const std::span<const NodeId>* adj_w = side == 0 ? f.adj_a : f.adj_b;
       if (!Push(w, x, adj_w, nullptr, budget)) return EdgeResult::kTruncated;
     }
     return last;
@@ -240,8 +241,8 @@ class EdgeProcess {
  private:
   struct Frame {
     NodeId a, b;
-    const std::vector<NodeId>* adj_a;
-    const std::vector<NodeId>* adj_b;
+    const std::span<const NodeId>* adj_a;
+    const std::span<const NodeId>* adj_b;
     uint32_t ia = 0, ib = 0;
     bool awaiting = false;
     uint8_t awaiting_side = 0;
@@ -251,8 +252,8 @@ class EdgeProcess {
   // The fetches flow through the read-through lookup pipeline, which
   // does its own hit/miss accounting and serves repeated adjacencies
   // from the machine's query cache.
-  bool Push(NodeId a, NodeId b, const std::vector<NodeId>* adj_a,
-            const std::vector<NodeId>* adj_b, QueryBudget& budget) {
+  bool Push(NodeId a, NodeId b, const std::span<const NodeId>* adj_a,
+            const std::span<const NodeId>* adj_b, QueryBudget& budget) {
     if (adj_a == nullptr) {
       if (!budget.Spend()) return false;
       adj_a = ctx_.Lookup(store_, a);
@@ -269,7 +270,7 @@ class EdgeProcess {
   // returns the side (0 = a, 1 = b) holding the lowest-ranked candidate
   // strictly below f's own rank, or -1 when both sides are exhausted.
   int NextCandidate(Frame& f) {
-    auto side_ok = [&](const std::vector<NodeId>* adj, uint32_t idx,
+    auto side_ok = [&](const std::span<const NodeId>* adj, uint32_t idx,
                        NodeId w) {
       return adj != nullptr && idx < adj->size() &&
              order_.Before(w, (*adj)[idx], f.a, f.b);
@@ -317,7 +318,7 @@ VertexOutcome ProcessVertex(NodeId v, sim::MachineContext& ctx,
     return VertexOutcome::kMatched;
   }
 
-  const std::vector<NodeId>* adj = ctx.LookupLocal(store, v);
+  const std::span<const NodeId>* adj = ctx.LookupLocal(store, v);
   if (adj == nullptr || adj->empty()) {
     *partner_out = kInvalidNode;
     return VertexOutcome::kUnmatched;
@@ -359,10 +360,11 @@ VertexOutcome ProcessVertex(NodeId v, sim::MachineContext& ctx,
 // ---------------------------------------------------------------------------
 // Graph staging: build the rank-sorted adjacency restricted to alive
 // vertices and (optionally) to edges below a rank threshold, charge the
-// shuffle, and write it to a fresh store.
+// shuffle, and write it to a fresh store whose records view the rows.
 // ---------------------------------------------------------------------------
 
 struct StagedGraph {
+  RankedRows rows;  // declared first: outlives the store's views of it
   std::unique_ptr<AdjStore> store;
 };
 
@@ -372,37 +374,21 @@ StagedGraph StageGraph(sim::Cluster& cluster, const Graph& g,
                        double rank_threshold) {
   const int64_t n = g.num_nodes();
   WallTimer timer;
-  std::vector<std::vector<NodeId>> adjacency(n);
-  std::atomic<int64_t> bytes{0};
-  ParallelForChunked(
-      cluster.pool(), 0, n, 512, [&](int64_t lo, int64_t hi) {
-        int64_t local_bytes = 0;
-        for (int64_t vi = lo; vi < hi; ++vi) {
-          const NodeId v = static_cast<NodeId>(vi);
-          if (alive != nullptr && !(*alive)[vi]) continue;
-          std::vector<NodeId>& out = adjacency[vi];
-          for (NodeId u : g.neighbors(v)) {
-            if (alive != nullptr && !(*alive)[u]) continue;
-            if (rank_threshold < 1.0 &&
-                ToUnitDouble(order.Rank(v, u)) > rank_threshold) {
-              continue;
-            }
-            out.push_back(u);
-          }
-          std::sort(out.begin(), out.end(), [&](NodeId p, NodeId q) {
-            return order.Before(v, p, v, q);
-          });
-          local_bytes += kv::kKeyBytes + kv::KvByteSize(out);
-        }
-        bytes.fetch_add(local_bytes, std::memory_order_relaxed);
-      });
-  cluster.AccountShuffle(phase, bytes.load(), timer.Seconds());
-
   StagedGraph staged;
+  staged.rows = EdgeRankedRows(cluster.pool(), g, order.seed, order.buckets,
+                               alive, rank_threshold);
+  // A dead vertex ships no row.
+  int64_t bytes = 0;
+  for (int64_t v = 0; v < n; ++v) {
+    if (alive != nullptr && !(*alive)[v]) continue;
+    bytes += kv::kKeyBytes + kv::KvByteSize(staged.rows.Row(v));
+  }
+  cluster.AccountShuffle(phase, bytes, timer.Seconds());
+
   staged.store = std::make_unique<AdjStore>(
-      cluster.MakeStore<std::vector<NodeId>>(n));
+      cluster.MakeStore<std::span<const NodeId>>(n));
   cluster.RunKvWritePhase("KV-Write", *staged.store, n, [&](int64_t v) {
-    return std::move(adjacency[v]);
+    return staged.rows.Row(v);
   });
   return staged;
 }

@@ -22,25 +22,14 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/priorities.h"
 #include "graph/graph.h"
 #include "seq/greedy.h"
 #include "sim/cluster.h"
 
 namespace ampc::core {
-
-/// Maps a packed undirected edge key (EdgeKey below) to a bucket. Lower
-/// buckets precede all higher buckets in the matching permutation.
-using EdgeBucketMap = std::unordered_map<uint64_t, uint32_t>;
-
-/// Packs endpoints into the EdgeBucketMap key (order-insensitive).
-inline uint64_t EdgeKey(graph::NodeId u, graph::NodeId v) {
-  const graph::NodeId lo = u < v ? u : v;
-  const graph::NodeId hi = u < v ? v : u;
-  return (static_cast<uint64_t>(lo) << 32) | hi;
-}
 
 struct MatchingOptions {
   uint64_t seed = 42;

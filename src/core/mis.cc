@@ -1,7 +1,6 @@
 #include "core/mis.h"
 
-#include <algorithm>
-#include <atomic>
+#include <span>
 
 #include "common/timer.h"
 #include "core/priorities.h"
@@ -34,7 +33,7 @@ enum MisState : uint8_t { kUnknown = 0, kInMis = 1, kNotInMis = 2 };
 struct MisResolveState {
   struct Frame {
     NodeId v;
-    const std::vector<NodeId>* adj;  // preceding neighbors, ascending rank
+    const std::span<const NodeId>* adj;  // preceding neighbors, ascending rank
     size_t idx;
     bool awaiting;  // a child frame is computing adj[idx]'s state
   };
@@ -104,7 +103,7 @@ struct MisResolveState {
   }
 
   // Feeds the fetched adjacency of `pending` back in and keeps going.
-  void Resume(const std::vector<NodeId>* adj, sim::MachineContext& ctx) {
+  void Resume(const std::span<const NodeId>* adj, sim::MachineContext& ctx) {
     stack.push_back(Frame{pending, adj, 0, false});
     Advance(ctx);
   }
@@ -118,35 +117,19 @@ MisResult AmpcMis(sim::Cluster& cluster, const Graph& g, uint64_t seed) {
   // Phase 1 — DirectGraph (the algorithm's single shuffle): keep only
   // neighbors preceding v in the permutation, sorted by ascending rank.
   WallTimer direct_timer;
-  std::vector<std::vector<NodeId>> directed(n);
-  std::atomic<int64_t> shuffle_bytes{0};
-  ParallelForChunked(
-      cluster.pool(), 0, n, 512, [&](int64_t lo, int64_t hi) {
-        int64_t bytes = 0;
-        for (int64_t vi = lo; vi < hi; ++vi) {
-          const NodeId v = static_cast<NodeId>(vi);
-          std::vector<NodeId>& out = directed[vi];
-          for (NodeId u : g.neighbors(v)) {
-            if (VertexBefore(u, v, seed)) out.push_back(u);
-          }
-          std::sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-            return VertexBefore(a, b, seed);
-          });
-          bytes += kv::kKeyBytes + kv::KvByteSize(out);
-        }
-        shuffle_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      });
-  cluster.AccountShuffle("DirectGraph", shuffle_bytes.load(),
-                         direct_timer.Seconds());
+  const RankedRows directed = PrecedingNeighborRows(cluster.pool(), g, seed);
+  int64_t shuffle_bytes = 0;
+  for (int64_t v = 0; v < n; ++v) {
+    shuffle_bytes += kv::kKeyBytes + kv::KvByteSize(directed.Row(v));
+  }
+  cluster.AccountShuffle("DirectGraph", shuffle_bytes, direct_timer.Seconds());
 
-  // Phase 2 — write the directed graph to the key-value store.
-  kv::ShardedStore<std::vector<NodeId>> store =
-      cluster.MakeStore<std::vector<NodeId>>(n);
-  cluster.RunKvWritePhase("KV-Write", store, n, [&](int64_t v) {
-    return std::move(directed[v]);
-  });
-  directed.clear();
-  directed.shrink_to_fit();
+  // Phase 2 — write the directed graph to the key-value store. A record
+  // is a view of its staged row, which outlives the store.
+  kv::ShardedStore<std::span<const NodeId>> store =
+      cluster.MakeStore<std::span<const NodeId>>(n);
+  cluster.RunKvWritePhase("KV-Write", store, n,
+                          [&](int64_t v) { return directed.Row(v); });
 
   // Phase 3 — IsInMIS over all vertices. Resolved three-valued states
   // are cached per machine in the shared bounded query-cache budget
@@ -189,7 +172,7 @@ MisResult AmpcMis(sim::Cluster& cluster, const Graph& g, uint64_t seed) {
             [](const MisResolveState& s) {
               return static_cast<uint64_t>(s.pending);
             },
-            [&ctx](MisResolveState& s, const std::vector<NodeId>* adj) {
+            [&ctx](MisResolveState& s, const std::span<const NodeId>* adj) {
               s.Resume(adj, ctx);
             });
         for (const MisResolveState& s : states) {

@@ -37,4 +37,36 @@ std::vector<uint64_t> AllEdgeRanks(ThreadPool& pool,
       });
 }
 
+RankedRows PrecedingNeighborRows(ThreadPool& pool, const graph::Graph& g,
+                                 uint64_t seed) {
+  const std::vector<uint64_t> ranks = AllVertexRanks(pool, g.num_nodes(), seed);
+  return BuildRankedRows(
+      pool, g,
+      [&](graph::NodeId v, graph::NodeId u) {
+        return ranks[u] != ranks[v] ? ranks[u] < ranks[v] : u < v;
+      },
+      [&](graph::NodeId, graph::NodeId u) { return ArcKey{.rank = ranks[u]}; });
+}
+
+RankedRows EdgeRankedRows(ThreadPool& pool, const graph::Graph& g,
+                          uint64_t seed, const EdgeBucketMap* buckets,
+                          const std::vector<uint8_t>* alive,
+                          double rank_threshold) {
+  return BuildRankedRows(
+      pool, g,
+      [&](graph::NodeId v, graph::NodeId u) {
+        if (alive != nullptr && !((*alive)[v] && (*alive)[u])) return false;
+        return rank_threshold >= 1.0 ||
+               ToUnitDouble(EdgeRank(v, u, seed)) <= rank_threshold;
+      },
+      [&](graph::NodeId v, graph::NodeId u) {
+        ArcKey key{.rank = EdgeRank(v, u, seed)};
+        if (buckets != nullptr) {
+          const auto it = buckets->find(EdgeKey(v, u));
+          if (it != buckets->end()) key.bucket = it->second;
+        }
+        return key;
+      });
+}
+
 }  // namespace ampc::core

@@ -61,6 +61,30 @@ TEST(SimulatedAmpcMisTest, ShuffleCountBlowsUp) {
             4 * rootset_cluster.metrics().Get("shuffles"));
 }
 
+// Pins the simulation's charges on a hub-heavy web R-MAT: the
+// DirectGraph shuffle charges each directed row to its shard owner, and
+// every lockstep query round ships the rows fetched at its depth. The
+// values were recorded at the parent of the flat rank-keyed staging.
+TEST(SimulatedAmpcMisTest, ChargedCostsMatchParent) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  const Graph g = graph::BuildGraph(graph::GenerateRmat(12, 40000, 5, web));
+  sim::Cluster cluster(SmallConfig());
+  const SimulatedAmpcMisResult result = MpcSimulatedAmpcMis(cluster, g, 42);
+  EXPECT_EQ(result.in_mis,
+            seq::GreedyMis(g, core::AllVertexRanks(g.num_nodes(), 42)));
+  const Metrics& m = cluster.metrics();
+  // rounds, shuffles, shuffle_bytes, shuffle_hot_machine_bytes.
+  EXPECT_EQ((std::vector<int64_t>{m.Get("rounds"), m.Get("shuffles"),
+                                  m.Get("shuffle_bytes"),
+                                  m.Get("shuffle_hot_machine_bytes")}),
+            (std::vector<int64_t>{135, 135, 801080, 300668}));
+  EXPECT_EQ(result.rounds, 134);
+  EXPECT_EQ(result.total_queries, 17750);
+  EXPECT_DOUBLE_EQ(cluster.SimSeconds(), 9.45);
+}
+
 TEST(SimulatedAmpcMisTest, IsolatedAndTinyGraphs) {
   graph::EdgeList list;
   list.num_nodes = 3;

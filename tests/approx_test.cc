@@ -217,6 +217,48 @@ TEST(WeightMatchingTest, MatchesSequentialGreedyOnSameBuckets) {
   EXPECT_EQ(result.partner, oracle.partner);
 }
 
+// Pins the bucketed path on a hub-heavy web R-MAT with degree weights:
+// the weight classes make several buckets, so the staged rows and every
+// IsInMM comparison sort by (bucket, rank, neighbor) rather than by the
+// rank alone. With the cache on (the uncached weighted path is ROADMAP
+// item 2's blow-up). The partner digest, bucket count and charges were
+// recorded at the parent of the flat rank-keyed staging.
+TEST(WeightMatchingTest, BucketedChargesMatchParent) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  const EdgeList raw = graph::GenerateRmat(12, 24576, 7, web);
+  const WeightedEdgeList list =
+      graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw));
+  sim::ClusterConfig config = SmallConfig();
+  config.query_cache.enabled = true;
+  sim::Cluster cluster(config);
+  WeightMatchingOptions options;
+  options.matching.seed = 42;
+  const WeightMatchingResult result =
+      AmpcApproxMaxWeightMatching(cluster, list, options);
+  ExpectValidMatching(graph::BuildGraph(raw), result.partner);
+  // FNV-1a over the partner array.
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const NodeId p : result.partner) {
+    digest = (digest ^ p) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(MatchingSize(result.partner), 829);
+  EXPECT_EQ(digest, 8298010162055258740ULL);
+  EXPECT_EQ(result.num_buckets, 33);
+  const Metrics& m = cluster.metrics();
+  EXPECT_EQ((std::vector<int64_t>{m.Get("cache_hits"), m.Get("cache_misses"),
+                                  m.Get("kv_reads"), m.Get("kv_read_bytes"),
+                                  m.Get("kv_lookup_trips"),
+                                  m.Get("shuffle_bytes"), m.Get("kv_writes"),
+                                  m.Get("kv_write_bytes"),
+                                  m.Get("kv_hot_machine_write_bytes"),
+                                  m.Get("rounds"), m.Get("shuffles")}),
+            (std::vector<int64_t>{83416, 4306, 4306, 549500, 4306, 206232, 4096,
+                                  206232, 55196, 5, 1}));
+  EXPECT_DOUBLE_EQ(cluster.SimSeconds(), 0.271786854);
+}
+
 // ---------------------------------------------------------------------------
 // (1 + eps)-approximate maximum cardinality matching.
 // ---------------------------------------------------------------------------

@@ -21,6 +21,15 @@ sim::ClusterConfig SmallConfig(bool caching = true) {
   return config;
 }
 
+// The charges of a job's staging shuffles and KV-Write rounds:
+// shuffle_bytes, kv_writes, kv_write_bytes, kv_hot_machine_write_bytes,
+// rounds, shuffles.
+std::vector<int64_t> StagingCharges(const Metrics& m) {
+  return {m.Get("shuffle_bytes"),  m.Get("kv_writes"),
+          m.Get("kv_write_bytes"), m.Get("kv_hot_machine_write_bytes"),
+          m.Get("rounds"),         m.Get("shuffles")};
+}
+
 EdgeList ShapeGraph(int shape, uint64_t seed) {
   switch (shape) {
     case 0:
@@ -163,8 +172,10 @@ TEST(AmpcMatchingTest, ChargedCostsMatchParent) {
   MatchingOptions options;
   options.seed = 42;
   std::vector<graph::NodeId> partner;
-  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips.
-  const auto run = [&](int machines, double* sim_seconds) {
+  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips;
+  // `staging` gets the PermuteGraph and KV-Write StagingCharges.
+  const auto run = [&](int machines, double* sim_seconds,
+                       std::vector<int64_t>* staging) {
     sim::ClusterConfig config;
     config.num_machines = machines;
     config.threads_per_machine = 4;
@@ -174,17 +185,74 @@ TEST(AmpcMatchingTest, ChargedCostsMatchParent) {
     EXPECT_EQ(r.partner, partner);
     *sim_seconds = cluster.SimSeconds();
     const Metrics& m = cluster.metrics();
+    *staging = StagingCharges(m);
     return std::vector<int64_t>{m.Get("cache_hits"), m.Get("cache_misses"),
                                 m.Get("kv_reads"), m.Get("kv_read_bytes"),
                                 m.Get("kv_lookup_trips")};
   };
   double sim_seconds = 0;
-  EXPECT_EQ(run(1, &sim_seconds),
+  std::vector<int64_t> staging;
+  EXPECT_EQ(run(1, &sim_seconds, &staging),
             (std::vector<int64_t>{152618, 29319, 29319, 4057392, 29319}));
   EXPECT_DOUBLE_EQ(sim_seconds, 0.500666289);
-  EXPECT_EQ(run(4, &sim_seconds),
+  EXPECT_EQ(staging,
+            (std::vector<int64_t>{6191600, 131072, 6191600, 6191600, 3, 1}));
+  EXPECT_EQ(run(4, &sim_seconds, &staging),
             (std::vector<int64_t>{250780, 90396, 90396, 15145096, 90396}));
   EXPECT_DOUBLE_EQ(sim_seconds, 0.249494139);
+  EXPECT_EQ(staging,
+            (std::vector<int64_t>{6191600, 131072, 6191600, 1561932, 3, 1}));
+}
+
+// Pins AmpcMatchingSampled's charges on the same web graph. Each
+// iteration's SampleGraph shuffle ships a row only for an alive vertex,
+// and only the arcs below the iteration's rank threshold, so its bytes
+// are no formula over all n rows; they were recorded at the parent of
+// the flat rank-keyed staging.
+TEST(AmpcMatchingTest, SampledChargedCostsMatchParent) {
+  graph::RmatOptions web;
+  web.a = 0.65;
+  web.b = web.c = (1.0 - web.a) / 3.0;
+  const Graph g = graph::BuildGraph(graph::GenerateRmat(17, 600000, 5, web));
+  MatchingOptions options;
+  options.seed = 42;
+  std::vector<graph::NodeId> partner;
+  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips,
+  // then StagingCharges.
+  const auto run = [&](int machines, double* sim_seconds, int* phases) {
+    sim::ClusterConfig config;
+    config.num_machines = machines;
+    config.threads_per_machine = 4;
+    sim::Cluster cluster(config);
+    const MatchingResult r = AmpcMatchingSampled(cluster, g, options);
+    if (partner.empty()) partner = r.partner;
+    EXPECT_EQ(r.partner, partner);
+    *sim_seconds = cluster.SimSeconds();
+    *phases = r.phases;
+    const Metrics& m = cluster.metrics();
+    std::vector<int64_t> charges{m.Get("cache_hits"), m.Get("cache_misses"),
+                                 m.Get("kv_reads"), m.Get("kv_read_bytes"),
+                                 m.Get("kv_lookup_trips")};
+    const std::vector<int64_t> staging = StagingCharges(m);
+    charges.insert(charges.end(), staging.begin(), staging.end());
+    return charges;
+  };
+  double sim_seconds = 0;
+  int phases = 0;
+  EXPECT_EQ(run(1, &sim_seconds, &phases),
+            (std::vector<int64_t>{45948, 24757, 24757, 659308, 24757, 6373824,
+                                  393216, 6730784, 6730784, 13, 3}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 1.041123605);
+  EXPECT_EQ(phases, 3);
+  EXPECT_EQ(run(4, &sim_seconds, &phases),
+            (std::vector<int64_t>{31594, 60672, 60672, 1736856, 60672, 6373824,
+                                  393216, 6730784, 1687276, 13, 3}));
+  EXPECT_DOUBLE_EQ(sim_seconds, 0.753734328);
+  EXPECT_EQ(phases, 3);
+  // The matching is Algorithm 4's union of per-level greedy matchings,
+  // which is the global one AmpcMatching computes.
+  sim::Cluster direct_cluster(SmallConfig());
+  EXPECT_EQ(AmpcMatching(direct_cluster, g, options).partner, partner);
 }
 
 class SampledMatchingTest : public ::testing::TestWithParam<uint64_t> {};

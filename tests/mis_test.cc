@@ -142,8 +142,12 @@ TEST(AmpcMisTest, ChargedCostsMatchParent) {
   web.a = 0.65;
   web.b = web.c = (1.0 - web.a) / 3.0;
   const Graph g = graph::BuildGraph(graph::GenerateRmat(17, 600000, 5, web));
-  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips.
-  const auto run = [&](int machines, double* sim_seconds) {
+  // cache_hits, cache_misses, kv_reads, kv_read_bytes, kv_lookup_trips;
+  // `staging` gets the DirectGraph shuffle's and KV-Write round's
+  // charges: shuffle_bytes, kv_writes, kv_write_bytes,
+  // kv_hot_machine_write_bytes, rounds, shuffles.
+  const auto run = [&](int machines, double* sim_seconds,
+                       std::vector<int64_t>* staging) {
     sim::ClusterConfig config;
     config.num_machines = machines;
     config.threads_per_machine = 4;
@@ -152,17 +156,25 @@ TEST(AmpcMisTest, ChargedCostsMatchParent) {
         seq::IsMaximalIndependentSet(g, AmpcMis(cluster, g, 42).in_mis));
     *sim_seconds = cluster.SimSeconds();
     const Metrics& m = cluster.metrics();
+    *staging = {m.Get("shuffle_bytes"), m.Get("kv_writes"),
+                m.Get("kv_write_bytes"), m.Get("kv_hot_machine_write_bytes"),
+                m.Get("rounds"),         m.Get("shuffles")};
     return std::vector<int64_t>{m.Get("cache_hits"), m.Get("cache_misses"),
                                 m.Get("kv_reads"), m.Get("kv_read_bytes"),
                                 m.Get("kv_lookup_trips")};
   };
   double sim_seconds = 0;
-  EXPECT_EQ(run(1, &sim_seconds),
+  std::vector<int64_t> staging;
+  EXPECT_EQ(run(1, &sim_seconds, &staging),
             (std::vector<int64_t>{115589, 52815, 33361, 1376168, 45}));
   EXPECT_DOUBLE_EQ(sim_seconds, 0.377044969);
-  EXPECT_EQ(run(4, &sim_seconds),
+  EXPECT_EQ(staging,
+            (std::vector<int64_t>{4144376, 131072, 4144376, 4144376, 3, 1}));
+  EXPECT_EQ(run(4, &sim_seconds, &staging),
             (std::vector<int64_t>{127584, 109003, 61177, 3973612, 1002}));
   EXPECT_DOUBLE_EQ(sim_seconds, 0.207471350);
+  EXPECT_EQ(staging,
+            (std::vector<int64_t>{4144376, 131072, 4144376, 1064464, 3, 1}));
 }
 
 TEST(AmpcMisTest, DeepRankChainDoesNotOverflowStack) {
