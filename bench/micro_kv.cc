@@ -4,11 +4,15 @@
 // §5.7): each logical machine holds one shard of the DHT, and the round
 // lasts as long as its hottest machine. This bench measures
 //
-//   1. concurrent Put throughput into kv::ShardedStore across thread
+//   1. concurrent write throughput into kv::ShardedStore across thread
 //      counts (each writer owns one contiguous key range, and every
-//      range spreads over all shards). Lone Puts do not scale with
-//      writers: each bumps its shard's shared record and byte counters
-//      and the store-wide version, which PutRange bumps once per batch,
+//      range spreads over all shards), two ways: each writer's range as
+//      one PutRange, the batch path of Cluster::RunKvWritePhase, and as
+//      lone Puts, the per-call reference. A lone Put is a one-record
+//      PutRange: it bumps its shard's record and byte counters and the
+//      store-wide version, cache lines every writer shares, which a
+//      PutRange bumps once per batch. So the Put column does not scale
+//      with writers,
 //   2. shard balance of the placement hash (max/mean bytes per shard),
 //   3. skew sensitivity of the cluster cost model: simulated write and
 //      lookup round times for a uniform workload vs a 90/10-style skewed
@@ -43,19 +47,25 @@ using ampc::kv::ShardedStore;
 constexpr int kMachines = 8;
 constexpr uint64_t kSeed = 42;
 
-// Concurrent Put of n int64 records with `threads` writers, writer t
-// over keys [n*t/threads, n*(t+1)/threads). A shard's local slots follow
-// key order, so contiguous ranges keep neighbouring slots, which share
-// cache lines, with one writer.
-double TimePuts(int64_t n, int threads) {
+// Concurrent write of n int64 records with `threads` writers, writer t
+// over keys [n*t/threads, n*(t+1)/threads): one PutRange per writer when
+// `batched`, else one Put per key. A shard's local slots follow key
+// order, so contiguous ranges keep neighbouring slots, which share cache
+// lines, with one writer.
+double TimePuts(int64_t n, int threads, bool batched) {
   ShardedStore<int64_t> store(n, kMachines, kSeed);
   WallTimer timer;
   std::vector<std::thread> writers;
   writers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
-    writers.emplace_back([&store, t, n, threads] {
+    writers.emplace_back([&store, t, n, threads, batched] {
       const int64_t lo = n * t / threads, hi = n * (t + 1) / threads;
-      for (int64_t k = lo; k < hi; ++k) store.Put(k, k);
+      if (batched) {
+        store.PutRange(lo, hi,
+                       [](uint64_t k) { return static_cast<int64_t>(k); });
+      } else {
+        for (int64_t k = lo; k < hi; ++k) store.Put(k, k);
+      }
     });
   }
   for (auto& t : writers) t.join();
@@ -137,7 +147,7 @@ int main() {
               "best of %d reps\n",
               static_cast<long long>(n), kMachines, hw, reps);
 
-  // 1. Put throughput.
+  // 1. Write throughput.
   std::vector<int> thread_counts = {1, 2, 4, 8};
   if (std::find(thread_counts.begin(), thread_counts.end(), hw) ==
       thread_counts.end()) {
@@ -146,20 +156,30 @@ int main() {
   }
   struct Row {
     int threads;
-    double sec;
+    double range_sec;  // one PutRange per writer
+    double put_sec;    // one Put per key
   };
   std::vector<Row> rows;
   for (int threads : thread_counts) {
-    rows.push_back({threads, ampc::bench::BestOf(reps, [&] { return TimePuts(n, threads); })});
+    const auto best_of = [&](bool batched) {
+      return ampc::bench::BestOf(
+          reps, [&] { return TimePuts(n, threads, batched); });
+    };
+    rows.push_back({threads, best_of(true), best_of(false)});
   }
-  ampc::bench::PrintHeader("micro_kv: concurrent Put throughput",
-                           {"threads", "sec", "Mkeys/s", "speedup"});
+  ampc::bench::PrintHeader(
+      "micro_kv: concurrent write throughput",
+      {"threads", "PutRange sec", "Mkeys/s", "speedup", "Put sec", "Mkeys/s",
+       "speedup"});
   for (const Row& row : rows) {
     ampc::bench::PrintRow(
         {ampc::bench::FmtInt(row.threads),
-         ampc::bench::FmtDouble(row.sec, 4),
-         ampc::bench::FmtDouble(n / row.sec / 1e6),
-         ampc::bench::FmtDouble(rows.front().sec / row.sec) + "x"});
+         ampc::bench::FmtDouble(row.range_sec, 4),
+         ampc::bench::FmtDouble(n / row.range_sec / 1e6),
+         ampc::bench::FmtDouble(rows.front().range_sec / row.range_sec) + "x",
+         ampc::bench::FmtDouble(row.put_sec, 4),
+         ampc::bench::FmtDouble(n / row.put_sec / 1e6),
+         ampc::bench::FmtDouble(rows.front().put_sec / row.put_sec) + "x"});
   }
 
   // 2. Shard balance of the placement hash.
@@ -218,12 +238,17 @@ int main() {
                "  \"put\": [\n",
                static_cast<long long>(n), kMachines, hw, reps,
                max_over_mean);
+  // sec/mkeys_per_sec/speedup time lone Puts; range_* time PutRange.
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
                  "    {\"threads\": %d, \"sec\": %.6f, "
-                 "\"mkeys_per_sec\": %.3f, \"speedup\": %.3f}%s\n",
-                 rows[i].threads, rows[i].sec, n / rows[i].sec / 1e6,
-                 rows.front().sec / rows[i].sec,
+                 "\"mkeys_per_sec\": %.3f, \"speedup\": %.3f, "
+                 "\"range_sec\": %.6f, \"range_mkeys_per_sec\": %.3f, "
+                 "\"range_speedup\": %.3f}%s\n",
+                 rows[i].threads, rows[i].put_sec, n / rows[i].put_sec / 1e6,
+                 rows.front().put_sec / rows[i].put_sec, rows[i].range_sec,
+                 n / rows[i].range_sec / 1e6,
+                 rows.front().range_sec / rows[i].range_sec,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out,

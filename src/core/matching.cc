@@ -61,7 +61,8 @@ struct EdgeOrder {
 
 // ---------------------------------------------------------------------------
 // Per-machine vertex cache (Section 5.4): packs {state, neighbor} into one
-// word held in the machine's shared kv::QueryCache. kPrefix(p) means every
+// word held in the machine's kv::QueryCache, which its worker slices use
+// in turn (MachineContext::DerivedCache). kPrefix(p) means every
 // edge (v, y) with rank <= rank(v, p) is known to be out of the matching;
 // kVMatched(p) means (v, p) is in it. The cache is bounded (an evicted
 // word is recomputed, never wrong) and stamped with the machine's
@@ -99,9 +100,8 @@ class VertexCache {
     cache_->Put(v, epoch_, EncodeCache(kVMatched, partner));
   }
 
-  // Extends v's known out-of-matching prefix to cover rank(v, upto).
-  // Monotone read-modify-write under the cache's lock (the shared
-  // QueryCache replaces the old per-slot compare-exchange loop).
+  // Extends v's known out-of-matching prefix to cover rank(v, upto):
+  // a monotone read-modify-write, one QueryCache::Update.
   void ExtendPrefix(NodeId v, NodeId upto) {
     if (cache_ == nullptr) return;
     cache_->Update(v, epoch_, [&](std::optional<uint64_t> cur) -> uint64_t {
@@ -394,7 +394,7 @@ StagedGraph StageGraph(sim::Cluster& cluster, const Graph& g,
 }
 
 // One IsInMM sweep over the unsettled vertices. Returns how many remain.
-// Derived vertex-status words live in the shared per-machine caches
+// Derived vertex-status words live in the per-machine caches
 // (sim::Cluster::MakeMachineCaches), stamped with each machine's
 // CacheEpoch of the staged store.
 int64_t RunMatchingPhase(sim::Cluster& cluster, const AdjStore& store,
@@ -412,8 +412,8 @@ int64_t RunMatchingPhase(sim::Cluster& cluster, const AdjStore& store,
       settled[item] = 1;
       return;
     }
-    VertexCache cache(caches.ForMachine(ctx.machine_id()),
-                      ctx.CacheEpoch(store), &order);
+    VertexCache cache(ctx.DerivedCache(caches), ctx.CacheEpoch(store),
+                      &order);
     NodeId p = kInvalidNode;
     const VertexOutcome outcome = ProcessVertex(
         static_cast<NodeId>(item), ctx, store, cache, order, max_queries, &p);

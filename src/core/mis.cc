@@ -15,10 +15,11 @@ using graph::NodeId;
 
 // Three-valued query state (paper Section 5.3: "this table stores a
 // three-valued state reporting whether the status of this vertex is
-// either Unknown, InMIS or NotInMIS"). The states live in the shared
-// per-machine kv::QueryCache (bounded, shared by the machine's worker
-// threads) rather than a bespoke O(n) atomic array; an evicted state is
-// simply recomputed, so outputs never depend on cache contents.
+// either Unknown, InMIS or NotInMIS"). The states live in each
+// machine's bounded kv::QueryCache, which the machine's worker slices
+// use in turn (MachineContext::DerivedCache), rather than a bespoke O(n)
+// atomic array; an evicted state is simply recomputed, so outputs never
+// depend on cache contents.
 enum MisState : uint8_t { kUnknown = 0, kInMis = 1, kNotInMis = 2 };
 
 // Resumable, iterative version of the IsInMIS recursion of Figure 1: v
@@ -143,7 +144,7 @@ MisResult AmpcMis(sim::Cluster& cluster, const Graph& g, uint64_t seed) {
   cluster.RunBatchMapPhase(
       "IsInMIS", n,
       [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-        kv::QueryCache<uint8_t>* cache = caches.ForMachine(ctx.machine_id());
+        kv::QueryCache<uint8_t>* cache = ctx.DerivedCache(caches);
         const uint64_t epoch = ctx.CacheEpoch(store);
         std::vector<MisResolveState> states;
         states.reserve(items.size());

@@ -32,11 +32,14 @@
 //     so it sits behind every live entry and is evicted first — the
 //     live set, and so every hit and miss, is the same as if the cache
 //     had been cleared when its epoch moved.
-//   * One mutex: a push round runs each machine's workers on one host
-//     task and a pull round probes no cache, so the simulator never
-//     contends the lock. It stays because derived caches are reachable
-//     from algorithm code in any round kind, and a caller outside that
-//     rule must still be race-free.
+//   * One user at a time, like a standard container: no lock. Each
+//     machine owns its caches, and algorithm code reaches them only
+//     through sim::MachineContext (Lookup/LookupManyAsync for the
+//     read-through caches, DerivedCache for derived ones), which hands
+//     out neither kind in a pull round. A push round runs each
+//     machine's worker slices in order on one host task, and the return
+//     of ThreadPool::RunTasks orders one round's task for a machine
+//     before the next round's, on whatever threads they run.
 //
 // Two uses share this type, each as a MachineCaches set (one cache per
 // machine). MachineContext::Lookup/LookupManyAsync consult a store's
@@ -44,16 +47,15 @@
 // sim::Cluster::MakeStore); hits are served locally with no trip and no
 // owner bytes. Algorithms additionally park *derived* per-key facts —
 // mis's three-valued states, matching's vertex status words — in sets
-// minted by sim::Cluster::MakeMachineCaches<V>(). Hit/miss accounting
-// stays with the caller (MachineContext::CountCacheHit/Miss) in both
-// cases.
+// minted by sim::Cluster::MakeMachineCaches<V>() and taken per machine
+// from MachineContext::DerivedCache. Hit/miss accounting stays with the
+// caller (MachineContext::CountCacheHit/Miss) in both cases.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -63,8 +65,8 @@
 
 namespace ampc::kv {
 
-/// A bounded, versioned, thread-safe key -> V cache: one LRU of
-/// `capacity` entries under one mutex.
+/// A bounded, versioned key -> V cache: one LRU of `capacity` entries.
+/// Not thread-safe: one user at a time (see the header comment).
 template <typename V>
 class QueryCache {
  public:
@@ -80,67 +82,56 @@ class QueryCache {
   /// with a different epoch is stale — it is dropped and reported absent
   /// (epochs only move forward, so it can never become valid again).
   std::optional<V> Get(uint64_t key, uint64_t epoch) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t pos = FindLocked(key);
+    const size_t pos = Find(key);
     if (pos == kAbsent) return std::nullopt;
     const uint32_t slot = index_[pos].slot;
     if (entries_[slot].epoch != epoch) {
-      DropLocked(pos);
+      Drop(pos);
       return std::nullopt;
     }
-    TouchLocked(slot);
+    Touch(slot);
     return entries_[slot].value;
   }
 
   /// Inserts (or refreshes) `key` -> `value` at `epoch`, evicting the
   /// least recently used entry when full.
   void Put(uint64_t key, uint64_t epoch, V value) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t pos = FindLocked(key);
+    const size_t pos = Find(key);
     if (pos != kAbsent) {
       const uint32_t slot = index_[pos].slot;
       entries_[slot].epoch = epoch;
       entries_[slot].value = std::move(value);
-      TouchLocked(slot);
+      Touch(slot);
       return;
     }
-    InsertLocked(key, epoch, std::move(value));
+    Insert(key, epoch, std::move(value));
   }
 
-  /// Atomic read-modify-write under the cache's lock:
-  /// `fn(std::optional<V>)` receives the current epoch-valid value (or
-  /// nullopt) and returns the value to store. Replaces the
-  /// compare-exchange loops of the old bespoke atomic-array caches
-  /// (e.g. matching's monotone prefix extension).
+  /// Read-modify-write in one probe: `fn(std::optional<V>)` receives
+  /// the current epoch-valid value (or nullopt) and returns the value to
+  /// store (e.g. matching's monotone prefix extension).
   template <typename Fn>
   void Update(uint64_t key, uint64_t epoch, Fn&& fn) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const size_t pos = FindLocked(key);
+    const size_t pos = Find(key);
     if (pos != kAbsent) {
       const uint32_t slot = index_[pos].slot;
       if (entries_[slot].epoch == epoch) {
         entries_[slot].value = fn(std::optional<V>(entries_[slot].value));
-        TouchLocked(slot);
+        Touch(slot);
         return;
       }
-      DropLocked(pos);  // stale: replace wholesale
+      Drop(pos);  // stale: replace wholesale
     }
-    InsertLocked(key, epoch, fn(std::nullopt));
+    Insert(key, epoch, fn(std::nullopt));
   }
 
   /// Entries currently held, stale ones included.
-  int64_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return size_;
-  }
+  int64_t size() const { return size_; }
 
   int64_t capacity() const { return capacity_; }
 
   /// LRU evictions so far (capacity pressure, not epoch staleness).
-  int64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-  }
+  int64_t evictions() const { return evictions_; }
 
  private:
   static constexpr uint32_t kNil = ~uint32_t{0};
@@ -166,7 +157,7 @@ class QueryCache {
   }
 
   // index_ position holding `key`, or kAbsent.
-  size_t FindLocked(uint64_t key) const {
+  size_t Find(uint64_t key) const {
     if (index_.empty()) return kAbsent;
     const uint32_t hash = HashOf(key);
     const size_t mask = index_.size() - 1;
@@ -180,7 +171,7 @@ class QueryCache {
   // Empties index position `pos` by backward shift: each later key of
   // the probe run moves into the hole unless its home lies after the
   // hole, so every key stays reachable from its home with no tombstone.
-  void EraseIndexLocked(size_t pos) {
+  void EraseIndex(size_t pos) {
     const size_t mask = index_.size() - 1;
     size_t hole = pos;
     for (size_t i = (pos + 1) & mask; index_[i].slot != kNil;
@@ -193,7 +184,7 @@ class QueryCache {
     index_[hole].slot = kNil;
   }
 
-  void PlaceIndexLocked(uint32_t hash, uint32_t slot) {
+  void PlaceIndex(uint32_t hash, uint32_t slot) {
     const size_t mask = index_.size() - 1;
     size_t i = hash & mask;
     while (index_[i].slot != kNil) i = (i + 1) & mask;
@@ -202,40 +193,40 @@ class QueryCache {
 
   // Keeps the index at most half full; it doubles from 16 positions as
   // the cache fills, so a cache that never inserts holds no index.
-  void ReserveIndexLocked() {
+  void ReserveIndex() {
     if (2 * static_cast<size_t>(size_ + 1) <= index_.size()) return;
     std::vector<Bucket> old = std::move(index_);
     index_.assign(std::max<size_t>(16, 2 * old.size()), Bucket{0, kNil});
     for (const Bucket& b : old) {
-      if (b.slot != kNil) PlaceIndexLocked(b.hash, b.slot);
+      if (b.slot != kNil) PlaceIndex(b.hash, b.slot);
     }
   }
 
-  void UnlinkLocked(uint32_t slot) {
+  void Unlink(uint32_t slot) {
     const Entry& e = entries_[slot];
     (e.prev == kNil ? head_ : entries_[e.prev].next) = e.next;
     (e.next == kNil ? tail_ : entries_[e.next].prev) = e.prev;
   }
 
-  void PushFrontLocked(uint32_t slot) {
+  void PushFront(uint32_t slot) {
     entries_[slot].prev = kNil;
     entries_[slot].next = head_;
     (head_ == kNil ? tail_ : entries_[head_].prev) = slot;
     head_ = slot;
   }
 
-  void TouchLocked(uint32_t slot) {
+  void Touch(uint32_t slot) {
     if (slot == head_) return;
-    UnlinkLocked(slot);
-    PushFrontLocked(slot);
+    Unlink(slot);
+    PushFront(slot);
   }
 
   // Drops the (stale) entry at index position `pos`; its slot goes on
   // the free list for the next insert.
-  void DropLocked(size_t pos) {
+  void Drop(size_t pos) {
     const uint32_t slot = index_[pos].slot;
-    EraseIndexLocked(pos);
-    UnlinkLocked(slot);
+    EraseIndex(pos);
+    Unlink(slot);
     entries_[slot].next = free_;
     free_ = slot;
     --size_;
@@ -245,12 +236,12 @@ class QueryCache {
   // evicts its least recently used entry first and reuses that slot;
   // otherwise a dropped slot is reused, and only then does the entry
   // array grow (geometrically, never past capacity_).
-  void InsertLocked(uint64_t key, uint64_t epoch, V value) {
+  void Insert(uint64_t key, uint64_t epoch, V value) {
     uint32_t slot;
     if (size_ == capacity_) {
       slot = tail_;
-      EraseIndexLocked(FindLocked(entries_[slot].key));
-      UnlinkLocked(slot);
+      EraseIndex(Find(entries_[slot].key));
+      Unlink(slot);
       --size_;
       ++evictions_;
     } else if (free_ != kNil) {
@@ -269,14 +260,13 @@ class QueryCache {
     } else {
       entries_[slot] = std::move(entry);
     }
-    PushFrontLocked(slot);
-    ReserveIndexLocked();
-    PlaceIndexLocked(HashOf(key), slot);
+    PushFront(slot);
+    ReserveIndex();
+    PlaceIndex(HashOf(key), slot);
     ++size_;
   }
 
   const int64_t capacity_;
-  mutable std::mutex mu_;
   std::vector<Entry> entries_;  // size_ live entries + the free slots
   std::vector<Bucket> index_;   // power-of-two size, or empty
   uint32_t head_ = kNil;        // most recently used
@@ -290,7 +280,9 @@ class QueryCache {
 /// (kv::ShardedStore::EnableQueryCache) and algorithms' derived-fact
 /// caches (sim::Cluster::MakeMachineCaches). Default-constructed =
 /// caching disabled: every ForMachine() is nullptr and callers fall back
-/// to uncached resolution.
+/// to uncached resolution. Inside a round, code takes a machine's cache
+/// from sim::MachineContext, never from ForMachine, so that no two
+/// threads share one (see the header comment).
 template <typename V>
 class MachineCaches {
  public:

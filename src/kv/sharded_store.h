@@ -290,7 +290,9 @@ class ShardedStore {
   /// Machine `m`'s read-through cache, or nullptr when caching is off.
   /// Cached values are pointers into this store's slot tables (stable:
   /// shards live behind unique_ptr and records are write-once), so a
-  /// hit returns exactly what the remote lookup would have.
+  /// hit returns exactly what the remote lookup would have. The cache
+  /// takes no lock: rounds reach it only through machine m's
+  /// MachineContext (Lookup, LookupManyAsync).
   QueryCache<const V*>* QueryCacheFor(int m) const {
     return query_caches_.ForMachine(m);
   }

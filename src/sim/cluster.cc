@@ -723,9 +723,10 @@ void Cluster::RunMapPhaseImpl(
   }
   // Host tasks are runs of consecutive slices [task_begin[t],
   // task_begin[t + 1]): in a push round one per machine, its slices in
-  // worker order, so the query caches the machine's workers share see
-  // one fixed sequence of reads; in a pull round, which probes no cache
-  // (MachineContext::caching_enabled), one per slice.
+  // worker order, so the machine's query caches, which take no lock,
+  // have one user at a time and see one fixed sequence of reads; in a
+  // pull round, which probes no cache (MachineContext::caching_enabled),
+  // one per slice.
   std::vector<size_t> task_begin;
   for (size_t s = 0; s < slices.size(); ++s) {
     if (pull || s == 0 ||

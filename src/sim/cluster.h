@@ -388,15 +388,15 @@ class Cluster {
 
   /// Per-machine bounded caches for *derived* per-key facts (mis's
   /// three-valued vertex states, matching's status words), sized by
-  /// kQueryCacheCapacity. Disabled config => every ForMachine() is
-  /// nullptr and algorithms fall back to uncached resolution. Callers
-  /// stamp entries with MachineContext::CacheEpoch of the store the
-  /// facts derive from, so they die with a write to it and with a kill
-  /// of the machine. Hit/miss accounting stays with the caller via
-  /// MachineContext::CountCacheHit/Miss. For push rounds only: a push
-  /// round runs each machine's worker slices on one host task, so a
-  /// machine's cache sees its reads in a fixed order; pull-round slices
-  /// run concurrently and must not share one.
+  /// kQueryCacheCapacity. Disabled config => an empty set, and
+  /// algorithms fall back to uncached resolution. A round's code takes
+  /// its machine's cache from MachineContext::DerivedCache, which hands
+  /// out none in a pull round, so each cache has one user at a time
+  /// (kv::QueryCache takes no lock). Callers stamp entries with
+  /// MachineContext::CacheEpoch of the store the facts derive from, so
+  /// they die with a write to it and with a kill of the machine.
+  /// Hit/miss accounting stays with the caller via
+  /// MachineContext::CountCacheHit/Miss.
   template <typename V>
   kv::MachineCaches<V> MakeMachineCaches() const {
     if (!config_.query_cache.enabled) return {};
@@ -898,13 +898,24 @@ class MachineContext {
 
   int machine_id() const { return machine_id_; }
 
-  /// True when this context's reads go through the machine's query
-  /// cache: caching is enabled for the run and this is a push round. A
-  /// pull round resolves every read against its step's exchange and
-  /// never touches a cache, which is what lets its worker slices run as
-  /// separate host tasks (see Cluster::RunMapPhaseImpl).
+  /// True when this context uses the machine's query caches, read-through
+  /// and derived: caching is enabled for the run and this is a push
+  /// round. A push round runs the machine's worker slices in order on
+  /// one host task, so each cache, which takes no lock, has one user at
+  /// a time. A pull round resolves every read against its step's
+  /// exchange and touches no cache, which is what lets its worker slices
+  /// run as separate host tasks (see Cluster::RunMapPhaseImpl).
   bool caching_enabled() const {
     return cluster_->config().query_cache.enabled && !pull_round_;
+  }
+
+  /// This machine's cache in a derived-fact set minted by
+  /// Cluster::MakeMachineCaches, or nullptr when caching_enabled() is
+  /// false (caching off, or a pull round). The one way a round's code
+  /// reaches a derived cache.
+  template <typename V>
+  kv::QueryCache<V>* DerivedCache(kv::MachineCaches<V>& caches) const {
+    return caching_enabled() ? caches.ForMachine(machine_id_) : nullptr;
   }
 
   /// The epoch under which this machine's cache entries derived from
@@ -1117,7 +1128,7 @@ class MachineContext {
 
   /// Cache accounting. The read-through paths (Lookup, LookupManyAsync)
   /// count their own hits and misses; algorithms caching *derived* facts
-  /// in MakeMachineCaches() instances count theirs through these, so
+  /// in DerivedCache() caches count theirs through these, so
   /// every cache probe at every layer flows into the same two metrics
   /// (Section 5.3).
   void CountCacheHit() { ++tally_.client.cache_hits; }

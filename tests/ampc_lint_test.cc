@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -127,6 +128,27 @@ TEST(AmpcLintTest, GuardedAndGrandfatheredMetricsAreClean) {
     EXPECT_NE(d.message.find("shiny_new_counter"), std::string::npos)
         << d.ToString();
   }
+}
+
+// A machine's query caches take no lock, so core code must take them
+// from the round's MachineContext: the direct ForMachine and
+// QueryCacheFor handouts fire, and the same reads through the context
+// stay clean.
+TEST(AmpcLintTest, QueryCacheHandoutsGoThroughTheMachineContext) {
+  const Report report = FixtureReport();
+  std::vector<int> flagged_lines;
+  for (const Diagnostic& d : report.diagnostics) {
+    EXPECT_NE(d.file, "src/core/cache_direct_ok.cc") << d.ToString();
+    if (d.file != "src/core/cache_direct_bad.cc") continue;
+    EXPECT_EQ(d.rule, "core-store-direct") << d.ToString();
+    EXPECT_FALSE(d.suppressed) << d.ToString();
+    EXPECT_NE(d.message.find("MachineContext::DerivedCache"),
+              std::string::npos)
+        << d.ToString();
+    flagged_lines.push_back(d.line);
+  }
+  // caches.ForMachine(...) and store.QueryCacheFor(...).
+  EXPECT_EQ(flagged_lines, (std::vector<int>{10, 11}));
 }
 
 TEST(AmpcLintTest, JsonReportIsWellFormedAndComplete) {

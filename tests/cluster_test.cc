@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <tuple>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "baselines/boruvka.h"
+#include "common/thread_pool.h"
 #include "core/connectivity.h"
 #include "core/kcore.h"
 #include "core/matching.h"
@@ -1317,8 +1319,8 @@ TEST(ClusterTest, InjectedFailureColdStartsDerivedCaches) {
   cluster.RunKvWritePhase("w", store, n, [](int64_t k) { return k; });
   kv::MachineCaches<uint8_t> caches = cluster.MakeMachineCaches<uint8_t>();
   cluster.RunMapPhase("put", n, [&](int64_t item, MachineContext& ctx) {
-    caches.ForMachine(ctx.machine_id())
-        ->Put(static_cast<uint64_t>(item), ctx.CacheEpoch(store), 1);
+    ctx.DerivedCache(caches)->Put(static_cast<uint64_t>(item),
+                                  ctx.CacheEpoch(store), 1);
   });
 
   const int victim = 1;
@@ -1327,7 +1329,7 @@ TEST(ClusterTest, InjectedFailureColdStartsDerivedCaches) {
   std::atomic<int64_t> misses[2] = {0, 0};
   cluster.RunMapPhase("get", n, [&](int64_t item, MachineContext& ctx) {
     const int m = ctx.machine_id();
-    const bool hit = caches.ForMachine(m)
+    const bool hit = ctx.DerivedCache(caches)
                          ->Get(static_cast<uint64_t>(item),
                                ctx.CacheEpoch(store))
                          .has_value();
@@ -1617,17 +1619,20 @@ TEST(ClusterTest, ScalarLookupInPullRoundBypassesQueryCache) {
   EXPECT_EQ(cluster.metrics().Get("cache_misses"), 0);
 }
 
-// Runs `job` on a cluster built from `config_a` and one built from
-// `config_b` and expects the same charged costs from both: simulated
-// seconds and timers, every counter, and every round's per-machine
-// footprint. With one config twice it guards the fold of the
-// per-worker tallies, which must not depend on which worker thread
-// finishes first; with two it pins configs that must charge alike.
+// Runs `job` on a cluster built from `config_a` on `pool_a` and one
+// built from `config_b` on `pool_b` and expects the same charged costs
+// from both: simulated seconds and timers, every counter, and every
+// round's per-machine footprint. With one config twice it guards the
+// fold of the per-worker tallies, which must not depend on which worker
+// thread finishes first; with two it pins configs that must charge
+// alike.
 template <typename Job>
 void ExpectTwinClusterCosts(const ClusterConfig& config_a,
-                            const ClusterConfig& config_b, Job job) {
-  Cluster a(config_a);
-  Cluster b(config_b);
+                            const ClusterConfig& config_b, Job job,
+                            ThreadPool& pool_a = ThreadPool::Global(),
+                            ThreadPool& pool_b = ThreadPool::Global()) {
+  Cluster a(config_a, pool_a);
+  Cluster b(config_b, pool_b);
   job(a);
   job(b);
   EXPECT_EQ(a.SimSeconds(), b.SimSeconds());
@@ -1647,6 +1652,87 @@ void ExpectTwinClusterCosts(const ClusterConfig& config_a,
     EXPECT_EQ(fa.kv_read_bytes, fb.kv_read_bytes) << "round " << r;
     EXPECT_EQ(fa.kv_write_bytes, fb.kv_write_bytes) << "round " << r;
   }
+}
+
+// Each machine owns its query caches, and kv::QueryCache takes no lock.
+// Every worker of 8 machines sends mixed Get/Put/Update traffic through
+// the round's MachineContext, into the store's read-through caches
+// (Lookup, and LookupManyAsync under DriveLookupPipelined) and a derived
+// set (DerivedCache), over 64 keys the machine's workers share. A push
+// round runs each machine's workers on one host task, so on a 4-thread
+// pool machines run at once while no cache has two users (CI runs this
+// under TSAN). Every value written for key k is 2k, so every hit must
+// read 2k; every counter, sim: timer and round footprint must equal a
+// 1-thread pool's run; and a pull round's context hands out no derived
+// cache.
+void MixedMachineCacheTraffic(Cluster& cluster) {
+  constexpr int64_t kKeys = 64;
+  constexpr int64_t kItems = 4096;
+  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(kKeys);
+  cluster.RunKvWritePhase("w", store, kKeys,
+                          [](int64_t k) { return 2 * k; });
+  kv::MachineCaches<int64_t> derived = cluster.MakeMachineCaches<int64_t>();
+  std::atomic<int64_t> wrong{0};
+  auto check = [&wrong](const int64_t* value, uint64_t key) {
+    if (value == nullptr || *value != 2 * static_cast<int64_t>(key)) ++wrong;
+  };
+  for (int round = 0; round < 3; ++round) {
+    cluster.RunBatchMapPhase(
+        "mixed", kItems,
+        [&](std::span<const int64_t> items, MachineContext& ctx) {
+          kv::QueryCache<int64_t>* cache = ctx.DerivedCache(derived);
+          if (cache == nullptr) {
+            ++wrong;
+            return;
+          }
+          const uint64_t epoch = ctx.CacheEpoch(store);
+          std::vector<uint64_t> batch;
+          for (const int64_t item : items) {
+            const uint64_t k = static_cast<uint64_t>(item * 7 + round) % kKeys;
+            const int64_t twice = 2 * static_cast<int64_t>(k);
+            check(ctx.Lookup(store, k), k);
+            batch.push_back((k * 5 + 1) % kKeys);
+            switch ((item + round) % 3) {
+              case 0:
+                cache->Put(k, epoch, twice);
+                break;
+              case 1:
+                cache->Update(k, epoch, [&](std::optional<int64_t> cur) {
+                  if (cur.has_value()) check(&*cur, k);
+                  return twice;
+                });
+                break;
+              default:
+                if (const std::optional<int64_t> hit = cache->Get(k, epoch)) {
+                  check(&*hit, k);
+                  ctx.CountCacheHit();
+                } else {
+                  ctx.CountCacheMiss();
+                }
+            }
+          }
+          const std::vector<const int64_t*> values =
+              DriveLookups(ctx, store, batch);
+          for (size_t i = 0; i < batch.size(); ++i) check(values[i], batch[i]);
+        });
+  }
+  cluster.RunPullPhase(
+      "pull", kItems, [&](std::span<const int64_t>, MachineContext& ctx) {
+        if (ctx.DerivedCache(derived) != nullptr) ++wrong;
+      });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(cluster.metrics().Get("cache_hits"), 0);
+  EXPECT_GT(cluster.metrics().Get("cache_misses"), 0);
+}
+
+TEST(ClusterTest, MachineOwnedCachesChargeAlikeOnAnyPool) {
+  ClusterConfig config;
+  config.num_machines = 8;
+  config.threads_per_machine = 8;
+  ThreadPool four(4);
+  ThreadPool serial(1);
+  ExpectTwinClusterCosts(config, config, MixedMachineCacheTraffic, four,
+                         serial);
 }
 
 ClusterConfig UncachedFrontierConfig(FrontierMode mode) {

@@ -107,6 +107,46 @@ TEST(RunTasksTest, RunsOnCallerWhileWorkersAreBlocked) {
   EXPECT_EQ(count.load(), 64);
 }
 
+// The ordering each machine's lock-free query caches rely on: what task i
+// of one RunTasks call writes with plain stores and allocations, task i
+// of the next call reads, on whatever thread it runs. Each call's tasks
+// meet at a relaxed (so non-ordering) barrier, so they run on 5 distinct
+// threads. Task i also takes a relay slot that moves to another task
+// every call, so a slot changes threads even if the pool hands out
+// indices in a stable order. CI runs this under TSAN, which must report
+// no race: only the return of the previous call orders these accesses.
+TEST(RunTasksTest, NextCallSeesThePreviousCallsPlainWrites) {
+  constexpr int kThreads = 4;
+  constexpr int64_t kTasks = kThreads + 1;  // the caller runs one too
+  constexpr int kCalls = 500;
+  ThreadPool pool(kThreads);
+  std::vector<std::vector<int64_t>> own(kTasks), relay(kTasks);
+  std::atomic<int64_t> entered{0};
+  std::atomic<int64_t> wrong{0};
+  auto check_and_append = [&wrong](std::vector<int64_t>& log, int call) {
+    if (static_cast<int>(log.size()) != call ||
+        (call > 0 && log.back() != call - 1)) {
+      wrong.fetch_add(1);
+    }
+    log.push_back(call);
+  };
+  for (int call = 0; call < kCalls; ++call) {
+    pool.RunTasks(kTasks, [&, call](int64_t i) {
+      entered.fetch_add(1, std::memory_order_relaxed);
+      while (entered.load(std::memory_order_relaxed) < (call + 1) * kTasks) {
+        std::this_thread::yield();
+      }
+      check_and_append(own[i], call);
+      check_and_append(relay[(i + call) % kTasks], call);
+    });
+  }
+  EXPECT_EQ(wrong.load(), 0);
+  for (int64_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(own[i].size(), static_cast<size_t>(kCalls));
+    EXPECT_EQ(relay[i].size(), static_cast<size_t>(kCalls));
+  }
+}
+
 TEST(ParallelForTest, CoversExactRange) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(1000);

@@ -65,8 +65,8 @@ const std::vector<RuleInfo> kRules = {
     {kDetPtrKey, "pointer-keyed ordered container: order follows the "
                  "allocator"},
     {kCoreStoreDirect,
-     "direct ShardedStore/kv::Store data access bypassing the charged "
-     "MachineContext entrypoints"},
+     "direct ShardedStore/kv::Store data access or query-cache handout "
+     "bypassing the charged MachineContext entrypoints"},
     {kCoreMakeStore,
      "Placement/ShardMap/ShardedStore built outside Cluster::MakeStore"},
     {kMetricZeroGuard,
@@ -685,45 +685,67 @@ void RuleDetPtrKey(const SourceFile& f, Sink* sink) {
 // ---------------------------------------------------------------------------
 // Cost-model purity rules.
 
+// Adds to `vars` every `name = ...factory...` declaration, e.g. `auto x =
+// cluster.MakeStore<...>(...)`: the factory's return type is not
+// written out, so TrackVariables cannot see it.
+void TrackAssignedFrom(const SourceFile& f, const char* factory,
+                       std::set<std::string>* vars) {
+  for (size_t i = 2; i < f.toks.size(); ++i) {
+    if (!IsIdent(f, i, factory)) continue;
+    for (size_t j = i; j-- > 0;) {
+      const Token& t = f.toks[j];
+      if (t.text == ";" || t.text == "{" || t.text == "}") break;
+      if (t.text == "=" && j > 0 && f.toks[j - 1].kind == Tok::kIdent) {
+        vars->insert(f.toks[j - 1].text);
+        break;
+      }
+    }
+  }
+}
+
 void RuleCoreStoreDirect(const SourceFile& f, const Context& ctx,
                          Sink* sink) {
   if (!f.output_affecting) return;
   std::set<std::string> types = ctx.store_aliases;
   types.insert("ShardedStore");
   types.insert("Store");
-  std::set<std::string> vars = TrackVariables(f, types);
-  // `auto x = cluster.MakeStore<...>(...)` also mints a store.
-  for (size_t i = 2; i < f.toks.size(); ++i) {
-    if (!IsIdent(f, i, "MakeStore")) continue;
-    for (size_t j = i; j-- > 0;) {
-      const Token& t = f.toks[j];
-      if (t.text == ";" || t.text == "{" || t.text == "}") break;
-      if (t.text == "=" && j > 0 && f.toks[j - 1].kind == Tok::kIdent) {
-        vars.insert(f.toks[j - 1].text);
-        break;
-      }
-    }
-  }
-  if (vars.empty()) return;
+  std::set<std::string> stores = TrackVariables(f, types);
+  TrackAssignedFrom(f, "MakeStore", &stores);
+  // Per-machine query caches: a store's read-through set and the
+  // derived-fact sets Cluster::MakeMachineCaches mints.
+  std::set<std::string> cache_sets = TrackVariables(f, {"MachineCaches"});
+  TrackAssignedFrom(f, "MakeMachineCaches", &cache_sets);
+  if (stores.empty() && cache_sets.empty()) return;
   // The data-plane methods; metadata (capacity/ShardOf/version/...) is
   // free to read because it never represents remote traffic.
   static const std::set<std::string> kDataMethods = {"Lookup", "Put",
                                                      "Contains", "RecordBytes"};
   for (size_t i = 0; i + 3 < f.toks.size(); ++i) {
-    if (f.toks[i].kind != Tok::kIdent || !vars.count(f.toks[i].text)) continue;
+    if (f.toks[i].kind != Tok::kIdent) continue;
     if (!IsPunct(f, i + 1, ".") && !IsPunct(f, i + 1, "->")) continue;
-    if (f.toks[i + 2].kind != Tok::kIdent ||
-        !kDataMethods.count(f.toks[i + 2].text)) {
+    if (f.toks[i + 2].kind != Tok::kIdent || !IsPunct(f, i + 3, "(")) {
       continue;
     }
-    if (!IsPunct(f, i + 3, "(")) continue;
-    sink->Report(
-        kCoreStoreDirect, f.toks[i].line,
-        "direct " + f.toks[i].text + "." + f.toks[i + 2].text +
-            "() bypasses cost charging; route reads through "
+    const std::string& var = f.toks[i].text;
+    const std::string& method = f.toks[i + 2].text;
+    const char* why = nullptr;
+    if (stores.count(var) && kDataMethods.count(method)) {
+      why = "bypasses cost charging; route reads through "
             "MachineContext::Lookup/LookupManyAsync (or "
             "sim::DriveLookupPipelined) and writes through "
-            "Cluster::RunKvWritePhase");
+            "Cluster::RunKvWritePhase";
+    } else if ((stores.count(var) && method == "QueryCacheFor") ||
+               (cache_sets.count(var) && method == "ForMachine")) {
+      why = "hands out a machine's lock-free query cache outside the "
+            "round that owns it; read through "
+            "MachineContext::Lookup/LookupManyAsync and take derived "
+            "caches from MachineContext::DerivedCache, which give none "
+            "in a pull round";
+    } else {
+      continue;
+    }
+    sink->Report(kCoreStoreDirect, f.toks[i].line,
+                 "direct " + var + "." + method + "() " + why);
   }
 }
 

@@ -41,7 +41,13 @@
 //                         instead of going through the charged
 //                         MachineContext entrypoints (Lookup,
 //                         LookupManyAsync, and DriveLookupPipelined
-//                         over it) or the Cluster phase runners.
+//                         over it) or the Cluster phase runners; and
+//                         taking a machine's query cache with
+//                         MachineCaches::ForMachine or
+//                         ShardedStore::QueryCacheFor instead of
+//                         MachineContext::DerivedCache / Lookup, which
+//                         hand out none in a pull round (the caches
+//                         take no lock).
 //     core-make-store     constructing kv::Placement / ShardMap /
 //                         ShardedStore directly instead of minting
 //                         stores via Cluster::MakeStore, which is the
