@@ -6,6 +6,11 @@
 // (the contraction), and only shrinks the vertex count by a constant
 // factor — the paper observed 11-28 phases (33-84 shuffles). Below the
 // threshold an in-memory Kruskal finishes.
+//
+// On the host the phases work on 12-byte {u, v, input position} arcs and
+// read weights and ids from the input list; the min-edge pass keeps each
+// vertex's lightest (w, id, arc) in a vertex-sized array. Charges price
+// every arc as the 24-byte WeightedEdge record the modeled job ships.
 #pragma once
 
 #include <cstdint>

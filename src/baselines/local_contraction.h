@@ -8,6 +8,10 @@
 // contracted (three shuffles, as in the paper's contraction routine). On
 // a cycle the survivors are exactly the local rank minima, ~n/3 of the
 // vertices, matching the paper's observed 2.59-3x shrink per iteration.
+//
+// On the host the iterations work on 8-byte graph::Edge records, and each
+// iteration ranks its vertices once (core::AllVertexRanks). Charges price
+// every edge as the 24-byte WeightedEdge record the modeled job ships.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,6 @@
 namespace ampc::core {
 namespace {
 
-using graph::ContractedGraph;
 using graph::EdgeId;
 using graph::kInvalidNode;
 using graph::NodeId;
@@ -326,10 +325,9 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     const int64_t edge_bytes =
         static_cast<int64_t>(current.edges.size()) *
         static_cast<int64_t>(sizeof(graph::WeightedEdge));
-    ContractedGraph contracted =
-        graph::ContractEdgeList(std::move(current), root_of);
+    current.num_nodes = graph::Contract(current.edges, root_of).num_nodes();
     const int64_t contracted_bytes =
-        static_cast<int64_t>(contracted.list.edges.size()) *
+        static_cast<int64_t>(current.edges.size()) *
         static_cast<int64_t>(sizeof(graph::WeightedEdge));
     const double contract_wall = contract_timer.Seconds();
     cluster.AccountShuffle("Contract", edge_bytes, contract_wall / 2);
@@ -339,14 +337,13 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
 
     // Progress guard: Lemma 3.3 promises an Omega(n^{eps/2}) shrink; if a
     // pathological input defeats it, finish in memory rather than loop.
-    if (contracted.list.num_nodes >= n) {
-      const int64_t items = static_cast<int64_t>(contracted.list.edges.size());
+    if (current.num_nodes >= n) {
+      const int64_t items = static_cast<int64_t>(current.edges.size());
       cluster.AccountInMemoryCompute("InMemoryMSF", items);
-      std::vector<EdgeId> finish = seq::KruskalMsf(contracted.list);
+      std::vector<EdgeId> finish = seq::KruskalMsf(current);
       result.edges.insert(result.edges.end(), finish.begin(), finish.end());
       return;
     }
-    current = std::move(contracted.list);
   }
 }
 

@@ -151,6 +151,22 @@ TEST(AmpcLintTest, QueryCacheHandoutsGoThroughTheMachineContext) {
   EXPECT_EQ(flagged_lines, (std::vector<int>{10, 11}));
 }
 
+// det-rand bans the C library's time() and clock(), not a lambda or
+// variable of that name that the file declares itself; the libc calls in
+// det_rand_bad.cc are still reported.
+TEST(AmpcLintTest, LocalsNamedLikeLibcCallsAreNotReported) {
+  const Report report = FixtureReport();
+  std::vector<std::string> libc_calls;
+  for (const Diagnostic& d : report.diagnostics) {
+    EXPECT_NE(d.file, "src/core/det_rand_local_ok.cc") << d.ToString();
+    if (d.file != "src/core/det_rand_bad.cc" || d.rule != "det-rand") continue;
+    for (const char* call : {"time()", "clock()"}) {
+      if (d.message.starts_with(call)) libc_calls.push_back(call);
+    }
+  }
+  EXPECT_EQ(libc_calls, (std::vector<std::string>{"time()", "clock()"}));
+}
+
 TEST(AmpcLintTest, JsonReportIsWellFormedAndComplete) {
   const Report report = FixtureReport();
   const std::string json = report.ToJson();

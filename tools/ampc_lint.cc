@@ -532,6 +532,40 @@ std::set<std::string> TrackVariables(const SourceFile& f,
   return vars;
 }
 
+// Names in `names` that `f` declares as a variable, parameter or lambda:
+// `const auto time = [&](bool b) {...};`, `double clock = 0;`,
+// `Clock time)`. Flow-insensitive, like TrackVariables. A declarator
+// after `&`, `*` or `>` counts only with an initializer, so products and
+// comparisons such as `rate * time)` do not.
+std::set<std::string> DeclaredLocals(const SourceFile& f,
+                                     const std::set<std::string>& names) {
+  static const std::set<std::string> kNotAType = {
+      "return", "case",   "else",      "do",       "throw",  "goto",
+      "new",    "delete", "co_return", "co_yield", "sizeof",
+  };
+  std::set<std::string> declared;
+  for (size_t i = 1; i < f.toks.size(); ++i) {
+    if (f.toks[i].kind != Tok::kIdent || !names.count(f.toks[i].text)) {
+      continue;
+    }
+    const Token& prev = f.toks[i - 1];
+    const bool initialized = (IsPunct(f, i + 1, "=") &&
+                              !IsPunct(f, i + 2, "=")) ||
+                             IsPunct(f, i + 1, "{");
+    const bool after_type =
+        prev.kind == Tok::kIdent && !kNotAType.count(prev.text);
+    const bool after_declarator_punct =
+        prev.kind == Tok::kPunct &&
+        (prev.text == "&" || prev.text == "*" || prev.text == ">");
+    const bool terminated = initialized || IsPunct(f, i + 1, ";") ||
+                            IsPunct(f, i + 1, ",") || IsPunct(f, i + 1, ")");
+    if ((after_type && terminated) || (after_declarator_punct && initialized)) {
+      declared.insert(f.toks[i].text);
+    }
+  }
+  return declared;
+}
+
 // ---------------------------------------------------------------------------
 // Determinism rules.
 
@@ -545,6 +579,7 @@ void RuleDetRand(const SourceFile& f, Sink* sink) {
       "time",  "gettimeofday", "localtime", "gmtime",  "ctime",
       "clock",
   };
+  const std::set<std::string> locals = DeclaredLocals(f, kCallBanned);
   for (size_t i = 0; i < f.toks.size(); ++i) {
     if (f.toks[i].kind != Tok::kIdent) continue;
     const std::string& t = f.toks[i].text;
@@ -557,13 +592,16 @@ void RuleDetRand(const SourceFile& f, Sink* sink) {
       continue;
     }
     if (!kCallBanned.count(t) || !IsPunct(f, i + 1, "(")) continue;
-    // Member calls (`x.time(...)`) and non-std qualified names are other
-    // people's functions; `std::time` and unqualified calls are the libc
-    // entrypoints being banned.
-    if (i > 0) {
+    // Member calls (`x.time(...)`), non-std qualified names and calls to
+    // a variable or lambda the file declares are other functions;
+    // `std::time` and other unqualified calls are the libc entrypoints
+    // being banned.
+    const bool std_qualified =
+        i >= 2 && f.toks[i - 1].text == "::" && f.toks[i - 2].text == "std";
+    if (i > 0 && !std_qualified) {
       const std::string& prev = f.toks[i - 1].text;
-      if (prev == "." || prev == "->") continue;
-      if (prev == "::" && !(i >= 2 && f.toks[i - 2].text == "std")) continue;
+      if (prev == "." || prev == "->" || prev == "::") continue;
+      if (locals.count(t)) continue;
     }
     sink->Report(kDetRand, f.toks[i].line,
                  t + "() reads ambient entropy or wall-clock state; outputs "
