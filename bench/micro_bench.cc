@@ -19,7 +19,6 @@
 #include "seq/msf.h"
 #include "seq/pagerank.h"
 #include "sim/cluster.h"
-#include "sim/faults.h"
 #include "trees/rmq.h"
 
 namespace {
@@ -204,18 +203,6 @@ void BM_ExactMatchingDp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactMatchingDp)->Arg(16)->Arg(20);
-
-void BM_PreemptionModel(benchmark::State& state) {
-  std::vector<double> rounds(state.range(0), 0.5);
-  sim::PreemptionModel model;
-  model.rate_per_machine_sec = 0.01;
-  model.machines = 100;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::ExpectedCompletionSeconds(
-        rounds, model, sim::RecoveryDiscipline::kFaultTolerant));
-  }
-}
-BENCHMARK(BM_PreemptionModel)->Arg(100);
 
 // The host pool's dispatch cost per call: a loop of 16 chunks of about
 // 1 us each (range(0) hash steps), too short for the work to hide how

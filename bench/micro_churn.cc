@@ -4,17 +4,16 @@
 //
 // The paper frames AMPC as the middle ground between persistent-storage
 // systems and all-in-memory systems that "do not tolerate preemptions
-// well" (Sections 5.1/5.7). sim/faults.h prices that risk analytically;
-// this bench makes it happen: a seeded FaultInjector
-// (ClusterConfig::faults) kills machines mid-job at Poisson rates, and
-// the cluster recovers by whichever discipline the config allows —
-// re-streaming the dead machine's shards from surviving replicas
-// (replication > 1), restoring its last checkpoint and replaying the
-// rounds since (checkpoint_period > 0), or replaying the whole job
-// (neither: the in-memory baseline). One job — the adaptive cores MIS,
-// maximal matching, k-core, connected components and Monte-Carlo
-// PageRank run back to back on one stand-in graph — is swept over
-// kill-rate x treatment, and every cell's outputs are compared
+// well" (Sections 5.1/5.7). This bench makes that risk happen: a
+// seeded FaultInjector (ClusterConfig::faults) kills machines mid-job at
+// Poisson rates, and the cluster recovers by whichever discipline the
+// config allows — re-streaming the dead machine's shards from surviving
+// replicas (replication > 1), restoring its last checkpoint and
+// replaying the rounds since (checkpoint_period > 0), or replaying the
+// whole job (neither: the in-memory baseline). One job — the adaptive
+// cores MIS, maximal matching, k-core, connected components and
+// Monte-Carlo PageRank run back to back on one stand-in graph — is swept
+// over kill-rate x treatment, and every cell's outputs are compared
 // bit-for-bit against the fault-free run.
 //
 // The run FAILS (exit 1) unless

@@ -2,7 +2,9 @@
 // the four headline algorithms — connected components, minimum spanning
 // forest, maximal independent set and maximal matching — printing the
 // results together with the model-level cost metrics (rounds, shuffles,
-// KV communication) that the paper's evaluation is built on.
+// KV communication) that the paper's evaluation is built on. Each result
+// is checked against a sequential oracle; the example exits 1 if any
+// check fails.
 //
 // Run:  ./build/examples/quickstart
 #include <cstdio>
@@ -13,6 +15,7 @@
 #include "core/msf.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "seq/greedy.h"
 #include "seq/msf.h"
 
 int main() {
@@ -25,7 +28,9 @@ int main() {
                                               /*num_edges=*/200'000,
                                               /*seed=*/1);
   graph::Graph g = graph::BuildGraph(edges);
-  std::printf("graph: %s\n", graph::ComputeStats(g).ToString().c_str());
+  const graph::GraphStats stats = graph::ComputeStats(g);
+  std::printf("graph: %s\n", stats.ToString().c_str());
+  bool ok = true;
 
   // 2. Configure the simulated AMPC cluster: 8 logical machines, 8 worker
   //    threads each, RDMA-cost network, caching + multithreading on.
@@ -42,6 +47,7 @@ int main() {
                 static_cast<long long>(cc.num_components),
                 static_cast<long long>(cluster.metrics().Get("shuffles")),
                 cluster.SimSeconds());
+    ok &= cc.num_components == stats.num_components;
   }
 
   // 4. Minimum spanning forest with the paper's degree weighting.
@@ -54,6 +60,9 @@ int main() {
         "max pointer-jump chain %lld\n",
         msf.edges.size(), seq::TotalWeight(weighted, msf.edges), msf.rounds,
         static_cast<long long>(msf.max_jump_chain));
+    ok &= seq::IsSpanningForest(weighted, msf.edges) &&
+          seq::TotalWeight(weighted, msf.edges) ==
+              seq::TotalWeight(weighted, seq::KruskalMsf(weighted));
   }
 
   // 5. Maximal independent set (Figure 1) — one shuffle total.
@@ -68,6 +77,7 @@ int main() {
                 static_cast<long long>(cluster.metrics().Get("shuffles")),
                 static_cast<long long>(cluster.metrics().Get("kv_reads")),
                 static_cast<long long>(cluster.metrics().Get("cache_hits")));
+    ok &= seq::IsMaximalIndependentSet(g, mis.in_mis);
   }
 
   // 6. Maximal matching (Theorem 2, O(1) rounds).
@@ -79,6 +89,17 @@ int main() {
     std::printf("matching: %lld matched vertices (%lld edges), sim %.2fs\n",
                 static_cast<long long>(matched),
                 static_cast<long long>(matched / 2), cluster.SimSeconds());
+    graph::EdgeList simple;
+    simple.num_nodes = g.num_nodes();
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (graph::NodeId u : g.neighbors(v)) {
+        if (v < u) simple.edges.push_back(graph::Edge{v, u});
+      }
+    }
+    ok &= seq::IsMaximalMatching(
+        simple, core::ToSeqMatching(simple, mm.partner).edges);
   }
-  return 0;
+  std::printf("checked against the sequential oracles: %s\n",
+              ok ? "yes" : "NO");
+  return ok ? 0 : 1;
 }

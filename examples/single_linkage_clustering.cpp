@@ -7,7 +7,8 @@
 // equivalently, the clustering at distance threshold t is the set of
 // connected components of the MSF edges with weight <= t. This example
 // builds a k-NN-style similarity graph over synthetic 2-D points, runs
-// the AMPC MSF, and prints the dendrogram cut at several levels.
+// the AMPC MSF, and prints the dendrogram cut at several levels. It exits
+// 1 unless the mid-range cuts find one cluster of >= 50 points per blob.
 //
 // Run:  ./build/examples/single_linkage_clustering
 #include <algorithm>
@@ -118,6 +119,7 @@ int main() {
               cluster.SimSeconds());
 
   // Cut the dendrogram at several levels and report cluster counts.
+  bool ok = true;
   for (double threshold : {0.3, 0.8, 1.5, 3.0}) {
     std::vector<graph::NodeId> labels = dendrogram.CutAtThreshold(threshold);
     // Count clusters with >= 50 points (ignore stragglers).
@@ -129,8 +131,9 @@ int main() {
                 threshold,
                 static_cast<long long>(core::CountClusters(labels)),
                 static_cast<long long>(big));
+    if (threshold == 0.8 || threshold == 1.5) ok &= big == kBlobs;
   }
   std::printf("expected: the >=50-point count settles at %d blobs for "
               "mid-range cuts\n", kBlobs);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -4,7 +4,8 @@
 // permutation's major key), and AmpcVertexCover prices the assignment's
 // bottleneck set. The paper motivates exactly this use: "maximum weight
 // matching is an important subroutine in balanced partitioning and
-// hierarchical clustering" (Section 4).
+// hierarchical clustering" (Section 4). It exits 1 unless the assignment
+// is a matching and the bottleneck set covers every bid.
 //
 // Run:  ./build/examples/task_assignment
 #include <cstdio>
@@ -12,6 +13,7 @@
 
 #include "common/random.h"
 #include "core/approx.h"
+#include "core/matching.h"
 #include "graph/graph.h"
 #include "seq/greedy.h"
 
@@ -84,5 +86,16 @@ int main() {
       "(any exact cover needs >= %lld)\n",
       static_cast<long long>(cover.size),
       static_cast<long long>(cover.size / 2));
-  return 0;
+
+  std::vector<graph::NodeId> cover_nodes;
+  for (graph::NodeId v = 0; v < cover.in_cover.size(); ++v) {
+    if (cover.in_cover[v]) cover_nodes.push_back(v);
+  }
+  const bool ok =
+      seq::IsMatching(plain,
+                      core::ToSeqMatching(plain, assignment.partner).edges) &&
+      seq::IsVertexCover(plain, cover_nodes);
+  std::printf("assignment is a matching and the set covers every bid: %s\n",
+              ok ? "yes" : "NO");
+  return ok ? 0 : 1;
 }

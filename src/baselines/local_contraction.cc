@@ -1,7 +1,6 @@
 #include "baselines/local_contraction.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -127,9 +126,12 @@ LocalContractionResult MpcLocalContractionCC(sim::Cluster& cluster,
     AMPC_CHECK_NE(result.component[v], kInvalidNode);
   }
 
-  std::unordered_set<NodeId> distinct(result.component.begin(),
-                                      result.component.end());
-  result.num_components = static_cast<int64_t>(distinct.size());
+  // Representatives are vertex ids, so n seen-flags count them.
+  std::vector<uint8_t> seen(n, 0);
+  for (const NodeId c : result.component) {
+    result.num_components += !seen[c];
+    seen[c] = 1;
+  }
   return result;
 }
 

@@ -12,9 +12,8 @@
 // is pluggable (hash baseline, range, affinity — see kv/placement.h).
 // Each shard owns its own dense slot table, presence flags, insert
 // counter, and byte counter; per-shard occupancy/size/bytes are exposed
-// so the cost model (sim/cluster.h) and the fault model (sim/faults.h)
-// can charge skew and memory pressure to the machine that actually bears
-// them.
+// so the cost model and kill recovery (sim/cluster.h) can charge skew
+// and lost shard bytes to the machine that actually bears them.
 #pragma once
 
 #include <algorithm>

@@ -316,9 +316,7 @@ void Cluster::ProcessFaultsAndCheckpoints() {
       if (event.warning) DrainMachine(event.machine);
     }
     // Kills, in correlated groups: the members of one domain kill share
-    // (time, domain) and are adjacent in the sorted stream, and every
-    // member's recovery must see the whole group down at once —
-    // that simultaneity is what can wipe an entire ReplicaSet.
+    // (time, domain) and are adjacent in the sorted stream.
     size_t i = 0;
     while (i < events.size()) {
       if (events[i].warning) {
@@ -332,11 +330,8 @@ void Cluster::ProcessFaultsAndCheckpoints() {
                events[j].time == events[i].time) {
           ++j;
         }
-        metrics_.Add("domains_lost", 1);
       }
-      std::vector<uint8_t> dead(config_.num_machines, 0);
-      for (size_t k = i; k < j; ++k) dead[events[k].machine] = 1;
-      for (size_t k = i; k < j; ++k) RecoverFromKill(events[k], dead);
+      KillGroup(std::span<const FaultEvent>(events).subspan(i, j - i));
       i = j;
     }
     // Recovery intervals are failure-free: the recovering machine was
@@ -412,8 +407,8 @@ void Cluster::RecoverFromKill(const FaultEvent& kill,
     replay += partial;
   } else {
     // Nothing persisted anywhere: the whole job restarts — the
-    // kInMemory discipline of sim/faults.h, and the baseline the
-    // recovery paths above must beat (bench/micro_churn).
+    // in-memory baseline of Section 5.7, which the recovery paths above
+    // must beat (bench/micro_churn).
     for (size_t r = 0; r < round; ++r) replay += rounds_[r].sim_seconds;
     replay += elapsed;
   }
@@ -461,12 +456,21 @@ double Cluster::ReplaySliceShare(size_t round, int machine) const {
   return static_cast<double>(mine) / static_cast<double>(hottest);
 }
 
+void Cluster::KillGroup(std::span<const FaultEvent> group) {
+  if (group.front().domain >= 0) metrics_.Add("domains_lost", 1);
+  // Every member's recovery must see the whole group down at once: that
+  // simultaneity is what can wipe an entire ReplicaSet under
+  // domain-oblivious placement.
+  std::vector<uint8_t> dead(config_.num_machines, 0);
+  for (const FaultEvent& kill : group) dead[kill.machine] = 1;
+  for (const FaultEvent& kill : group) RecoverFromKill(kill, dead);
+}
+
 void Cluster::InjectMachineFailure(int machine) {
   AMPC_CHECK_GE(machine, 0);
   AMPC_CHECK_LT(machine, config_.num_machines);
-  std::vector<uint8_t> dead(config_.num_machines, 0);
-  dead[machine] = 1;
-  RecoverFromKill(FaultEvent{sim_clock_, machine}, dead);
+  const FaultEvent kill{sim_clock_, machine};
+  KillGroup(std::span<const FaultEvent>(&kill, 1));
   fault_injector_.SkipTo(sim_clock_);
 }
 
@@ -476,17 +480,11 @@ void Cluster::InjectDomainFailure(int domain) {
   const int lo = domain * per;
   const int hi = std::min(config_.num_machines, lo + per);
   AMPC_CHECK_LT(lo, config_.num_machines);
-  // ampc-lint: allow(metric-zero-guard): only reached when a correlated
-  // domain kill arrives; rate-0 configs never call InjectDomainFailure.
-  metrics_.Add("domains_lost", 1);
-  // The whole rack goes down at once: every member's recovery must see
-  // the full group dead — that simultaneity is what can take out an
-  // entire ReplicaSet under domain-oblivious placement.
-  std::vector<uint8_t> dead(config_.num_machines, 0);
-  for (int m = lo; m < hi; ++m) dead[m] = 1;
+  std::vector<FaultEvent> group;
   for (int m = lo; m < hi; ++m) {
-    RecoverFromKill(FaultEvent{sim_clock_, m, domain}, dead);
+    group.push_back(FaultEvent{sim_clock_, m, domain});
   }
+  KillGroup(group);
   fault_injector_.SkipTo(sim_clock_);
 }
 

@@ -308,9 +308,8 @@ class MachineContext;
 /// (including in-memory compute, recovery and drain time that extended
 /// it), and its per-machine KV traffic — kv_read_bytes[m] is what
 /// machine m's shard served, kv_write_bytes[m] what landed on it.
-/// Rounds without KV traffic carry zeros. sim::ReplayMemoryPressureSeconds
-/// (sim/faults.h) consumes the write columns to replay memory pressure
-/// round by round.
+/// Rounds without KV traffic carry zeros. Kill recovery reads both
+/// columns to size the lost machine's slice of each replayed round.
 struct RoundFootprint {
   std::string phase;
   double sim_seconds = 0.0;
@@ -558,8 +557,7 @@ class Cluster {
 
   /// The sim_seconds column of round_footprints(): the simulated
   /// duration of every round charged so far, in order, one entry per
-  /// "rounds" metric increment. Consumed by sim/faults.h to model
-  /// per-round preemption behaviour.
+  /// "rounds" metric increment.
   std::vector<double> round_log() const {
     std::vector<double> seconds;
     seconds.reserve(rounds_.size());
@@ -569,30 +567,17 @@ class Cluster {
 
   /// Every round charged so far, in order (see RoundFootprint). Where
   /// machine_kv_write_bytes() is the cumulative footprint, this is the
-  /// phase-resolved history: feed the write columns to
-  /// sim::ReplayMemoryPressureSeconds to replay memory pressure round by
-  /// round instead of judging the whole job by its final footprint.
+  /// phase-resolved history: until a drain moves shards, the write
+  /// columns sum to it.
   const std::vector<RoundFootprint>& round_footprints() const {
     return rounds_;
   }
 
-  /// The write columns of round_footprints(), shaped for
-  /// sim::ReplayMemoryPressureSeconds: [round][machine] KV bytes landing
-  /// that round.
-  std::vector<std::vector<int64_t>> RoundKvWriteBytes() const {
-    std::vector<std::vector<int64_t>> bytes;
-    bytes.reserve(rounds_.size());
-    for (const RoundFootprint& fp : rounds_) bytes.push_back(fp.kv_write_bytes);
-    return bytes;
-  }
-
   /// Cumulative KV wire bytes written to each machine's shards across
   /// every RunKvWritePhase so far (including follower copies when
-  /// replication > 1 — the machine's resident footprint). A per-machine
-  /// memory-pressure signal: feed it to sim::MemoryPressureRates
-  /// (sim/faults.h) to make machines holding hot shards
-  /// preemption-prone, or inspect a single store's footprint directly
-  /// via kv::ShardedStore::ShardBytesSnapshot.
+  /// replication > 1 — the machine's resident footprint). Replicated
+  /// recovery re-streams it and checkpoints write its delta; a single
+  /// store's footprint is kv::ShardedStore::ShardBytesSnapshot.
   const std::vector<int64_t>& machine_kv_write_bytes() const {
     return machine_kv_write_bytes_;
   }
@@ -785,6 +770,13 @@ class Cluster {
   // when one is due. No-op when injection and checkpointing are both
   // off.
   void ProcessFaultsAndCheckpoints();
+
+  // The one kill path, for injected and hooked kills alike: `group` is
+  // one machine's kill, or every member of one domain kill (which
+  // counts one "domains_lost"), all down at the same instant. Each
+  // member is recovered with the whole group marked dead. The caller
+  // advances the injector past the recovery.
+  void KillGroup(std::span<const FaultEvent> group);
 
   // Recovers one machine loss and charges it: the recovery extends the
   // interrupted round (charged under the "sim:recovery" phase) and the

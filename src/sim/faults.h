@@ -1,138 +1,41 @@
-// Preemption modeling for the shared-data-center setting of Section 5.1:
+// The fault model of the shared-data-center setting of Section 5.1:
 // "batch jobs are typically run at low priorities (i.e., using resources
 // that are currently not used by high priority jobs), which makes them
 // susceptible to preemptions. [...] This is why systems like MapReduce,
 // Hadoop or Flume-C++ have strong fault tolerance properties and write
 // the results of each computation round to durable storage."
 //
-// Preemptions arrive as a Poisson process with rate `rate_per_machine_sec`
-// on each of `machines` machines. Two execution disciplines:
+// Machine loss is an injected event. FaultInjector draws seeded,
+// deterministic Poisson streams on the simulated clock: one per machine
+// (independent kills) and one per rack-level fault domain (correlated
+// kills that take every member machine at once), optionally announced
+// by an advance warning. sim::Cluster consumes the events mid-job
+// (ClusterConfig::faults): it drains a warned machine before its kill
+// lands, and recovers every other kill by re-routing the dead machine's
+// shards to surviving replicas (kv::ReplicaSet) or restoring its last
+// checkpoint, then replaying only its slice of the lost rounds. With
+// neither replicas nor checkpoints the whole job replays, the in-memory
+// baseline of Section 5.7 that per-round recovery must beat
+// (bench/micro_churn gates this at every non-zero kill rate). Recovery
+// is a cost event, never a correctness event: outputs under injected
+// churn are bit-identical to a fault-free run
+// (tests/sharding_determinism_test.cc). The recomputation-bound framing
+// follows Behnezhad et al. (Near-Optimal Massively Parallel Graph
+// Connectivity) and Andoni et al. (Log Diameter Rounds): a lost round
+// costs a bounded replay, never a full restart.
 //
-//   * kFaultTolerant (Flume-style): round outputs persist, so a
-//     preemption only restarts the *current round*. Expected time of a
-//     round of length t under full-round restarts is the classic renewal
-//     quantity (e^{Λt} − 1) / Λ with Λ = machines × rate.
-//   * kInMemory: nothing persists; any preemption restarts the whole
-//     job, giving (e^{ΛT} − 1) / Λ for total length T.
-//
-// This quantifies the Section 5.7 positioning of AMPC as "an interesting
-// middle-ground between systems that communicate through persistent
-// storage [...] and systems that run fully in memory, which deliver
-// better performance at the cost of not tolerating preemptions well".
-// An analytic model and a Monte-Carlo simulator are both provided; tests
-// verify they agree.
-//
-// Two complementary views of the same risk live here:
-//
-//   * The *analytic* model above (ExpectedCompletionSeconds and friends)
-//     prices preemption risk in closed form over a measured round trace
-//     — nothing fails, the formulas integrate over every possible kill.
-//   * The *injected* model (FaultInjector) makes machine loss an actual
-//     event: a seeded, deterministic Poisson process per machine whose
-//     arrivals sim::Cluster consumes mid-job to kill machines, re-route
-//     their shards to surviving replicas (kv::ReplicaSet), restore from
-//     the last checkpoint, and replay only the lost machine's slice of
-//     the in-flight phase (ClusterConfig::faults). Recovery is a cost
-//     event, never a correctness event: outputs under injected churn
-//     are bit-identical to a fault-free run, which
-//     tests/sharding_determinism_test.cc pins and bench/micro_churn
-//     sweeps. The recomputation-bound framing follows Behnezhad et al.
-//     (Near-Optimal Massively Parallel Graph Connectivity) and Andoni
-//     et al. (Log Diameter Rounds): a lost round costs a bounded
-//     replay, never a full restart — unless neither replicas nor
-//     checkpoints exist, which is exactly the whole-job-restart
-//     baseline the bench must beat.
+// StragglerModel is the fault model's slow-machine half: a seeded
+// per-round draw that makes a destination's lookups slower, charged
+// through the cost model only.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "common/random.h"
 
 namespace ampc::sim {
-
-enum class RecoveryDiscipline {
-  kFaultTolerant,  // per-round restart from durable storage
-  kInMemory,       // whole-job restart
-};
-
-struct PreemptionModel {
-  /// Poisson preemption rate per machine-second (e.g. 1/3600 = each
-  /// machine is preempted about once an hour).
-  double rate_per_machine_sec = 0.0;
-  /// Machines participating in every round.
-  int machines = 1;
-};
-
-/// Expected completion seconds of a job whose rounds take
-/// `round_seconds` (e.g. Cluster::round_log()) under `model`.
-double ExpectedCompletionSeconds(const std::vector<double>& round_seconds,
-                                 const PreemptionModel& model,
-                                 RecoveryDiscipline discipline);
-
-/// Heterogeneous variant: per_machine_rates[m] is machine m's Poisson
-/// preemption rate. Superposing independent Poisson processes gives a
-/// job-wide rate of sum(rates), so any restart formula below applies
-/// unchanged; machines with hot DHT shards raise the whole job's risk.
-double ExpectedCompletionSeconds(const std::vector<double>& round_seconds,
-                                 const std::vector<double>& per_machine_rates,
-                                 RecoveryDiscipline discipline);
-
-/// Derives per-machine preemption rates from per-machine memory
-/// footprints — the memory-pressure signal of the sharded DHT. Machine
-/// m's KV bytes (e.g. Cluster::machine_kv_write_bytes() or a store's
-/// ShardBytesSnapshot()) are compared against `soft_limit_bytes`; a
-/// machine within its budget keeps the base rate, and one exceeding it
-/// becomes increasingly likely to be OOM-killed or evicted:
-///
-///   rate_m = base * (1 + overshoot_penalty * max(0, bytes_m/limit - 1))
-///
-/// With uniform shards nothing changes; a skewed key distribution makes
-/// the hot machine dominate the job's preemption risk.
-std::vector<double> MemoryPressureRates(
-    const PreemptionModel& base, const std::vector<int64_t>& machine_bytes,
-    int64_t soft_limit_bytes, double overshoot_penalty = 4.0);
-
-/// Round-by-round memory-pressure replay under the fault-tolerant
-/// (per-round restart) discipline. Where ExpectedCompletionSeconds with
-/// MemoryPressureRates judges every round by the job's *final* footprint,
-/// this replays the footprint as it grows: round r's preemption rates
-/// derive from the cumulative per-machine KV bytes after rounds 0..r
-/// (each round's own traffic is already resident while it runs), so
-/// early rounds run at the base rate and only the rounds after a shard
-/// fills up pay the elevated risk. Both inputs are columns of the
-/// cluster's one round log, sim::Cluster::round_footprints():
-/// `round_seconds` is Cluster::round_log(), and
-/// `round_machine_kv_bytes[r][m]`, the KV bytes machine m's shard
-/// absorbed in round r, is Cluster::RoundKvWriteBytes().
-double ReplayMemoryPressureSeconds(
-    const std::vector<double>& round_seconds,
-    const std::vector<std::vector<int64_t>>& round_machine_kv_bytes,
-    const PreemptionModel& base, int64_t soft_limit_bytes,
-    double overshoot_penalty = 4.0);
-
-struct PreemptionTrialStats {
-  double mean_seconds = 0;
-  double max_seconds = 0;
-  /// Mean preemptions (= restarts) per trial.
-  double mean_preemptions = 0;
-};
-
-/// Monte-Carlo validation of the analytic model: runs `trials`
-/// executions with exponential preemption inter-arrivals.
-PreemptionTrialStats SimulatePreemptions(
-    const std::vector<double>& round_seconds, const PreemptionModel& model,
-    RecoveryDiscipline discipline, int trials, uint64_t seed);
-
-/// Heterogeneous Monte-Carlo variant: per_machine_rates[m] is machine
-/// m's Poisson rate. Superposing independent Poisson processes yields a
-/// Poisson process with the summed rate, so this validates the
-/// per-machine-rate ExpectedCompletionSeconds overload the same way the
-/// homogeneous simulator validates the uniform one.
-PreemptionTrialStats SimulatePreemptions(
-    const std::vector<double>& round_seconds,
-    const std::vector<double>& per_machine_rates,
-    RecoveryDiscipline discipline, int trials, uint64_t seed);
 
 /// One injected fault-stream event on the cluster's sim clock.
 ///
@@ -153,19 +56,21 @@ struct FaultEvent {
   bool warning = false;
 };
 
-/// A seeded, deterministic source of injected machine failures: each
-/// machine carries an independent exponential arrival stream (rate
-/// `rate_per_machine_sec`), and the cluster advances the injector along
-/// its simulated clock, harvesting the kills that landed inside each
-/// round. A killed machine is immediately replaced (the scheduler
-/// re-runs the task on a fresh machine, the standard shared-cell
-/// behaviour), so the machine count and placement never change — what
-/// is lost is the dead machine's shard contents, caches, and in-flight
-/// slice, which sim::Cluster recovers and charges for.
+/// A seeded, deterministic source of injected machine failures. Each
+/// stream is an independent exponential arrival process: one per machine
+/// (rate `rate_per_machine_sec`, killing that machine) and one per fault
+/// domain (rate `domain_fault_rate_sec`, killing every member at the
+/// same instant). The cluster advances the injector along its simulated
+/// clock, harvesting the events that landed inside each round. A killed
+/// machine is immediately replaced (the scheduler re-runs the task on a
+/// fresh machine, the standard shared-cell behaviour), so the machine
+/// count and placement never change — what is lost is the dead
+/// machine's shard contents, caches, and in-flight slice, which
+/// sim::Cluster recovers and charges for.
 ///
-/// Determinism: the arrival streams are pure functions of
-/// (seed, machine), independent of round shapes and of each other, so a
-/// fixed (rate, seed, machines) triple yields one fixed kill schedule
+/// Determinism: each stream's arrivals are a pure function of (seed,
+/// stream kind, machine or domain index), independent of round shapes
+/// and of each other, so a fixed config yields one fixed kill schedule
 /// regardless of thread schedules — the property the churn determinism
 /// tests rely on.
 class FaultInjector {
@@ -179,8 +84,8 @@ class FaultInjector {
     int machines = 1;
     uint64_t seed = 42;
     /// Rack-level fault-domain topology: machine m belongs to domain
-    /// m / machines_per_domain. <= 1 means every machine is its own
-    /// domain and the correlated streams are off.
+    /// m / machines_per_domain. <= 1 makes every machine its own
+    /// domain, so each domain stream kills one machine.
     int machines_per_domain = 0;
     /// Poisson rate per domain-second of correlated domain kills: one
     /// arrival takes out *every* machine of the domain at the same
@@ -197,10 +102,7 @@ class FaultInjector {
 
   explicit FaultInjector(const Config& config);
 
-  bool enabled() const {
-    return (rate_ > 0.0 && !next_arrival_.empty()) ||
-           (domain_rate_ > 0.0 && !domain_next_arrival_.empty());
-  }
+  bool enabled() const { return !streams_.empty(); }
   double now() const { return now_; }
 
   /// The events in (now(), t], sorted by time (warnings before kills at
@@ -227,27 +129,27 @@ class FaultInjector {
   void SkipTo(double t);
 
  private:
-  double NextGap(int machine);
-  double NextDomainGap(int domain);
+  // One arrival stream. A kill at `next_arrival` takes machines
+  // [lo, hi) at once and reports `domain` (-1 for a machine stream).
+  struct Stream {
+    Rng rng;
+    double rate = 0.0;
+    int domain = -1;
+    int lo = 0;
+    int hi = 0;
+    double next_arrival = 0.0;
+    // Whether the current next arrival has been announced (reset when
+    // it fires or is redrawn).
+    bool warned = false;
 
-  double rate_ = 0.0;
+    double NextGap() { return -std::log(1.0 - rng.NextDouble()) / rate; }
+  };
+
   double now_ = 0.0;
-  std::vector<double> next_arrival_;
-  std::vector<Rng> rng_;
-  // Correlated domain-kill streams: one exponential arrival stream per
-  // fault domain, seeded by (domain, seed) alone — like the machine
-  // streams, a pure function of the seed, independent of round shapes.
-  double domain_rate_ = 0.0;
-  int machines_per_domain_ = 0;
-  int machines_ = 0;
-  std::vector<double> domain_next_arrival_;
-  std::vector<Rng> domain_rng_;
-  // Advance-warning state: whether the *current* next arrival of each
-  // stream has already been announced (reset when the arrival fires or
-  // is redrawn).
   double warning_lead_ = 0.0;
-  std::vector<uint8_t> machine_warned_;
-  std::vector<uint8_t> domain_warned_;
+  // The machine streams, then the domain streams. AdvanceTo sorts what
+  // they yield, so the event order does not depend on this order.
+  std::vector<Stream> streams_;
 };
 
 /// A seeded model of per-round stragglers: in any given round, each

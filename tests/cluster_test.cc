@@ -599,10 +599,32 @@ TEST(ClusterTest, RoundFootprintsAlignWithRoundLog) {
   int64_t read_total = 0;
   for (const int64_t b : footprints[2].kv_read_bytes) read_total += b;
   EXPECT_EQ(read_total, 500 * record);
-  // RoundKvWriteBytes is the write column view.
-  const auto write_rows = cluster.RoundKvWriteBytes();
-  ASSERT_EQ(write_rows.size(), 3u);
-  EXPECT_EQ(write_rows[1], footprints[1].kv_write_bytes);
+}
+
+TEST(ClusterTest, FootprintColumnsSumToTheResidentBytes) {
+  // On a whole job at replication 1: the per-machine resident footprint
+  // sums to the kv_write_bytes metric, and the write columns of the
+  // round log sum, machine by machine, to that footprint.
+  graph::Graph g =
+      graph::BuildGraph(graph::GenerateErdosRenyi(150, 600, 3));
+  ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 2;
+  Cluster cluster(config);
+  core::AmpcMis(cluster, g, 3);
+  const std::vector<int64_t>& footprint = cluster.machine_kv_write_bytes();
+  ASSERT_EQ(footprint.size(), 4u);
+  int64_t total = 0;
+  for (const int64_t b : footprint) total += b;
+  EXPECT_GT(total, 0);
+  EXPECT_EQ(total, cluster.metrics().Get("kv_write_bytes"));
+  std::vector<int64_t> summed(config.num_machines, 0);
+  for (const RoundFootprint& round : cluster.round_footprints()) {
+    for (int m = 0; m < config.num_machines; ++m) {
+      summed[m] += round.kv_write_bytes[m];
+    }
+  }
+  EXPECT_EQ(summed, footprint);
 }
 
 // --- Query-result caching (the Section 5.3 cache stage) -------------------

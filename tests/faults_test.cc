@@ -1,9 +1,11 @@
-// Tests for the preemption model: closed forms, the Monte-Carlo
-// cross-check, the cluster round log it consumes, and the fault-tolerance
-// ordering the paper's Section 5.7 positioning relies on.
+// Tests for the injected fault model: the FaultInjector's machine and
+// domain kill streams, their warnings and skips, the straggler draw, the
+// cluster's round log, and the recovery charges whose ordering (replica
+// < checkpoint < whole-job replay) the paper's Section 5.7 positioning
+// relies on.
 #include "sim/faults.h"
 
-#include <cmath>
+#include <bit>
 
 #include <gtest/gtest.h>
 
@@ -13,169 +15,6 @@
 
 namespace ampc::sim {
 namespace {
-
-TEST(FaultsTest, ZeroRateIsPlainSum) {
-  const std::vector<double> rounds = {1.0, 2.5, 0.5};
-  PreemptionModel off;
-  off.machines = 10;
-  EXPECT_DOUBLE_EQ(ExpectedCompletionSeconds(
-                       rounds, off, RecoveryDiscipline::kFaultTolerant),
-                   4.0);
-  EXPECT_DOUBLE_EQ(
-      ExpectedCompletionSeconds(rounds, off, RecoveryDiscipline::kInMemory),
-      4.0);
-}
-
-TEST(FaultsTest, SingleRoundClosedForm) {
-  // One round of length t: both disciplines give (e^{Lt} - 1) / L.
-  const std::vector<double> rounds = {2.0};
-  PreemptionModel model;
-  model.rate_per_machine_sec = 0.05;
-  model.machines = 4;
-  const double lambda = 0.05 * 4;
-  const double expected = std::expm1(lambda * 2.0) / lambda;
-  EXPECT_NEAR(ExpectedCompletionSeconds(rounds, model,
-                                        RecoveryDiscipline::kFaultTolerant),
-              expected, 1e-12);
-  EXPECT_NEAR(ExpectedCompletionSeconds(rounds, model,
-                                        RecoveryDiscipline::kInMemory),
-              expected, 1e-12);
-}
-
-TEST(FaultsTest, FaultToleranceNeverLosesOnMultiRoundJobs) {
-  // Splitting a job into rounds strictly helps under restarts (convexity
-  // of e^x): FT expected time < in-memory expected time.
-  const std::vector<double> rounds = {1.0, 1.0, 1.0, 1.0};
-  for (const double rate : {0.01, 0.1, 0.5}) {
-    PreemptionModel model;
-    model.rate_per_machine_sec = rate;
-    model.machines = 8;
-    const double ft = ExpectedCompletionSeconds(
-        rounds, model, RecoveryDiscipline::kFaultTolerant);
-    const double restart = ExpectedCompletionSeconds(
-        rounds, model, RecoveryDiscipline::kInMemory);
-    EXPECT_LT(ft, restart) << "rate " << rate;
-    // And both upper-bound the fault-free runtime.
-    EXPECT_GT(ft, 4.0);
-  }
-}
-
-TEST(FaultsTest, FewerLongerRoundsHurtUnderFaultTolerance) {
-  // The same total work in one long round costs more than in ten short
-  // ones — the reason shuffling often beats monolithic rounds in shared
-  // clusters.
-  PreemptionModel model;
-  model.rate_per_machine_sec = 0.02;
-  model.machines = 10;
-  const std::vector<double> monolithic = {10.0};
-  const std::vector<double> split(10, 1.0);
-  EXPECT_GT(ExpectedCompletionSeconds(monolithic, model,
-                                      RecoveryDiscipline::kFaultTolerant),
-            ExpectedCompletionSeconds(split, model,
-                                      RecoveryDiscipline::kFaultTolerant));
-}
-
-TEST(FaultsTest, MonteCarloAgreesWithAnalyticModel) {
-  const std::vector<double> rounds = {0.4, 1.2, 0.8};
-  PreemptionModel model;
-  model.rate_per_machine_sec = 0.05;
-  model.machines = 6;
-  for (const auto discipline : {RecoveryDiscipline::kFaultTolerant,
-                                RecoveryDiscipline::kInMemory}) {
-    const double analytic =
-        ExpectedCompletionSeconds(rounds, model, discipline);
-    const PreemptionTrialStats stats =
-        SimulatePreemptions(rounds, model, discipline, 20000, 11);
-    EXPECT_NEAR(stats.mean_seconds, analytic, 0.05 * analytic);
-    EXPECT_GE(stats.max_seconds, stats.mean_seconds);
-  }
-}
-
-TEST(FaultsTest, MonteCarloZeroRateIsDeterministic) {
-  const std::vector<double> rounds = {1.0, 2.0};
-  PreemptionModel off;
-  const PreemptionTrialStats stats = SimulatePreemptions(
-      rounds, off, RecoveryDiscipline::kInMemory, 10, 3);
-  EXPECT_DOUBLE_EQ(stats.mean_seconds, 3.0);
-  EXPECT_DOUBLE_EQ(stats.mean_preemptions, 0.0);
-}
-
-TEST(FaultsTest, UniformPerMachineRatesMatchHomogeneousModel) {
-  const std::vector<double> rounds = {0.7, 1.3, 0.2};
-  PreemptionModel model;
-  model.rate_per_machine_sec = 0.03;
-  model.machines = 5;
-  const std::vector<double> rates(5, 0.03);
-  for (const auto discipline : {RecoveryDiscipline::kFaultTolerant,
-                                RecoveryDiscipline::kInMemory}) {
-    EXPECT_DOUBLE_EQ(
-        ExpectedCompletionSeconds(rounds, rates, discipline),
-        ExpectedCompletionSeconds(rounds, model, discipline));
-  }
-}
-
-TEST(FaultsTest, MemoryPressureRatesPenalizeOnlyOvershoot) {
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.01;
-  base.machines = 4;
-  // Machines at or under the soft limit keep the base rate; the one at
-  // 3x the limit is penalized proportionally to its overshoot.
-  const std::vector<int64_t> bytes = {500, 1000, 3000, 0};
-  const std::vector<double> rates =
-      MemoryPressureRates(base, bytes, /*soft_limit_bytes=*/1000,
-                          /*overshoot_penalty=*/2.0);
-  ASSERT_EQ(rates.size(), 4u);
-  EXPECT_DOUBLE_EQ(rates[0], 0.01);
-  EXPECT_DOUBLE_EQ(rates[1], 0.01);
-  EXPECT_DOUBLE_EQ(rates[2], 0.01 * (1.0 + 2.0 * 2.0));
-  EXPECT_DOUBLE_EQ(rates[3], 0.01);
-}
-
-TEST(FaultsTest, SkewedShardsRaiseExpectedCompletion) {
-  // Same total DHT footprint, same job: concentrating the bytes on one
-  // machine pushes it past its memory budget and slows the whole job.
-  const std::vector<double> rounds = {1.0, 1.0, 1.0};
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.05;
-  base.machines = 4;
-  const std::vector<int64_t> uniform = {1000, 1000, 1000, 1000};
-  const std::vector<int64_t> skewed = {3700, 100, 100, 100};
-  const int64_t limit = 1200;
-  const double uniform_time = ExpectedCompletionSeconds(
-      rounds, MemoryPressureRates(base, uniform, limit),
-      RecoveryDiscipline::kFaultTolerant);
-  const double skewed_time = ExpectedCompletionSeconds(
-      rounds, MemoryPressureRates(base, skewed, limit),
-      RecoveryDiscipline::kFaultTolerant);
-  EXPECT_GT(skewed_time, uniform_time);
-}
-
-TEST(FaultsTest, ClusterExposesPerMachineFootprintForPressure) {
-  // End-to-end: run an algorithm, feed the cluster's per-machine KV
-  // footprint into the pressure model, and get a usable rate vector.
-  graph::Graph g =
-      graph::BuildGraph(graph::GenerateErdosRenyi(150, 600, 3));
-  ClusterConfig config;
-  config.num_machines = 4;
-  config.threads_per_machine = 2;
-  Cluster cluster(config);
-  core::AmpcMis(cluster, g, 3);
-  const std::vector<int64_t>& footprint = cluster.machine_kv_write_bytes();
-  ASSERT_EQ(footprint.size(), 4u);
-  int64_t total = 0;
-  for (const int64_t b : footprint) total += b;
-  EXPECT_EQ(total, cluster.metrics().Get("kv_write_bytes"));
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.01;
-  base.machines = config.num_machines;
-  const std::vector<double> rates =
-      MemoryPressureRates(base, footprint, /*soft_limit_bytes=*/1);
-  const double with_pressure = ExpectedCompletionSeconds(
-      cluster.round_log(), rates, RecoveryDiscipline::kFaultTolerant);
-  const double without = ExpectedCompletionSeconds(
-      cluster.round_log(), base, RecoveryDiscipline::kFaultTolerant);
-  EXPECT_GT(with_pressure, without);
-}
 
 TEST(FaultsTest, ClusterRoundLogMatchesRoundMetric) {
   graph::Graph g =
@@ -195,112 +34,7 @@ TEST(FaultsTest, ClusterRoundLogMatchesRoundMetric) {
   EXPECT_NEAR(total, cluster.SimSeconds(), 1e-9);
 }
 
-TEST(FaultsTest, ReplayWithoutOvershootMatchesBaseRates) {
-  // Footprints below the soft limit never elevate the rate, so the
-  // replay equals the homogeneous fault-tolerant closed form.
-  const std::vector<double> rounds = {1.0, 2.0, 0.5};
-  const std::vector<std::vector<int64_t>> bytes = {
-      {100, 100}, {200, 50}, {0, 300}};
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.02;
-  base.machines = 2;
-  const double replayed = ReplayMemoryPressureSeconds(
-      rounds, bytes, base, /*soft_limit_bytes=*/1'000'000);
-  EXPECT_NEAR(replayed,
-              ExpectedCompletionSeconds(rounds, base,
-                                        RecoveryDiscipline::kFaultTolerant),
-              1e-12);
-}
-
-TEST(FaultsTest, ReplayChargesPressureOnlyToLaterRounds) {
-  // Machine 0 blows past the limit in round 2. The final-footprint
-  // judgment (MemoryPressureRates on the cumulative bytes) taxes every
-  // round including the early ones; the replay taxes only rounds 2+ and
-  // must land strictly between the base model and the final-footprint
-  // model.
-  const std::vector<double> rounds = {5.0, 5.0, 5.0, 5.0};
-  const int64_t limit = 1000;
-  const std::vector<std::vector<int64_t>> bytes = {
-      {100, 100}, {100, 100}, {5000, 100}, {0, 0}};
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.02;
-  base.machines = 2;
-  const double replayed =
-      ReplayMemoryPressureSeconds(rounds, bytes, base, limit);
-  const double base_only = ExpectedCompletionSeconds(
-      rounds, base, RecoveryDiscipline::kFaultTolerant);
-  std::vector<int64_t> final_footprint = {5200, 300};
-  const double final_judged = ExpectedCompletionSeconds(
-      rounds, MemoryPressureRates(base, final_footprint, limit),
-      RecoveryDiscipline::kFaultTolerant);
-  EXPECT_GT(replayed, base_only);
-  EXPECT_LT(replayed, final_judged);
-}
-
-TEST(FaultsTest, ClusterFootprintHistoryDrivesReplay) {
-  // End-to-end: the cluster's per-round footprint log feeds the replay
-  // directly, and a tight memory budget makes the replayed completion
-  // strictly worse than the pressure-free one.
-  graph::Graph g =
-      graph::BuildGraph(graph::GenerateErdosRenyi(150, 600, 3));
-  ClusterConfig config;
-  config.num_machines = 4;
-  config.threads_per_machine = 2;
-  Cluster cluster(config);
-  core::AmpcMis(cluster, g, 3);
-  const auto history = cluster.RoundKvWriteBytes();
-  ASSERT_EQ(history.size(), cluster.round_log().size());
-  // The history's column sums reproduce the cumulative footprint.
-  std::vector<int64_t> summed(config.num_machines, 0);
-  for (const auto& round : history) {
-    for (int m = 0; m < config.num_machines; ++m) summed[m] += round[m];
-  }
-  EXPECT_EQ(summed, cluster.machine_kv_write_bytes());
-  PreemptionModel base;
-  base.rate_per_machine_sec = 0.01;
-  base.machines = config.num_machines;
-  const double replayed = ReplayMemoryPressureSeconds(
-      cluster.round_log(), history, base, /*soft_limit_bytes=*/1);
-  const double base_only = ExpectedCompletionSeconds(
-      cluster.round_log(), base, RecoveryDiscipline::kFaultTolerant);
-  EXPECT_GT(replayed, base_only);
-}
-
-TEST(FaultsTest, HeterogeneousMonteCarloAgreesWithAnalyticModel) {
-  // The per-machine-rate simulator validates the per-machine-rate
-  // closed form the same way the homogeneous pair validates each other
-  // (Poisson superposition: only the summed rate matters).
-  const std::vector<double> rounds = {0.4, 1.2, 0.8};
-  const std::vector<double> rates = {0.02, 0.0, 0.15, 0.08, 0.05, 0.0};
-  for (const auto discipline : {RecoveryDiscipline::kFaultTolerant,
-                                RecoveryDiscipline::kInMemory}) {
-    const double analytic =
-        ExpectedCompletionSeconds(rounds, rates, discipline);
-    const PreemptionTrialStats stats =
-        SimulatePreemptions(rounds, rates, discipline, 20000, 19);
-    EXPECT_NEAR(stats.mean_seconds, analytic, 0.05 * analytic);
-    EXPECT_GE(stats.max_seconds, stats.mean_seconds);
-  }
-}
-
-TEST(FaultsTest, HeterogeneousMonteCarloMatchesHomogeneousAtUniformRates) {
-  // Identical trial seeds + identical summed rate => bit-identical
-  // trials: the two overloads share one simulation core.
-  const std::vector<double> rounds = {0.5, 1.5};
-  PreemptionModel model;
-  model.rate_per_machine_sec = 0.04;
-  model.machines = 5;
-  const std::vector<double> rates(5, 0.04);
-  const PreemptionTrialStats a = SimulatePreemptions(
-      rounds, model, RecoveryDiscipline::kFaultTolerant, 500, 23);
-  const PreemptionTrialStats b = SimulatePreemptions(
-      rounds, rates, RecoveryDiscipline::kFaultTolerant, 500, 23);
-  EXPECT_DOUBLE_EQ(a.mean_seconds, b.mean_seconds);
-  EXPECT_DOUBLE_EQ(a.max_seconds, b.max_seconds);
-  EXPECT_DOUBLE_EQ(a.mean_preemptions, b.mean_preemptions);
-}
-
-// --- FaultInjector: the injected (as opposed to analytic) model -----
+// --- FaultInjector ---------------------------------------------------
 
 TEST(FaultsTest, InjectorIsDeterministicInSeed) {
   FaultInjector a({.rate_per_machine_sec = 0.5, .machines = 4, .seed = 11});
@@ -371,6 +105,38 @@ TEST(FaultsTest, InjectorSkipToYieldsNoEventsInSkippedInterval) {
   const std::vector<FaultEvent> later = injector.AdvanceTo(30.0);
   EXPECT_FALSE(later.empty());
   for (const FaultEvent& e : later) EXPECT_GT(e.time, 10.0);
+}
+
+TEST(FaultsTest, InjectorScheduleMatchesParent) {
+  // Every stream kind at once: machine kills, domain kills and warnings,
+  // harvested in windows with failure-free skips between them. The
+  // count and fingerprint were recorded when machine and domain streams
+  // were walked by separate loops, so they pin that one stream list
+  // draws the same kill schedule.
+  FaultInjector injector({.rate_per_machine_sec = 0.5,
+                          .machines = 8,
+                          .seed = 7,
+                          .machines_per_domain = 2,
+                          .domain_fault_rate_sec = 0.3,
+                          .warning_lead_sec = 0.4});
+  uint64_t fingerprint = 0;
+  int64_t events = 0;
+  double now = 0.0;
+  for (int step = 1; step <= 50; ++step) {
+    now += 0.37;
+    for (const FaultEvent& e : injector.AdvanceTo(now)) {
+      fingerprint = HashCombine(
+          fingerprint,
+          Hash64(std::bit_cast<uint64_t>(e.time),
+                 HashCombine(HashCombine(static_cast<uint64_t>(e.machine),
+                                         static_cast<uint64_t>(e.domain)),
+                             e.warning ? 1 : 0)));
+      ++events;
+    }
+    if (step % 5 == 0) injector.SkipTo(now + 0.1);
+  }
+  EXPECT_EQ(events, 220);
+  EXPECT_EQ(fingerprint, 0x8ce816761cc4404fULL);
 }
 
 TEST(FaultsTest, DisabledInjectorNeverFires) {
@@ -651,10 +417,9 @@ TEST(FaultsTest, ReplicatedRecoveryChargesTheReplicaStream) {
               last_round * share, 1e-8);
 }
 
-TEST(FaultsTest, RecoveryOrderingMatchesTheAnalyticDisciplines) {
-  // The injected model reproduces the Section 5.7 ordering the analytic
-  // model predicts: replicated < checkpointed < unprotected recovery
-  // for the same kill at the end of the same job.
+TEST(FaultsTest, RecoveryOrderingReplicaBeforeCheckpointBeforeRestart) {
+  // The Section 5.7 ordering: replicated < checkpointed < unprotected
+  // recovery for the same kill at the end of the same job.
   auto run_and_kill = [](int replication, double period) {
     ClusterConfig config;
     config.num_machines = 4;
@@ -674,31 +439,6 @@ TEST(FaultsTest, RecoveryOrderingMatchesTheAnalyticDisciplines) {
   const double unprotected = run_and_kill(1, 0.0);
   EXPECT_LT(replicated, checkpointed);
   EXPECT_LT(checkpointed, unprotected);
-}
-
-TEST(FaultsTest, EndToEndAmpcJobDegradesGracefully) {
-  // An AMPC MIS run (few short rounds) under increasing preemption rates:
-  // expected completion grows smoothly, far below in-memory restarts.
-  graph::Graph g =
-      graph::BuildGraph(graph::GenerateErdosRenyi(200, 800, 13));
-  ClusterConfig config;
-  config.num_machines = 4;
-  config.threads_per_machine = 2;
-  Cluster cluster(config);
-  core::AmpcMis(cluster, g, 13);
-
-  PreemptionModel model;
-  model.machines = config.num_machines;
-  double previous = cluster.SimSeconds();
-  for (const double rate : {0.001, 0.01, 0.1}) {
-    model.rate_per_machine_sec = rate;
-    const double ft = ExpectedCompletionSeconds(
-        cluster.round_log(), model, RecoveryDiscipline::kFaultTolerant);
-    EXPECT_GE(ft, previous);
-    EXPECT_LE(ft, ExpectedCompletionSeconds(cluster.round_log(), model,
-                                            RecoveryDiscipline::kInMemory));
-    previous = ft;
-  }
 }
 
 }  // namespace
