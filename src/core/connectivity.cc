@@ -1,7 +1,5 @@
 #include "core/connectivity.h"
 
-#include <unordered_set>
-
 #include "common/timer.h"
 #include "trees/rooted_forest.h"
 
@@ -25,18 +23,16 @@ ConnectivityResult AmpcConnectivity(sim::Cluster& cluster,
   const WeightedEdgeList weighted = graph::MakeUnitWeighted(list);
   MsfResult msf = AmpcMsf(cluster, weighted, options);
 
-  ConnectivityResult result;
-  result.forest_edges = msf.edges;
-
   // ForestConnectivity (Proposition 3.2 stand-in): root every tree and
   // propagate the root label. Charged as two shuffles plus a map round.
+  // MakeUnitWeighted numbers the edges by position, so a forest id
+  // indexes the list, and msf.edges ascends, so the forest keeps the
+  // list's order.
   WallTimer timer;
-  std::unordered_set<graph::EdgeId> in_forest(msf.edges.begin(),
-                                              msf.edges.end());
   std::vector<WeightedEdge> forest_edges;
   forest_edges.reserve(msf.edges.size());
-  for (const WeightedEdge& e : weighted.edges) {
-    if (in_forest.contains(e.id)) forest_edges.push_back(e);
+  for (const graph::EdgeId id : msf.edges) {
+    forest_edges.push_back(weighted.edges[id]);
   }
   trees::RootedForest forest =
       trees::BuildRootedForest(list.num_nodes, forest_edges);
@@ -59,10 +55,13 @@ ConnectivityResult AmpcConnectivity(sim::Cluster& cluster,
   cluster.AccountShardedShuffle("ForestConnectivity", label_bytes, wall / 2);
   cluster.AccountMapRound("ForestConnectivity");
 
-  result.component = forest.root;
-  std::unordered_set<NodeId> distinct(result.component.begin(),
-                                      result.component.end());
-  result.num_components = static_cast<int64_t>(distinct.size());
+  ConnectivityResult result;
+  result.forest_edges = std::move(msf.edges);
+  result.component = std::move(forest.root);
+  // One component per tree, labelled by its root.
+  for (int64_t v = 0; v < list.num_nodes; ++v) {
+    result.num_components += (result.component[v] == v);
+  }
   return result;
 }
 

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
-#include <queue>
-#include <unordered_set>
+#include <span>
+#include <utility>
 
-#include "common/concurrent_bag.h"
+#include "common/bitmap.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/priorities.h"
 #include "graph/contraction.h"
@@ -35,83 +35,131 @@ struct WAdj {
 };
 static_assert(std::is_trivially_copyable_v<WAdj>);
 
-using WAdjStore = kv::ShardedStore<std::vector<WAdj>>;
-
-bool WAdjLess(const WAdj& a, const WAdj& b) {
-  if (a.w != b.w) return a.w < b.w;
-  return a.id < b.id;
-}
-
-// Result of one truncated Prim search.
-struct SearchOutput {
-  std::vector<EdgeId> msf_edges;
-  NodeId stop_parent = kInvalidNode;  // set when rule (3) fired
-};
+// A record is a view of its vertex's row in the round's flat arc array.
+using WAdjStore = kv::ShardedStore<std::span<const WAdj>>;
 
 // The unconsumed tail [next, end) of one visited vertex's weight-sorted
-// store record; `next` is its lightest arc not yet popped. It points into
-// the round's write-once store, which outlives every search of the round.
+// row, keyed by its head arc's (weight, id) so that heap comparisons
+// read the cursor alone. The row lives in the round's flat arc array,
+// which outlives every search of the round.
 struct AdjCursor {
+  Weight w;
+  EdgeId id;
   const WAdj* next;
   const WAdj* end;
 };
 
-struct AdjCursorGreater {
-  bool operator()(const AdjCursor& a, const AdjCursor& b) const {
-    return WAdjLess(*b.next, *a.next);
+// Min-heap order on (weight, id). Only an edge's two twin arcs tie, and
+// once both of their cursors exist both endpoints are visited, so both
+// arcs are skipped whichever pops first.
+bool CursorAfter(const AdjCursor& a, const AdjCursor& b) {
+  if (a.w != b.w) return a.w > b.w;
+  return a.id > b.id;
+}
+
+// The vertices a search has visited: its origin, plus a linear-probing
+// table of the others in which kInvalidNode marks a free slot. The
+// table is allocated on the first expansion (most searches never
+// expand) and grows to stay at most half full.
+struct VisitedSet {
+  NodeId origin = kInvalidNode;
+  std::vector<NodeId> slots;
+  int64_t size = 1;  // the origin included
+
+  // The slot that holds v, or the free slot where v's probe ends.
+  size_t Find(NodeId v) const {
+    const size_t mask = slots.size() - 1;
+    size_t i = ((uint64_t{v} * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+    while (slots[i] != kInvalidNode && slots[i] != v) i = (i + 1) & mask;
+    return i;
+  }
+  bool contains(NodeId v) const {
+    return v == origin || (!slots.empty() && slots[Find(v)] == v);
+  }
+  void insert(NodeId v) {  // v must not be in the set yet
+    if (2 * static_cast<size_t>(size) > slots.size()) {
+      const std::vector<NodeId> old = std::exchange(
+          slots, std::vector<NodeId>(std::max<size_t>(16, 2 * slots.size()),
+                                     kInvalidNode));
+      for (const NodeId u : old) {
+        if (u != kInvalidNode) slots[Find(u)] = u;
+      }
+    }
+    slots[Find(v)] = v;
+    ++size;
   }
 };
 
 // Resumable state of Algorithm 1's per-vertex search: Prim from
-// `origin`, stopping on (1) search_limit explored vertices, (2)
-// exhausted component, or (3) adding an edge to a vertex preceding
-// `origin` in the permutation. The search runs until it either needs a
+// `visited.origin`, stopping on (1) search_limit explored vertices, (2)
+// exhausted component, or (3) adding an edge to a vertex preceding the
+// origin in the permutation. The search runs until it either needs a
 // remote adjacency (`pending` set) or terminates (`done` set), so a
 // worker can run many searches in lockstep and fetch every pending
 // adjacency of an adaptive step in one DriveLookupPipelined step. The
-// heap lazily merges the visited vertices' adjacencies: it holds at most
-// one cursor per visited vertex, keyed by the cursor's head arc, so a
-// hub's record is read only as far as the search needs it, never copied.
+// heap lazily merges the visited vertices' rows: it holds at most one
+// cursor per visited vertex, so a hub's record is read only as far as
+// the search needs it, never copied.
 struct PrimSearchState {
-  int64_t item = 0;
-  NodeId origin = kInvalidNode;
-  std::priority_queue<AdjCursor, std::vector<AdjCursor>, AdjCursorGreater>
-      heap;
-  std::unordered_set<NodeId> visited;
-  SearchOutput out;
+  VisitedSet visited;
+  std::vector<AdjCursor> heap;
+  NodeId stop_parent = kInvalidNode;  // set when rule (3) fired
   NodeId pending = kInvalidNode;
   bool done = false;
 };
 
-// Adds a visited vertex's adjacency to the merge, unless it is empty.
-void PushAdjacency(PrimSearchState& s, const std::vector<WAdj>& adj) {
-  if (!adj.empty()) {
-    s.heap.push(AdjCursor{adj.data(), adj.data() + adj.size()});
+// Adds a visited vertex's row to the merge, unless it is empty.
+void PushAdjacency(PrimSearchState& s, std::span<const WAdj> adj) {
+  if (adj.empty()) return;
+  s.heap.push_back(
+      AdjCursor{adj[0].w, adj[0].id, adj.data(), adj.data() + adj.size()});
+  std::push_heap(s.heap.begin(), s.heap.end(), CursorAfter);
+}
+
+// Takes the least arc off the merge: advances the top cursor in place
+// and sifts it down once, or drops the cursor when its row is used up.
+WAdj PopArc(std::vector<AdjCursor>& heap) {
+  AdjCursor top = heap.front();
+  const WAdj e = *top.next++;
+  if (top.next == top.end) {
+    std::pop_heap(heap.begin(), heap.end(), CursorAfter);
+    heap.pop_back();
+    return e;
   }
+  top.w = top.next->w;
+  top.id = top.next->id;
+  const size_t size = heap.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && CursorAfter(heap[child], heap[child + 1])) ++child;
+    if (!CursorAfter(top, heap[child])) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = top;
+  return e;
 }
 
 // Pops arcs in (weight, id) order until the search terminates or needs
 // the adjacency of `pending` (exactly where the scalar search issued its
-// next Lookup). Each pop takes the least cursor's head, re-queues the
-// cursor unless it is exhausted, and skips arcs into the visited set.
-void AdvancePrimSearch(PrimSearchState& s, uint64_t seed,
-                       int64_t search_limit) {
+// next Lookup), skipping arcs into the visited set. Every other popped
+// arc is an MSF edge, marked in `found`.
+void AdvancePrimSearch(PrimSearchState& s, AtomicBitmap& found,
+                       uint64_t seed, int64_t search_limit) {
   while (!s.heap.empty()) {
-    AdjCursor c = s.heap.top();
-    s.heap.pop();
-    const WAdj e = *c.next++;
-    if (c.next != c.end) s.heap.push(c);
+    const WAdj e = PopArc(s.heap);
     if (s.visited.contains(e.to)) continue;
     // The popped edge is the minimum-order edge leaving the visited set,
     // hence an MSF edge by the cut property (weights totally ordered).
-    s.out.msf_edges.push_back(e.id);
-    if (VertexBefore(e.to, s.origin, seed)) {
-      s.out.stop_parent = e.to;  // rule (3)
+    // Testing first keeps the words that many searches share clean.
+    if (!found.Test(e.id)) found.Set(e.id);
+    if (VertexBefore(e.to, s.visited.origin, seed)) {
+      s.stop_parent = e.to;  // rule (3)
       s.done = true;
       return;
     }
     s.visited.insert(e.to);
-    if (static_cast<int64_t>(s.visited.size()) >= search_limit) {  // (1)
+    if (s.visited.size >= search_limit) {  // rule (1)
       s.done = true;
       return;
     }
@@ -122,17 +170,24 @@ void AdvancePrimSearch(PrimSearchState& s, uint64_t seed,
 }
 
 // Feeds a fetched adjacency back into the search and keeps going.
-void ResumePrimSearch(PrimSearchState& s, const std::vector<WAdj>* next,
-                      uint64_t seed, int64_t search_limit) {
+void ResumePrimSearch(PrimSearchState& s, const std::span<const WAdj>* next,
+                      AtomicBitmap& found, uint64_t seed,
+                      int64_t search_limit) {
   if (next != nullptr) PushAdjacency(s, *next);
   s.pending = kInvalidNode;
-  AdvancePrimSearch(s, seed, search_limit);
+  AdvancePrimSearch(s, found, seed, search_limit);
+}
+
+// Marks `ids` in `found`.
+void MarkAll(AtomicBitmap& found, const std::vector<EdgeId>& ids) {
+  for (const EdgeId id : ids) found.Set(id);
 }
 
 // Core contraction loop over an edge list whose ids are preserved
-// throughout. Appends the MSF's edge ids to `result`.
-void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
-             const MsfOptions& options, MsfResult& result) {
+// throughout. Marks the MSF's edge ids in `found`.
+void ContractionRounds(sim::Cluster& cluster, WeightedEdgeList current,
+                       const MsfOptions& options, AtomicBitmap& found,
+                       MsfResult& result) {
   for (int round = 0;; ++round) {
     const int64_t n = current.num_nodes;
     const int64_t m = static_cast<int64_t>(current.edges.size());
@@ -150,8 +205,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
       } else {
         cluster.AccountInMemoryCompute("InMemoryMSF", items);
       }
-      std::vector<EdgeId> finish = seq::KruskalMsf(current);
-      result.edges.insert(result.edges.end(), finish.begin(), finish.end());
+      MarkAll(found, seq::KruskalMsf(current));
       return;
     }
     result.rounds = round + 1;
@@ -174,17 +228,22 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     cluster.AccountShuffle("SortGraph", graph_bytes, sort_timer.Seconds());
 
     // --- KV-Write --------------------------------------------------------
-    WAdjStore store = cluster.MakeStore<std::vector<WAdj>>(n);
+    // Each row is copied into one flat arc array at its own CSR position,
+    // and its record is a view of that copy. The array is declared before
+    // the store, so it outlives the store and its query caches.
+    const auto arcs = std::make_unique_for_overwrite<WAdj[]>(wg.num_arcs());
+    const NodeId* const first_row = wg.neighbors(0).data();
+    WAdjStore store = cluster.MakeStore<std::span<const WAdj>>(n);
     cluster.RunKvWritePhase("KV-Write", store, n, [&](int64_t v) {
       const NodeId node = static_cast<NodeId>(v);
-      auto nbrs = wg.neighbors(node);
-      auto ws = wg.weights(node);
-      auto ids = wg.edge_ids(node);
-      std::vector<WAdj> row(nbrs.size());
+      const auto nbrs = wg.neighbors(node);
+      const auto ws = wg.weights(node);
+      const auto ids = wg.edge_ids(node);
+      WAdj* const row = arcs.get() + (nbrs.data() - first_row);
       for (size_t i = 0; i < nbrs.size(); ++i) {
         row[i] = WAdj{nbrs[i], ids[i], ws[i]};
       }
-      return row;
+      return std::span<const WAdj>(row, nbrs.size());
     });
 
     // --- PrimSearch (batched map) ----------------------------------------
@@ -196,7 +255,6 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // that several searches of a machine expand — hub vertices,
     // overlapping components — are served from the machine's query
     // cache after the first fetch. Per-search semantics are unchanged.
-    ConcurrentBag<EdgeId> found_edges;
     std::vector<NodeId> parent(n, kInvalidNode);
     // Every vertex originates a search, so the phase's frontier covers
     // the whole round graph — dense under the hybrid policy whenever
@@ -207,29 +265,27 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
           std::vector<PrimSearchState> searches(items.size());
           for (size_t i = 0; i < items.size(); ++i) {
             PrimSearchState& s = searches[i];
-            s.item = items[i];
-            s.origin = static_cast<NodeId>(items[i]);
-            const std::vector<WAdj>* adj = ctx.LookupLocal(store, s.origin);
+            s.visited.origin = static_cast<NodeId>(items[i]);
+            const std::span<const WAdj>* adj =
+                ctx.LookupLocal(store, s.visited.origin);
             if (adj == nullptr || adj->empty()) {
               s.done = true;
               continue;
             }
-            s.visited.insert(s.origin);
             PushAdjacency(s, *adj);
-            AdvancePrimSearch(s, round_seed, search_limit);
+            AdvancePrimSearch(s, found, round_seed, search_limit);
           }
           const auto done = [](const PrimSearchState& s) { return s.done; };
           const auto key = [](const PrimSearchState& s) {
             return static_cast<uint64_t>(s.pending);
           };
           const auto resume = [&](PrimSearchState& s,
-                                  const std::vector<WAdj>* next) {
-            ResumePrimSearch(s, next, round_seed, search_limit);
+                                  const std::span<const WAdj>* next) {
+            ResumePrimSearch(s, next, found, round_seed, search_limit);
           };
           sim::DriveLookupPipelined(ctx, store, searches, done, key, resume);
-          for (PrimSearchState& s : searches) {
-            parent[s.item] = s.out.stop_parent;
-            found_edges.Merge(std::move(s.out.msf_edges));
+          for (const PrimSearchState& s : searches) {
+            parent[s.visited.origin] = s.stop_parent;
           }
         };
     if (prim_pull) {
@@ -237,10 +293,6 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     } else {
       cluster.RunBatchMapPhase("PrimSearch", n, prim_slice);
     }
-    std::vector<EdgeId> emitted = found_edges.Take();
-    ParallelSort(cluster.pool(), emitted);
-    emitted.erase(std::unique(emitted.begin(), emitted.end()), emitted.end());
-    result.edges.insert(result.edges.end(), emitted.begin(), emitted.end());
 
     // --- Combine (shuffle): visitor tuples grouped by visited vertex ----
     int64_t stopped = 0;
@@ -340,9 +392,28 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     if (current.num_nodes >= n) {
       const int64_t items = static_cast<int64_t>(current.edges.size());
       cluster.AccountInMemoryCompute("InMemoryMSF", items);
-      std::vector<EdgeId> finish = seq::KruskalMsf(current);
-      result.edges.insert(result.edges.end(), finish.begin(), finish.end());
+      MarkAll(found, seq::KruskalMsf(current));
       return;
+    }
+  }
+}
+
+// Runs the contraction rounds on `list` and sets `result.edges` to its
+// MSF. Every search and finish marks the edges it finds in one bitmap
+// over the ids (contraction keeps ids), so an edge found many times is
+// kept once, and the set bits read in order are sorted and distinct.
+void MsfLoop(sim::Cluster& cluster, const WeightedEdgeList& list,
+             const MsfOptions& options, MsfResult& result) {
+  EdgeId max_id = 0;
+  for (const graph::WeightedEdge& e : list.edges) {
+    max_id = std::max(max_id, e.id);
+  }
+  AtomicBitmap found(list.edges.empty() ? 0 : int64_t{max_id} + 1);
+  ContractionRounds(cluster, list, options, found, result);
+  for (int64_t w = 0; w < found.num_words(); ++w) {
+    for (uint64_t word = found.Word(w); word != 0; word &= word - 1) {
+      result.edges.push_back(
+          static_cast<EdgeId>(64 * w + std::countr_zero(word)));
     }
   }
 }
@@ -362,9 +433,6 @@ MsfResult AmpcMsf(sim::Cluster& cluster, const WeightedEdgeList& list,
   } else {
     MsfLoop(cluster, list, options, result);
   }
-  ParallelSort(cluster.pool(), result.edges);
-  result.edges.erase(std::unique(result.edges.begin(), result.edges.end()),
-                     result.edges.end());
   return result;
 }
 

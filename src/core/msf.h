@@ -64,6 +64,12 @@ struct MsfResult {
 };
 
 /// Runs the AMPC MSF algorithm. The input edge list's ids must be unique.
+/// The job marks the MSF edges it finds in one bitmap over [0, max id],
+/// so it holds (max id + 1)/8 bytes besides the graph, whatever the
+/// list's size. That is m/8 bytes when ids are list positions, and under
+/// 3m/8 with `ternarize`, whose dummy edges follow at m, m+1, .... A
+/// list that keeps another list's ids, such as AmpcMsfKkt's sample,
+/// pays for the other list's ids.
 MsfResult AmpcMsf(sim::Cluster& cluster, const graph::WeightedEdgeList& list,
                   const MsfOptions& options = {});
 

@@ -1,7 +1,5 @@
 #include "trees/rooted_forest.h"
 
-#include <deque>
-
 #include "common/logging.h"
 
 namespace ampc::trees {
@@ -43,8 +41,12 @@ RootedForest BuildRootedForest(int64_t num_nodes,
     arcs[cursor[e.v]++] = Arc{e.u, e.w, e.id};
   }
 
+  // bfs_order is the BFS queue: a vertex is appended when it is
+  // discovered, and `head` is the next one to expand. Each tree starts
+  // with the queue drained, so the order is that of a FIFO per tree.
   std::vector<uint8_t> visited(num_nodes, 0);
   f.bfs_order.reserve(num_nodes);
+  size_t head = 0;
   int64_t tree_edges = 0;
   for (int64_t s = 0; s < num_nodes; ++s) {
     if (visited[s]) continue;
@@ -53,11 +55,9 @@ RootedForest BuildRootedForest(int64_t num_nodes,
     f.parent[s] = root;
     f.root[s] = root;
     f.depth[s] = 0;
-    std::deque<NodeId> queue{root};
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
-      f.bfs_order.push_back(v);
+    f.bfs_order.push_back(root);
+    while (head < f.bfs_order.size()) {
+      const NodeId v = f.bfs_order[head++];
       for (int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
         const Arc& arc = arcs[i];
         if (visited[arc.to]) continue;
@@ -68,7 +68,7 @@ RootedForest BuildRootedForest(int64_t num_nodes,
         f.depth[arc.to] = f.depth[v] + 1;
         f.root[arc.to] = root;
         ++tree_edges;
-        queue.push_back(arc.to);
+        f.bfs_order.push_back(arc.to);
       }
     }
   }

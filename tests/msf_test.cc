@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/random.h"
 #include "core/connectivity.h"
 #include "graph/generators.h"
 #include "seq/msf.h"
@@ -178,42 +181,105 @@ TEST(AmpcMsfTest, ParallelEdgesAndSelfLoopsTolerated) {
   EXPECT_EQ(r.edges, (std::vector<graph::EdgeId>{1, 3}));
 }
 
-// Pins the charged costs of a multi-round AmpcMsf and AmpcConnectivity
-// run, uncached so every counter and the simulated clock are exact. The
-// values were recorded with the earlier eager heap of arc copies: the
-// search's host-side data structures may change; what it reads, and so
-// what it is charged, may not.
+// Pins the charged costs of multi-round AmpcMsf and AmpcConnectivity
+// runs. The uncached legs (4 x 4 machines, threshold 64, seed 7) make
+// every counter and the simulated clock exact without the cache. The
+// cached legs run bench/e2e's configuration (defaults: 8 x 8 machines,
+// query cache on, seed 42; in-memory threshold max(64, arcs/50)) under
+// each stopping rule, on the ternarized path and on connectivity's unit
+// weights, where edge ids break every weight tie. A machine's cache hits
+// and read bytes depend on the order in which its searches expand
+// vertices, so a search that pops arcs in another order fails here even
+// when its output is right. The values were recorded with earlier host
+// structures (one vector per stored row, hash-set visited sets,
+// per-search edge vectors merged and sorted per round): the search's
+// host-side data structures may change; what it reads, and so what it
+// is charged, may not.
 TEST(AmpcMsfTest, ChargedCostsMatchParent) {
   const EdgeList raw = graph::GenerateRmat(12, 20000, 7);
-  sim::ClusterConfig config;
-  config.num_machines = 4;
-  config.threads_per_machine = 4;
-  config.query_cache.enabled = false;
-  config.in_memory_threshold_arcs = 64;
-  MsfOptions options;
-  options.seed = 7;
-  // rounds, kv_reads, kv_lookup_trips, kv_batches, kv_read_bytes,
-  // kv_write_bytes.
-  const auto counters = [](sim::Cluster& cluster) {
-    const Metrics& m = cluster.metrics();
-    return std::vector<int64_t>{m.Get("rounds"), m.Get("kv_reads"),
-                                m.Get("kv_lookup_trips"), m.Get("kv_batches"),
-                                m.Get("kv_read_bytes"),
-                                m.Get("kv_write_bytes")};
+  const graph::Graph g = graph::BuildGraph(raw);
+  const WeightedEdgeList weighted = graph::MakeDegreeWeighted(raw, g);
+  sim::ClusterConfig uncached;
+  uncached.num_machines = 4;
+  uncached.threads_per_machine = 4;
+  uncached.query_cache.enabled = false;
+  uncached.in_memory_threshold_arcs = 64;
+  sim::ClusterConfig cached;
+  cached.in_memory_threshold_arcs = std::max<int64_t>(64, g.num_arcs() / 50);
+
+  struct Leg {
+    const char* name;
+    const sim::ClusterConfig& config;
+    MsfOptions options;
+    bool connectivity;
+    // rounds, kv_reads, kv_lookup_trips, kv_batches, cache_hits,
+    // cache_misses, kv_read_bytes, kv_write_bytes, then max_jump_chain
+    // (the component count for connectivity) and a digest of the output
+    // (the edge ids, or the component labels).
+    std::vector<uint64_t> pinned;
+    double sim_seconds;
   };
-
-  sim::Cluster msf(config);
-  AmpcMsf(msf, graph::MakeDegreeWeighted(raw, graph::BuildGraph(raw)),
-          options);
-  EXPECT_EQ(counters(msf),
-            (std::vector<int64_t>{18, 33615, 9055, 4035, 3366128, 666132}));
-  EXPECT_DOUBLE_EQ(msf.SimSeconds(), 1.102666546);
-
-  sim::Cluster cc(config);
-  AmpcConnectivity(cc, raw, options);
-  EXPECT_EQ(counters(cc),
-            (std::vector<int64_t>{21, 32749, 6458, 2936, 26488420, 666312}));
-  EXPECT_DOUBLE_EQ(cc.SimSeconds(), 1.29827504);
+  // Every MSF leg finds the one MSF, and both connectivity legs label
+  // each component by its least vertex, so their output digests agree.
+  constexpr uint64_t kMsf = 16156247445302996087u;
+  constexpr uint64_t kComponents = 3336957507415628219u;
+  const Leg legs[] = {
+      {"uncached msf", uncached, {.seed = 7}, false,
+       {18, 33615, 9055, 4035, 0, 0, 3366128, 666132, 15, kMsf},
+       1.102666546},
+      {"uncached cc", uncached, {.seed = 7}, true,
+       {21, 32749, 6458, 2936, 0, 0, 26488420, 666312, 1470, kComponents},
+       1.29827504},
+      {"rule 1", cached, {.search_limit = 2}, false,
+       {90, 3147, 1424, 365, 353, 2794, 33528, 2236552, 3, kMsf},
+       5.500358065},
+      {"rule 3", cached, {}, false,
+       {18, 34847, 6643, 3392, 24701, 10146, 1491756, 666348, 15, kMsf},
+       1.100582027},
+      {"rule 2", cached, {.search_limit = g.num_nodes()}, false,
+       {9, 45935, 11125, 8098, 31502, 14433, 2325108, 665984, 17, kMsf},
+       0.551336805},
+      {"ternarized", cached, {.ternarize = true}, false,
+       {18, 540870, 65828, 28501, 330396, 210474, 10274012, 3000008, 16,
+        kMsf},
+       1.105204515},
+      {"cached cc", cached, {}, true,
+       {12, 33313, 3507, 2111, 28514, 4799, 2507224, 665984, 1470,
+        kComponents},
+       0.740550062},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    sim::Cluster cluster(leg.config);
+    std::vector<graph::NodeId> out;
+    int64_t last = 0;
+    if (leg.connectivity) {
+      ConnectivityResult r = AmpcConnectivity(cluster, raw, leg.options);
+      out = std::move(r.component);
+      last = r.num_components;
+    } else {
+      MsfResult r = AmpcMsf(cluster, weighted, leg.options);
+      EXPECT_EQ(r.edges, seq::KruskalMsf(weighted));
+      out = std::move(r.edges);
+      last = r.max_jump_chain;
+    }
+    const Metrics& m = cluster.metrics();
+    uint64_t digest = Hash64(out.size(), 42);
+    for (const graph::NodeId x : out) digest = HashCombine(digest, x);
+    const std::vector<uint64_t> counters{
+        static_cast<uint64_t>(m.Get("rounds")),
+        static_cast<uint64_t>(m.Get("kv_reads")),
+        static_cast<uint64_t>(m.Get("kv_lookup_trips")),
+        static_cast<uint64_t>(m.Get("kv_batches")),
+        static_cast<uint64_t>(m.Get("cache_hits")),
+        static_cast<uint64_t>(m.Get("cache_misses")),
+        static_cast<uint64_t>(m.Get("kv_read_bytes")),
+        static_cast<uint64_t>(m.Get("kv_write_bytes")),
+        static_cast<uint64_t>(last),
+        digest};
+    EXPECT_EQ(counters, leg.pinned);
+    EXPECT_DOUBLE_EQ(cluster.SimSeconds(), leg.sim_seconds);
+  }
 }
 
 TEST(AmpcMsfTest, PointerJumpChainsStayShort) {

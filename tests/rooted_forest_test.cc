@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/random.h"
 #include "graph/generators.h"
+#include "seq/msf.h"
 
 namespace ampc::trees {
 namespace {
@@ -91,6 +96,112 @@ TEST(RootedForestTest, DepthsAreConsistent) {
     } else {
       EXPECT_EQ(f.depth[v], f.depth[f.parent[v]] + 1);
     }
+  }
+}
+
+// The builder as it was when it kept one std::deque per tree: the
+// reference for the exact BFS order, which path_max's sweeps consume.
+RootedForest DequeReference(int64_t num_nodes,
+                            const std::vector<WeightedEdge>& edges) {
+  RootedForest f;
+  f.num_nodes = num_nodes;
+  f.parent.resize(num_nodes);
+  f.parent_weight.assign(num_nodes, 0);
+  f.parent_edge_id.assign(num_nodes, graph::kInvalidEdge);
+  f.depth.assign(num_nodes, 0);
+  f.root.resize(num_nodes);
+  std::vector<int64_t> offsets(num_nodes + 1, 0);
+  for (const WeightedEdge& e : edges) {
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
+  }
+  for (int64_t v = 0; v < num_nodes; ++v) offsets[v + 1] += offsets[v];
+  std::vector<WeightedEdge> arcs(offsets.back());
+  std::vector<int64_t> cursor = offsets;
+  for (const WeightedEdge& e : edges) {
+    arcs[cursor[e.u]++] = WeightedEdge{e.u, e.v, e.w, e.id};
+    arcs[cursor[e.v]++] = WeightedEdge{e.v, e.u, e.w, e.id};
+  }
+  std::vector<uint8_t> visited(num_nodes, 0);
+  for (int64_t s = 0; s < num_nodes; ++s) {
+    if (visited[s]) continue;
+    const NodeId root = static_cast<NodeId>(s);
+    visited[s] = 1;
+    f.parent[s] = root;
+    f.root[s] = root;
+    std::deque<NodeId> queue{root};
+    while (!queue.empty()) {
+      const NodeId v = queue.front();
+      queue.pop_front();
+      f.bfs_order.push_back(v);
+      for (int64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        const WeightedEdge& arc = arcs[i];
+        if (visited[arc.v]) continue;
+        visited[arc.v] = 1;
+        f.parent[arc.v] = v;
+        f.parent_weight[arc.v] = arc.w;
+        f.parent_edge_id[arc.v] = arc.id;
+        f.depth[arc.v] = f.depth[v] + 1;
+        f.root[arc.v] = root;
+        queue.push_back(arc.v);
+      }
+    }
+  }
+  f.child_offsets.assign(num_nodes + 1, 0);
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    if (!f.IsRoot(static_cast<NodeId>(v))) ++f.child_offsets[f.parent[v] + 1];
+  }
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    f.child_offsets[v + 1] += f.child_offsets[v];
+  }
+  f.children.resize(f.child_offsets.back());
+  std::vector<int64_t> child_cursor = f.child_offsets;
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    if (!f.IsRoot(static_cast<NodeId>(v))) {
+      f.children[child_cursor[f.parent[v]]++] = static_cast<NodeId>(v);
+    }
+  }
+  return f;
+}
+
+TEST(RootedForestTest, MatchesDequeReference) {
+  // An R-MAT MSF forest with many isolated vertices, a path, a star
+  // whose center is not vertex 0, and an edgeless graph.
+  const graph::EdgeList rmat = graph::GenerateRmat(12, 3000, 5);
+  const graph::WeightedEdgeList weighted = graph::MakeRandomWeighted(rmat, 5);
+  std::vector<WeightedEdge> msf;
+  for (const graph::EdgeId id : seq::KruskalMsf(weighted)) {
+    msf.push_back(weighted.edges[id]);
+  }
+  std::vector<WeightedEdge> star;
+  for (const graph::Edge& e : graph::GenerateStar(200).edges) {
+    star.push_back(WeightedEdge{(e.u + 57) % 200, (e.v + 57) % 200, 1.0,
+                                static_cast<graph::EdgeId>(star.size())});
+  }
+  const struct {
+    const char* name;
+    int64_t num_nodes;
+    std::vector<WeightedEdge> edges;
+  } cases[] = {{"rmat msf", weighted.num_nodes, msf},
+               {"path", 300, PathEdges(300)},
+               {"star", 200, star},
+               {"edgeless", 40, {}}};
+  Rng rng(11);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<WeightedEdge> edges = c.edges;
+    std::shuffle(edges.begin(), edges.end(), rng);
+    const RootedForest want = DequeReference(c.num_nodes, edges);
+    const RootedForest got = BuildRootedForest(c.num_nodes, edges);
+    EXPECT_EQ(got.num_nodes, want.num_nodes);
+    EXPECT_EQ(got.parent, want.parent);
+    EXPECT_EQ(got.parent_weight, want.parent_weight);
+    EXPECT_EQ(got.parent_edge_id, want.parent_edge_id);
+    EXPECT_EQ(got.depth, want.depth);
+    EXPECT_EQ(got.root, want.root);
+    EXPECT_EQ(got.bfs_order, want.bfs_order);
+    EXPECT_EQ(got.children, want.children);
+    EXPECT_EQ(got.child_offsets, want.child_offsets);
   }
 }
 
