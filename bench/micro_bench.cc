@@ -1,5 +1,6 @@
 // ampc-lint: allow(bench-gate): google-benchmark harness, not a gated
 // invariant bench; the CI gates live in the self-contained micro_* mains.
+// ctest runs it as a smoke case (--benchmark_min_time=0.001).
 // google-benchmark microbenchmarks for the substrate hot paths: hashing,
 // KV store operations, RMQ construction/query, R-MAT generation, CSR
 // construction, the sequential finishers, and the host pool's and phase

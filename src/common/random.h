@@ -6,6 +6,7 @@
 // (b) results are reproducible across runs and thread schedules.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -65,6 +66,19 @@ class Rng {
     return result;
   }
   uint64_t operator()() { return Next(); }
+
+  /// A polynomial over GF(2) of degree < 256, low word first: bit j of
+  /// word w is the coefficient of x^(64w + j).
+  using JumpPolynomial = std::array<uint64_t, 4>;
+
+  /// x^draws mod P(x), where P is the characteristic polynomial of the
+  /// state update. x^(2^128) mod P is the xoshiro authors' jump() constant.
+  static JumpPolynomial JumpPolynomialFor(uint64_t draws);
+
+  /// The state update is linear over GF(2), so the state after d draws is
+  /// J(T)·s with J = x^d mod P. Applies J as the authors' jump() does, in
+  /// 256 steps: the stream then continues as after d Next() calls.
+  void Jump(const JumpPolynomial& jump);
 
   static constexpr uint64_t min() { return 0; }
   static constexpr uint64_t max() {

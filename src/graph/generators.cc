@@ -1,6 +1,7 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -28,30 +29,44 @@ EdgeList GenerateRmat(int log2_nodes, int64_t num_edges, uint64_t seed,
                       const RmatOptions& options) {
   AMPC_CHECK_GE(log2_nodes, 1);
   AMPC_CHECK_LE(log2_nodes, 31);
+  AMPC_CHECK_GE(num_edges, 0);
+  AMPC_CHECK_GE(options.a, 0.0);
+  AMPC_CHECK_GE(options.b, 0.0);
+  AMPC_CHECK_GE(options.c, 0.0);
+  const double a = options.a;
+  const double ab = a + options.b;
+  const double abc = ab + options.c;
+  AMPC_CHECK_LE(abc, 1.0) << "a + b + c";
   const int64_t n = int64_t{1} << log2_nodes;
   EdgeList list;
   list.num_nodes = n;
   list.edges.resize(num_edges);
 
   // Edge i takes draws [i * log2_nodes, (i + 1) * log2_nodes) of one
-  // xoshiro stream. A serial pass steps the stream to the first draw of
-  // every chunk of kRmatChunkEdges edges; the chunks then fill
-  // concurrently, so the edge list is the serial one on any pool.
+  // xoshiro stream. Each chunk of kRmatChunkEdges edges starts one jump of
+  // kRmatChunkEdges * log2_nodes draws after the one before; the chunks
+  // then fill concurrently, so the edge list is the serial one on any pool.
   constexpr int64_t kRmatChunkEdges = int64_t{1} << 15;
   const int64_t num_chunks =
       (num_edges + kRmatChunkEdges - 1) / kRmatChunkEdges;
+  const Rng::JumpPolynomial stride =
+      Rng::JumpPolynomialFor(kRmatChunkEdges * log2_nodes);
   std::vector<Rng> chunk_rng;
   chunk_rng.reserve(num_chunks);
   Rng rng(seed);
   for (int64_t c = 0; c < num_chunks; ++c) {
     chunk_rng.push_back(rng);
-    if (c + 1 == num_chunks) break;
-    for (int64_t d = 0; d < kRmatChunkEdges * log2_nodes; ++d) rng.Next();
+    if (c + 1 < num_chunks) rng.Jump(stride);
   }
 
-  const double a = options.a;
-  const double ab = a + options.b;
-  const double abc = ab + options.c;
+  // NextDouble() is (x >> 11) * 2^-53 exactly, so for t >= 0 it is below t
+  // iff x >> 11 is below ceil(t * 2^53): the quadrant test compares
+  // integers and picks what the double comparisons picked.
+  auto threshold = [](double t) {
+    return static_cast<uint64_t>(std::ceil(t * 0x1p53));
+  };
+  const uint64_t below_a = threshold(a), below_ab = threshold(ab),
+                 below_abc = threshold(abc);
   // Multiply-by-odd plus offset modulo 2^k is a bijection on the id space,
   // so scrambling permutes ids without extra memory; odd = 1 and add = 0
   // leave them as drawn.
@@ -65,11 +80,13 @@ EdgeList GenerateRmat(int log2_nodes, int64_t num_edges, uint64_t seed,
     for (int64_t i = c * kRmatChunkEdges; i < end; ++i) {
       uint64_t u = 0, v = 0;
       for (int bit = 0; bit < log2_nodes; ++bit) {
-        // The first of r < a, r < a + b and r < a + b + c that holds picks
-        // the bits (u, v) = (0, 0), (0, 1) or (1, 0), and none picks
-        // (1, 1); the same three comparisons, without a branch.
-        const double r = draws.NextDouble();
-        const uint64_t lt_a = r < a, lt_ab = r < ab, lt_abc = r < abc;
+        // The first of NextDouble() < a, < a + b and < a + b + c that
+        // holds picks the bits (u, v) = (0, 0), (0, 1) or (1, 0), and
+        // none picks (1, 1); the same three comparisons, on integers and
+        // without a branch.
+        const uint64_t r = draws.Next() >> 11;
+        const uint64_t lt_a = r < below_a, lt_ab = r < below_ab,
+                       lt_abc = r < below_abc;
         u = (u << 1) | ((lt_a | lt_ab) ^ 1);
         v = (v << 1) | ((lt_a ^ 1) & (lt_ab | (lt_abc ^ 1)));
       }

@@ -17,7 +17,8 @@
 namespace ampc::graph {
 
 /// G(n, m) Erdős–Rényi multigraph: m edges sampled uniformly (dedup at
-/// build time).
+/// build time). Serial: NextBelow's rejection loop makes a chunk's draw
+/// count depend on its draws, so no chunk start can be jumped to.
 EdgeList GenerateErdosRenyi(int64_t num_nodes, int64_t num_edges,
                             uint64_t seed);
 
@@ -33,9 +34,11 @@ struct RmatOptions {
 
 /// R-MAT graph over 2^log2_nodes vertices with num_edges samples. With the
 /// default parameters this yields the heavy-tailed degree distributions
-/// typical of social/web graphs. Fills chunks of edges concurrently on
-/// ThreadPool::Global(); the edge list is one seeded stream's, the same on
-/// any pool.
+/// typical of social/web graphs. a, b and c must be >= 0 with a + b + c
+/// <= 1. Edge i takes draws [i * log2_nodes, (i + 1) * log2_nodes) of one
+/// seeded stream; each chunk of edges starts from an exact Rng::Jump and
+/// fills concurrently on ThreadPool::Global(), so the edge list is the
+/// same on any pool.
 EdgeList GenerateRmat(int log2_nodes, int64_t num_edges, uint64_t seed,
                       const RmatOptions& options = {});
 

@@ -33,10 +33,14 @@ Ternarized TernarizeGraph(const WeightedEdgeList& list) {
     }
   }
 
+  // Dummies are numbered past the largest input id, which is not always
+  // the list's size: a sampled list keeps its parent's ids.
   Weight min_w = std::numeric_limits<Weight>::infinity();
-  for (const WeightedEdge& e : list.edges) min_w = std::min(min_w, e.w);
+  for (const WeightedEdge& e : list.edges) {
+    min_w = std::min(min_w, e.w);
+    out.first_dummy_id = std::max(out.first_dummy_id, e.id + 1);
+  }
   out.dummy_weight = list.edges.empty() ? -1.0 : min_w - 1.0;
-  out.first_dummy_id = static_cast<EdgeId>(list.edges.size());
 
   // Place each original edge on its endpoints' next free cycle slot.
   std::vector<int64_t> cursor(n, 0);

@@ -18,7 +18,8 @@ struct Ternarized {
   WeightedEdgeList list;
   /// Maps each ternarized vertex to the original vertex it represents.
   std::vector<NodeId> orig_of_node;
-  /// First edge id used for dummy cycle edges.
+  /// First edge id used for dummy cycle edges: one past the largest
+  /// input id (0 for an empty list).
   EdgeId first_dummy_id = 0;
   /// The weight assigned to dummy edges (below every real weight).
   Weight dummy_weight = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "graph/stats.h"
@@ -57,9 +58,11 @@ TEST(GeneratorsTest, RmatIsSkewed) {
   EXPECT_GT(g.max_degree(), 8 * avg);
 }
 
-// The fingerprints were read from the serial generator that the chunked
-// one replaced: the edge lists, and so every graph, e2e workload and
-// ChargedCostsMatchParent pin built on them, must not move.
+// The first nine fingerprints were read from the serial generator that
+// the chunked one replaced, the last three from the chunked generator
+// that stepped its stream draw by draw to each chunk's start: the edge
+// lists, and so every graph, e2e workload and ChargedCostsMatchParent pin
+// built on them, must not move.
 TEST(GeneratorsTest, RmatMatchesParentStream) {
   struct Case {
     int log2_nodes;
@@ -87,6 +90,9 @@ TEST(GeneratorsTest, RmatMatchesParentStream) {
       {10, 40'000, 9, unscrambled, 0x658357ee24b0d18bULL},
       {14, 70'001, 11, custom, 0x220021b067c75c5bULL},
       {5, 0, 1, {}, 0xcbf29ce484222325ULL},
+      {31, 100'003, 13, {}, 0x5429655e10bb1ec9ULL},  // widest ids
+      {13, 32'768, 17, {}, 0x25a1d6a2e9f687baULL},  // one whole chunk
+      {17, 65'536, 19, web, 0x381a7a68523307f4ULL},  // two whole chunks
   };
   for (const Case& c : cases) {
     const EdgeList list =
@@ -97,6 +103,22 @@ TEST(GeneratorsTest, RmatMatchesParentStream) {
         << "log2_nodes " << c.log2_nodes << ", " << c.edges << " edges, seed "
         << c.seed;
   }
+}
+
+// The quadrant thresholds are cast to integers, which a negative or NaN
+// parameter would make undefined, so bad inputs die before any draw.
+TEST(GeneratorsDeathTest, RmatRejectsInvalidInputs) {
+  RmatOptions negative;
+  negative.b = -0.01;
+  EXPECT_DEATH(GenerateRmat(10, 100, 1, negative), "options\\.b");
+  RmatOptions not_a_number;
+  not_a_number.c = std::nan("");
+  EXPECT_DEATH(GenerateRmat(10, 100, 1, not_a_number), "options\\.c");
+  RmatOptions over_one;
+  over_one.a = 0.6;
+  over_one.b = over_one.c = 0.25;
+  EXPECT_DEATH(GenerateRmat(10, 100, 1, over_one), "a \\+ b \\+ c");
+  EXPECT_DEATH(GenerateRmat(10, -1, 1), "num_edges");
 }
 
 TEST(GeneratorsTest, CycleIsTwoRegularAndConnected) {

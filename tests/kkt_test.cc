@@ -143,6 +143,19 @@ TEST_P(KktTest, EndToEndMatchesKruskal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KktTest, ::testing::Values(1, 2, 3, 4, 5));
 
+TEST(KktTest, TernarizedSampleKeepsEveryMsfEdge) {
+  // The sample keeps its parent's ids, so they are not list positions:
+  // the dummy cycle edges must be numbered past the largest of them, or
+  // stripping the dummies strips real MSF edges too.
+  WeightedEdgeList list =
+      graph::MakeRandomWeighted(graph::GenerateRmat(10, 6000, 3), 3);
+  sim::Cluster cluster(SmallConfig());
+  KktOptions options;
+  options.msf.ternarize = true;
+  KktResult r = AmpcMsfKkt(cluster, list, options);
+  EXPECT_EQ(r.msf_edges, seq::KruskalMsf(list));
+}
+
 TEST(KktTest, LightEdgeCountNearTheoreticalBound) {
   // Lemma 3.9: E[#light] = O(n/p). With p = 1/log2(n) expect about
   // n*log2(n) light edges; allow a wide constant.

@@ -77,6 +77,32 @@ TEST(RngTest, BernoulliMatchesProbability) {
   EXPECT_NEAR(hits, kTrials / 4, kTrials / 50);
 }
 
+TEST(RngTest, JumpMatchesStepping) {
+  // Whole R-MAT chunk strides at 18 and 31 levels, and a large prime.
+  const uint64_t distances[] = {0,
+                                1,
+                                255,
+                                256,
+                                257,
+                                (uint64_t{1} << 15) * 18,
+                                (uint64_t{1} << 15) * 31,
+                                10'000'019};
+  for (uint64_t seed : {3u, 2024u}) {
+    Rng stepped(seed);
+    uint64_t steps = 0;
+    for (uint64_t d : distances) {
+      for (; steps < d; ++steps) stepped.Next();
+      Rng jumped(seed);
+      jumped.Jump(Rng::JumpPolynomialFor(d));
+      Rng expected = stepped;
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(jumped.Next(), expected.Next())
+            << "seed " << seed << ", " << d << " draws, draw " << i;
+      }
+    }
+  }
+}
+
 TEST(HashCombineTest, OrderSensitive) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }
